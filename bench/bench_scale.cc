@@ -1,18 +1,21 @@
 // End-to-end scale benchmark: 100k synthetic records through the full
-// pipeline — generate → feature cache → sharded prefix-join candidates →
-// similarity vectors → grouping → grouped dominance graph → ask-and-color →
-// Power+ resolution — reporting per-stage wall time and the peak-RSS
-// watermark after each stage (ru_maxrss is monotone, so the stage where the
-// watermark jumps is the stage that owned peak memory).
+// pipeline — generate → feature cache → candidates → similarity vectors →
+// grouping → grouped dominance graph → ask-and-color → Power+ resolution —
+// reporting per-stage wall time and the peak-RSS watermark after each stage
+// (ru_maxrss is monotone, so the stage where the watermark jumps is the
+// stage that owned peak memory).
+//
+// The pipeline runs twice on the same generated table and feature cache,
+// once per candidate method (the all-pairs scan, then the prefix join), and
+// prints one row each. The two methods must return the identical candidate
+// vector, so every stage after candidates does the same work in both rows.
+// The second row's RSS watermarks include the first run's.
 //
 // Usage:
 //   bench_scale [--smoke] [--records N] [--json <path>]
 //
 // --smoke downscales to 10k records (the `bench_scale_smoke` ctest target);
-// the default is the 100k acceptance run that produces BENCH_scale.json.
-// POWER_SHARDS / POWER_THREADS sweep the shard and thread counts; the bench
-// defaults to 8 shards when POWER_SHARDS is unset (sharding never changes
-// results — tests/shard_invariance_test.cc — so the knob is purely perf).
+// the default is the 100k run. POWER_THREADS sets the thread count.
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -21,7 +24,6 @@
 
 #include "bench_util.h"
 
-#include "blocking/shard_planner.h"
 #include "core/power.h"
 #include "crowd/answer_cache.h"
 #include "data/generator.h"
@@ -51,10 +53,9 @@ DatasetProfile ScaledProfile(size_t num_records) {
 
 struct ScaleResult {
   size_t records = 0;
-  int shards = 1;
+  CandidateMethod method = CandidateMethod::kAllPairs;
   int threads = 1;
   size_t candidate_pairs = 0;
-  size_t boundary_pairs = 0;
   size_t groups = 0;
   size_t edges = 0;
   size_t questions = 0;
@@ -67,7 +68,7 @@ struct ScaleResult {
   double grouping_seconds = 0.0;
   double graph_seconds = 0.0;
   double resolve_seconds = 0.0;  // ask-and-color + Power+ wall time
-  double total_seconds = 0.0;
+  double total_seconds = 0.0;    // generate through resolve, summed
   // Peak-RSS watermark (bytes) after each stage.
   size_t rss_after_generate = 0;
   size_t rss_after_candidates = 0;
@@ -75,46 +76,26 @@ struct ScaleResult {
   size_t rss_after_resolve = 0;  // == process peak
 };
 
-ScaleResult RunScale(size_t num_records, size_t max_questions) {
-  ScaleResult out;
-  out.records = num_records;
-  out.threads = NumThreads();
-
+// The pipeline from candidates on, with `method` pinned. `base` carries the
+// shared generate / feature-cache stages; `candidates` receives the pairs.
+ScaleResult RunMethod(const ScaleResult& base, const Table& table,
+                      const FeatureCache& features, CandidateMethod method,
+                      size_t max_questions,
+                      std::vector<std::pair<int, int>>* candidates) {
+  ScaleResult out = base;
+  out.method = method;
   PowerConfig config;
-  config.candidate_method = CandidateMethod::kAuto;
   config.max_questions = max_questions;
-  // Default to 8 shards when the environment does not choose: the point of
-  // the bench is the sharded path. POWER_SHARDS still wins when set.
-  config.num_shards = EnvIsSet("POWER_SHARDS") ? 0 : 8;
-  out.shards = ResolveNumShards(config.num_shards);
 
-  Stopwatch total_watch;
   Stopwatch watch;
-  Table table = DatasetGenerator(kBenchSeed).Generate(
-      ScaledProfile(num_records));
-  out.generate_seconds = watch.ElapsedSeconds();
-  out.rss_after_generate = PeakRssBytes();
-
-  watch.Restart();
-  FeatureCache features(table);
-  out.feature_seconds = watch.ElapsedSeconds();
-
-  watch.Restart();
-  CandidateOptions candidate_options;
-  candidate_options.all_pairs_cutoff = config.all_pairs_cutoff;
-  candidate_options.num_shards = out.shards;
-  CandidateStats candidate_stats;
-  std::vector<std::pair<int, int>> candidates =
-      GenerateCandidates(features, config.prune_tau, config.candidate_method,
-                         candidate_options, &candidate_stats);
+  *candidates = GenerateCandidates(features, config.prune_tau, method);
   out.candidate_seconds = watch.ElapsedSeconds();
-  out.candidate_pairs = candidates.size();
-  out.boundary_pairs = candidate_stats.boundary_pairs;
+  out.candidate_pairs = candidates->size();
   out.rss_after_candidates = PeakRssBytes();
 
   watch.Restart();
   std::vector<SimilarPair> pairs =
-      ComputePairSimilarities(features, candidates, config.component_floor);
+      ComputePairSimilarities(features, *candidates, config.component_floor);
   out.similarity_seconds = watch.ElapsedSeconds();
   out.rss_after_similarity = PeakRssBytes();
 
@@ -124,7 +105,9 @@ ScaleResult RunScale(size_t num_records, size_t max_questions) {
   PowerResult result = PowerFramework(config).RunOnPairs(pairs, &oracle);
   out.resolve_seconds = watch.ElapsedSeconds();
   out.rss_after_resolve = PeakRssBytes();
-  out.total_seconds = total_watch.ElapsedSeconds();
+  out.total_seconds = out.generate_seconds + out.feature_seconds +
+                      out.candidate_seconds + out.similarity_seconds +
+                      out.resolve_seconds;
 
   out.groups = result.num_groups;
   out.edges = result.num_edges;
@@ -137,9 +120,9 @@ ScaleResult RunScale(size_t num_records, size_t max_questions) {
 
 void PrintResult(const ScaleResult& r) {
   std::printf("records            %12zu\n", r.records);
-  std::printf("shards / threads   %8d / %d\n", r.shards, r.threads);
-  std::printf("candidate pairs    %12zu  (boundary %zu)\n", r.candidate_pairs,
-              r.boundary_pairs);
+  std::printf("method / threads   %12s / %d\n", CandidateMethodName(r.method),
+              r.threads);
+  std::printf("candidate pairs    %12zu\n", r.candidate_pairs);
   std::printf("groups / edges     %10zu / %zu\n", r.groups, r.edges);
   std::printf("questions          %12zu\n", r.questions);
   std::printf("F1                 %12.4f\n", r.f1);
@@ -165,8 +148,8 @@ std::string JsonRow(const ScaleResult& r) {
   char buf[1024];
   std::snprintf(
       buf, sizeof(buf),
-      "    {\"records\": %zu, \"shards\": %d, \"threads\": %d, "
-      "\"candidate_pairs\": %zu, \"boundary_pairs\": %zu, \"groups\": %zu, "
+      "    {\"records\": %zu, \"method\": \"%s\", \"threads\": %d, "
+      "\"candidate_pairs\": %zu, \"groups\": %zu, "
       "\"edges\": %zu, \"questions\": %zu, \"f1\": %.4f, "
       "\"generate_seconds\": %.3f, \"feature_seconds\": %.3f, "
       "\"candidate_seconds\": %.3f, \"similarity_seconds\": %.3f, "
@@ -174,7 +157,7 @@ std::string JsonRow(const ScaleResult& r) {
       "\"resolve_seconds\": %.3f, \"total_seconds\": %.3f, "
       "\"rss_after_generate_mb\": %.1f, \"rss_after_candidates_mb\": %.1f, "
       "\"rss_after_similarity_mb\": %.1f, \"peak_rss_mb\": %.1f}",
-      r.records, r.shards, r.threads, r.candidate_pairs, r.boundary_pairs,
+      r.records, CandidateMethodName(r.method), r.threads, r.candidate_pairs,
       r.groups, r.edges, r.questions, r.f1, r.generate_seconds,
       r.feature_seconds, r.candidate_seconds, r.similarity_seconds,
       r.grouping_seconds, r.graph_seconds, r.resolve_seconds, r.total_seconds,
@@ -186,13 +169,33 @@ std::string JsonRow(const ScaleResult& r) {
 }
 
 int Run(size_t num_records, const char* json_path) {
-  PrintTitle("End-to-end scale run (sharded blocking + arena-backed graph)");
+  PrintTitle("End-to-end scale run (all-pairs scan vs prefix join)");
+  ScaleResult base;
+  base.records = num_records;
+  base.threads = NumThreads();
+  Stopwatch watch;
+  const Table table =
+      DatasetGenerator(kBenchSeed).Generate(ScaledProfile(num_records));
+  base.generate_seconds = watch.ElapsedSeconds();
+  base.rss_after_generate = PeakRssBytes();
+  watch.Restart();
+  const FeatureCache features(table);
+  base.feature_seconds = watch.ElapsedSeconds();
+
   // The question budget keeps crowd cost (and the serve loop) bounded at
   // scale; the Power+ histogram settles whatever the budget leaves, which is
   // the paper's budgeted deployment mode.
   const size_t kMaxQuestions = num_records / 2;
-  ScaleResult r = RunScale(num_records, kMaxQuestions);
-  PrintResult(r);
+  std::vector<std::pair<int, int>> scan_pairs;
+  std::vector<std::pair<int, int>> join_pairs;
+  const ScaleResult scan =
+      RunMethod(base, table, features, CandidateMethod::kAllPairs,
+                kMaxQuestions, &scan_pairs);
+  PrintResult(scan);
+  const ScaleResult join =
+      RunMethod(base, table, features, CandidateMethod::kPrefixJoin,
+                kMaxQuestions, &join_pairs);
+  PrintResult(join);
 
   if (json_path != nullptr) {
     FILE* f = std::fopen(json_path, "w");
@@ -200,14 +203,24 @@ int Run(size_t num_records, const char* json_path) {
       std::fprintf(stderr, "cannot open %s\n", json_path);
       return 1;
     }
-    std::fprintf(f, "[\n%s\n]\n", JsonRow(r).c_str());
+    std::fprintf(f, "[\n%s,\n%s\n]\n", JsonRow(scan).c_str(),
+                 JsonRow(join).c_str());
     std::fclose(f);
   }
   // Sanity gates so benchmark rot is loud: the pipeline must actually find
-  // duplicates and must not fall back to the quadratic scan.
-  if (r.candidate_pairs == 0 || r.f1 <= 0.0) {
+  // duplicates, and the two methods must agree pair for pair.
+  if (scan.candidate_pairs == 0 || scan.f1 <= 0.0) {
     std::fprintf(stderr, "FAIL: degenerate scale run (pairs=%zu f1=%.3f)\n",
-                 r.candidate_pairs, r.f1);
+                 scan.candidate_pairs, scan.f1);
+    return 1;
+  }
+  if (join_pairs != scan_pairs || join.questions != scan.questions ||
+      join.f1 != scan.f1) {
+    std::fprintf(stderr,
+                 "FAIL: prefix join and all-pairs scan disagree "
+                 "(pairs %zu vs %zu, questions %zu vs %zu)\n",
+                 join.candidate_pairs, scan.candidate_pairs, join.questions,
+                 scan.questions);
     return 1;
   }
   return 0;

@@ -9,9 +9,14 @@
 //
 // Flags: --tau=0.3 --eps=0.1 --band=90 --selector=topo|single|multi|random
 //        --plus (error tolerance) --budget=N --seed=N --out=clusters.csv
+// A malformed value, or a tau outside (0, 1], prints the usage line and
+// exits with status 2.
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +28,7 @@
 #include "eval/cluster_metrics.h"
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
+#include "util/env.h"
 #include "util/strings.h"
 
 namespace {
@@ -42,6 +48,11 @@ struct CliOptions {
   std::string out_path;
 };
 
+constexpr const char* kUsage =
+    "usage: er_cli --demo | <table.csv> [--tau=] [--eps=] "
+    "[--band=70|80|90] [--selector=topo|single|multi|random] "
+    "[--plus] [--budget=N] [--seed=N] [--out=file.csv]\n";
+
 bool ParseFlag(const std::string& arg, const char* name, std::string* value) {
   std::string prefix = std::string("--") + name + "=";
   if (!StartsWith(arg, prefix)) return false;
@@ -49,24 +60,58 @@ bool ParseFlag(const std::string& arg, const char* name, std::string* value) {
   return true;
 }
 
+bool BadValue(const char* name, const std::string& value) {
+  std::fprintf(stderr, "bad --%s value '%s'\n", name, value.c_str());
+  return false;
+}
+
+// Strict parses (util/env.h): the whole value must be a number, and an
+// integer must lie in [lo, hi].
+bool ParseDoubleFlag(const char* name, const std::string& value, double* out) {
+  std::optional<double> v = ParseDouble(value);
+  if (!v.has_value()) return BadValue(name, value);
+  *out = *v;
+  return true;
+}
+
+bool ParseIntFlag(const char* name, const std::string& value, int64_t lo,
+                  int64_t hi, int64_t* out) {
+  std::optional<int64_t> v = ParseInt(value);
+  if (!v.has_value() || *v < lo || *v > hi) return BadValue(name, value);
+  *out = *v;
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, CliOptions* opts) {
+  constexpr int64_t kIntMin = std::numeric_limits<int>::min();
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
   for (int a = 1; a < argc; ++a) {
     std::string arg = argv[a];
     std::string value;
+    int64_t n = 0;
     if (arg == "--demo") {
       opts->demo = true;
     } else if (arg == "--plus") {
       opts->error_tolerant = true;
     } else if (ParseFlag(arg, "tau", &value)) {
-      opts->tau = std::atof(value.c_str());
+      if (!ParseDoubleFlag("tau", value, &opts->tau)) return false;
+      if (!(opts->tau > 0.0 && opts->tau <= 1.0)) {
+        std::fprintf(stderr, "--tau must be in (0, 1], got '%s'\n",
+                     value.c_str());
+        return false;
+      }
     } else if (ParseFlag(arg, "eps", &value)) {
-      opts->eps = std::atof(value.c_str());
+      if (!ParseDoubleFlag("eps", value, &opts->eps)) return false;
     } else if (ParseFlag(arg, "band", &value)) {
-      opts->band = std::atoi(value.c_str());
+      if (!ParseIntFlag("band", value, kIntMin, kIntMax, &n)) return false;
+      opts->band = static_cast<int>(n);
     } else if (ParseFlag(arg, "budget", &value)) {
-      opts->budget = static_cast<size_t>(std::atoll(value.c_str()));
+      if (!ParseIntFlag("budget", value, 0, kInt64Max, &n)) return false;
+      opts->budget = static_cast<size_t>(n);
     } else if (ParseFlag(arg, "seed", &value)) {
-      opts->seed = static_cast<uint64_t>(std::atoll(value.c_str()));
+      if (!ParseIntFlag("seed", value, 0, kInt64Max, &n)) return false;
+      opts->seed = static_cast<uint64_t>(n);
     } else if (ParseFlag(arg, "out", &value)) {
       opts->out_path = value;
     } else if (ParseFlag(arg, "selector", &value)) {
@@ -89,14 +134,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
       return false;
     }
   }
-  if (!opts->demo && opts->csv_path.empty()) {
-    std::fprintf(stderr,
-                 "usage: er_cli --demo | <table.csv> [--tau=] [--eps=] "
-                 "[--band=70|80|90] [--selector=topo|single|multi|random] "
-                 "[--plus] [--budget=N] [--seed=N] [--out=file.csv]\n");
-    return false;
-  }
-  return true;
+  return opts->demo || !opts->csv_path.empty();
 }
 
 WorkerBand BandFor(int band) {
@@ -109,7 +147,10 @@ WorkerBand BandFor(int band) {
 
 int main(int argc, char** argv) {
   CliOptions opts;
-  if (!ParseArgs(argc, argv, &opts)) return 2;
+  if (!ParseArgs(argc, argv, &opts)) {
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
 
   Table table;
   if (opts.demo) {

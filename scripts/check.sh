@@ -3,7 +3,7 @@
 #   main  (build/)       regular build + full ctest suite;
 #   tsan  (build-tsan/)  ThreadSanitizer over the parallel differential,
 #                        determinism, fuzz, and pool tests (the PR gate for
-#                        every change touching util/parallel.h or a sharded
+#                        every change touching util/parallel.h or a pooled
 #                        hot path);
 #   asan  (build-asan/)  ASan+UBSan (POWER_SANITIZE=address) over the full
 #                        suite — memory errors and UB at -O0-ish codegen;
@@ -71,17 +71,18 @@ esac
 # selection-loop trace suite (incremental ask-and-color loop == legacy
 # scan-based reference at 1/2/8 threads, over the parallel CSR freeze), the
 # feature-cache differential (cached similarity front end == legacy string
-# path, bit for bit, at 1/2/8 threads — its build is itself a sharded hot
+# path, bit for bit, at 1/2/8 threads — its build is itself a pooled hot
 # path), the bit-parallel edit-distance fuzz suite, and the FaultSweep grid
 # (fault-injected serve loops must stay byte-identical at 1/2/8 threads),
 # plus the SIMD differential layer (scalar vs AVX2 kernels and the dispatch
 # invariance suite — dispatch resolution itself is a racy first-call CAS),
-# and the sharding layer (Shard*: per-shard join/graph tasks run on the pool
-# and must merge byte-identically; Arena*: the aligned-allocation substrate
-# those tasks allocate through; bench_scale_smoke: the 10k end-to-end scale
-# run, whose sharded candidate/graph stages are the newest pool consumers).
+# Arena* (the aligned-allocation substrate behind the CSR and feature-cache
+# arrays), and bench_scale_smoke (the 10k
+# end-to-end scale run, whose prefix-join probes and all-pairs scan both run
+# on the pool; the join's own differential against the scan is
+# ParallelPrefixJoinDifferential, matched by Parallel).
 # ctest filters by gtest-discovered *test* names, not binary names.
-PARALLEL_TESTS='Parallel|ColoringFuzz|SelectionLoop|FeatureCache|EditDistanceFuzz|FaultSweep|SimdKernels|SimdDispatch|Shard|Arena|bench_scale_smoke'
+PARALLEL_TESTS='Parallel|ColoringFuzz|SelectionLoop|FeatureCache|EditDistanceFuzz|FaultSweep|SimdKernels|SimdDispatch|Arena|bench_scale_smoke'
 
 if [[ "$RUN_MAIN" == 1 ]]; then
   echo "== build (default flags) =="

@@ -1,11 +1,11 @@
 #include "blocking/pair_generator.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <span>
 #include <utility>
 
 #include "blocking/prefix_join.h"
-#include "blocking/shard_planner.h"
 #include "sim/simd_kernels.h"
 #include "sim/similarity_matrix.h"
 #include "util/env.h"
@@ -73,41 +73,33 @@ const char* CandidateMethodName(CandidateMethod method) {
 std::vector<std::pair<int, int>> GenerateCandidates(
     const FeatureCache& features, double tau, CandidateMethod method,
     const CandidateOptions& options, CandidateStats* stats) {
+  // Checked here, before dispatch: the scan alone would quietly keep every
+  // pair at tau <= 0, and the join alone would abort without naming tau.
+  if (!(tau > 0.0 && tau <= 1.0)) {
+    std::fprintf(stderr,
+                 "power: candidate threshold tau=%g is outside (0, 1]\n",
+                 tau);
+    std::abort();
+  }
   CandidateMethod resolved = method;
   if (resolved == CandidateMethod::kAuto) {
     resolved = features.num_records() > options.all_pairs_cutoff
                    ? CandidateMethod::kPrefixJoin
                    : CandidateMethod::kAllPairs;
   }
-  CandidateStats local;
-  local.resolved = resolved;
-  std::vector<std::pair<int, int>> out;
-  if (resolved == CandidateMethod::kAllPairs) {
-    out = AllPairsCandidates(features, tau);
-  } else if (options.num_shards > 1) {
-    ShardedCandidates sharded =
-        ShardedPrefixJoin(features, tau, options.num_shards);
-    local.num_shards = options.num_shards;
-    local.boundary_pairs = sharded.boundary.size();
-    out = std::move(sharded.merged);
-  } else {
-    out = PrefixFilterJoin(features, tau);
-  }
+  std::vector<std::pair<int, int>> out =
+      resolved == CandidateMethod::kAllPairs
+          ? AllPairsCandidates(features, tau)
+          : PrefixFilterJoin(features, tau);
   if (EnvVerbose()) {
     std::fprintf(stderr,
                  "power: candidates: method=%s resolved=%s records=%zu "
-                 "shards=%d pairs=%zu boundary=%zu\n",
+                 "pairs=%zu\n",
                  CandidateMethodName(method), CandidateMethodName(resolved),
-                 features.num_records(), local.num_shards, out.size(),
-                 local.boundary_pairs);
+                 features.num_records(), out.size());
   }
-  if (stats != nullptr) *stats = local;
+  if (stats != nullptr) stats->resolved = resolved;
   return out;
-}
-
-std::vector<std::pair<int, int>> GenerateCandidates(
-    const FeatureCache& features, double tau, CandidateMethod method) {
-  return GenerateCandidates(features, tau, method, CandidateOptions{});
 }
 
 std::vector<std::pair<int, int>> GenerateCandidates(const Table& table,

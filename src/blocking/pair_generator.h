@@ -46,33 +46,23 @@ struct CandidateOptions {
   /// to be right in the asymptotes, small tables stay on the cache-friendly
   /// scan and 100k-record tables never enumerate 5B pairs).
   size_t all_pairs_cutoff = 2048;
-  /// Shard count for the prefix-join path (blocking/shard_planner.h); 1 is
-  /// the monolithic join. Ignored by the all-pairs scan (already row-sharded
-  /// over the pool). Any value yields the identical sorted pair vector.
-  int num_shards = 1;
 };
 
 /// What GenerateCandidates actually did (for PowerResult / bench reporting).
 struct CandidateStats {
   /// The method that ran — never kAuto.
   CandidateMethod resolved = CandidateMethod::kAllPairs;
-  /// Shards the prefix join ran with (1 when all-pairs ran).
-  int num_shards = 1;
-  /// Cross-shard boundary pairs found by the sharded join (0 otherwise).
-  size_t boundary_pairs = 0;
 };
 
-/// Dispatches to AllPairsCandidates, PrefixFilterJoin, or the sharded join by
-/// `method` and `options` (see CandidateMethod::kAuto). Reports the taken
-/// path via `stats` (optional) and, when the POWER_VERBOSE environment
-/// variable is set non-empty (and not "0"), on stderr.
+/// Dispatches to AllPairsCandidates or PrefixFilterJoin by `method` and
+/// `options` (see CandidateMethod::kAuto). Aborts with a message naming tau
+/// unless tau is in (0, 1], so every method refuses the same thresholds at
+/// every table size. Reports the taken path via `stats` (optional) and,
+/// when the POWER_VERBOSE environment variable is set non-empty (and not
+/// "0"), on stderr.
 std::vector<std::pair<int, int>> GenerateCandidates(
     const FeatureCache& features, double tau, CandidateMethod method,
-    const CandidateOptions& options, CandidateStats* stats = nullptr);
-
-/// Back-compat form: default options, no stats.
-std::vector<std::pair<int, int>> GenerateCandidates(
-    const FeatureCache& features, double tau, CandidateMethod method);
+    const CandidateOptions& options = {}, CandidateStats* stats = nullptr);
 
 /// Convenience wrapper: builds a FeatureCache and dispatches.
 std::vector<std::pair<int, int>> GenerateCandidates(const Table& table,

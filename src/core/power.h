@@ -36,14 +36,11 @@ struct PowerConfig {
   // Pruning (§7.1): record-level Jaccard threshold and per-attribute floor.
   double prune_tau = 0.3;
   double component_floor = 0.2;
-  /// kAuto dispatches by record count (see all_pairs_cutoff); the explicit
-  /// methods pin one path. All three settings produce the identical sorted
-  /// candidate vector — the knob is purely a performance choice.
+  /// kAuto dispatches by record count (see CandidateOptions::
+  /// all_pairs_cutoff); the explicit methods pin one path. All three
+  /// settings produce the identical sorted candidate vector — the knob is
+  /// purely a performance choice.
   CandidateMethod candidate_method = CandidateMethod::kAuto;
-  /// kAuto threshold: tables with more records than this use the prefix-
-  /// filter join instead of the quadratic all-pairs scan. See
-  /// CandidateOptions::all_pairs_cutoff for how the default was picked.
-  size_t all_pairs_cutoff = 2048;
 
   GroupingKind grouping = GroupingKind::kSplit;
   double epsilon = 0.1;
@@ -90,15 +87,6 @@ struct PowerConfig {
   /// merges per-chunk output deterministically, so PowerResult is identical
   /// at any thread count (tests/parallel_determinism_test.cc).
   int num_threads = 0;
-
-  /// Shards for the scale-out machine-side stages: the prefix-join candidate
-  /// generation (blocking/shard_planner.h) and the dominance-graph builds
-  /// (graph/sharded_builder.h, group/grouped_graph.h). 0 = process default
-  /// (POWER_SHARDS env var, else 1); 1 = the exact monolithic path. Like
-  /// num_threads, the shard count never changes results: the sharded paths
-  /// are proven byte-identical to the monolithic ones
-  /// (tests/shard_invariance_test.cc).
-  int num_shards = 0;
 };
 
 /// Pipeline outcome: the common ER result plus pipeline statistics used by
@@ -118,12 +106,8 @@ struct PowerResult : ErResult {
   double similarity_seconds = 0.0;
   /// Resolved thread count the machine-side stages ran with.
   int num_threads = 1;
-  /// Resolved shard count the sharded stages ran with.
-  int num_shards = 1;
   /// Candidate method that actually ran (kAuto resolved; Run only).
   const char* candidate_method = "?";
-  /// Cross-shard boundary candidate pairs (sharded prefix join; Run only).
-  size_t boundary_pairs = 0;
 };
 
 /// Phases of the resumable ask-and-color loop, in execution order. One

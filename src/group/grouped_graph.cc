@@ -3,19 +3,26 @@
 #include <cstdint>
 #include <utility>
 
-#include "graph/sharded_builder.h"
 #include "order/partial_order.h"
 #include "util/parallel.h"
 
 namespace power {
-namespace {
 
-constexpr int64_t kRowGrain = 16;
-
-// The monolithic emit path: all-pairs interval dominance, row-sharded over
-// the pool with per-chunk edge buffers — same deterministic scheme as the
-// base builders.
-void EmitAllPairs(const std::vector<VertexGroup>& groups, PairGraph* graph) {
+GroupedGraph BuildGroupedGraph(std::vector<VertexGroup> groups) {
+  std::vector<std::vector<double>> midpoints;
+  midpoints.reserve(groups.size());
+  for (const auto& g : groups) {
+    std::vector<double> mid(g.lower.size());
+    for (size_t k = 0; k < mid.size(); ++k) {
+      mid[k] = (g.lower[k] + g.upper[k]) / 2.0;
+    }
+    midpoints.push_back(std::move(mid));
+  }
+  GroupedGraph out;
+  out.graph = PairGraph(std::move(midpoints));
+  // All-pairs interval dominance, row-sharded over the pool with per-chunk
+  // edge buffers — same deterministic scheme as the base builders.
+  constexpr int64_t kRowGrain = 16;
   const int x = static_cast<int>(groups.size());
   std::vector<std::vector<std::pair<int, int>>> edges(
       NumChunks(0, x, kRowGrain));
@@ -33,100 +40,17 @@ void EmitAllPairs(const std::vector<VertexGroup>& groups, PairGraph* graph) {
                          }
                        }
                      });
-  graph->AddEdgeChunks(std::move(edges));
-}
-
-// The sharded emit path: contiguous balanced shards of the group range, one
-// pool task per shard scanning its own pairs, then a row-sharded cross-shard
-// stitch. The union of the emitted edges equals EmitAllPairs's set exactly
-// (every ordered dominating pair is either intra-shard or cross-shard), so
-// the frozen graph is byte-identical.
-void EmitSharded(const std::vector<VertexGroup>& groups, int num_shards,
-                 PairGraph* graph) {
-  const int x = static_cast<int>(groups.size());
-  std::vector<int> shard_begin(static_cast<size_t>(num_shards) + 1);
-  for (int s = 0; s <= num_shards; ++s) {
-    shard_begin[static_cast<size_t>(s)] =
-        static_cast<int>(static_cast<int64_t>(x) * s / num_shards);
-  }
-
-  // Intra-shard scans.
-  std::vector<std::vector<std::pair<int, int>>> intra(
-      static_cast<size_t>(num_shards));
-  ParallelFor(0, num_shards, 1, [&](int64_t begin, int64_t end) {
-    for (int64_t s = begin; s < end; ++s) {
-      const int lo = shard_begin[static_cast<size_t>(s)];
-      const int hi = shard_begin[static_cast<size_t>(s) + 1];
-      auto& buf = intra[static_cast<size_t>(s)];
-      for (int a = lo; a < hi; ++a) {
-        for (int b = lo; b < hi; ++b) {
-          if (a == b) continue;
-          if (GroupStrictlyDominates(groups[a].lower, groups[b].upper)) {
-            buf.emplace_back(a, b);
-          }
-        }
-      }
-    }
-  });
-  graph->AddEdgeChunks(std::move(intra));
-
-  // Cross-shard stitch: for each row a, scan only the groups past a's shard
-  // boundary (earlier cross pairs were visited from the earlier row), both
-  // directions checked.
-  std::vector<std::vector<std::pair<int, int>>> cross(
-      NumChunks(0, x, kRowGrain));
-  ParallelForChunked(
-      0, x, kRowGrain, [&](size_t chunk, int64_t begin, int64_t end) {
-        auto& buf = cross[chunk];
-        for (int a = static_cast<int>(begin); a < static_cast<int>(end);
-             ++a) {
-          // a's shard via binary-search-free scan: shard boundaries are few.
-          int s = 0;
-          while (shard_begin[static_cast<size_t>(s) + 1] <= a) ++s;
-          for (int b = shard_begin[static_cast<size_t>(s) + 1]; b < x; ++b) {
-            if (GroupStrictlyDominates(groups[a].lower, groups[b].upper)) {
-              buf.emplace_back(a, b);
-            }
-            if (GroupStrictlyDominates(groups[b].lower, groups[a].upper)) {
-              buf.emplace_back(b, a);
-            }
-          }
-        }
-      });
-  graph->AddEdgeChunks(std::move(cross));
-}
-
-}  // namespace
-
-GroupedGraph BuildGroupedGraph(std::vector<VertexGroup> groups,
-                               int num_shards) {
-  std::vector<std::vector<double>> midpoints;
-  midpoints.reserve(groups.size());
-  for (const auto& g : groups) {
-    std::vector<double> mid(g.lower.size());
-    for (size_t k = 0; k < mid.size(); ++k) {
-      mid[k] = (g.lower[k] + g.upper[k]) / 2.0;
-    }
-    midpoints.push_back(std::move(mid));
-  }
-  GroupedGraph out;
-  out.graph = PairGraph(std::move(midpoints));
-  if (num_shards > 1) {
-    EmitSharded(groups, num_shards, &out.graph);
-  } else {
-    EmitAllPairs(groups, &out.graph);
-  }
+  out.graph.AddEdgeChunks(std::move(edges));
   out.graph.DedupEdges();
   out.groups = std::move(groups);
   return out;
 }
 
 GroupedGraph BuildUngrouped(const GraphBuilder& builder,
-                            std::vector<std::vector<double>> sims,
-                            int num_shards) {
+                            std::vector<std::vector<double>> sims) {
   GroupedGraph out;
   out.groups = SingletonGroups(sims);
-  out.graph = BuildShardedGraph(builder, std::move(sims), num_shards);
+  out.graph = builder.Build(std::move(sims));
   return out;
 }
 

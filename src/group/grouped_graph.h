@@ -19,25 +19,13 @@ struct GroupedGraph {
 /// Builds the grouped graph by testing interval dominance between all group
 /// pairs (group counts are small; the relation is transitive, so this yields
 /// the full closure like the base builders do).
-///
-/// With num_shards > 1 the group range is cut into contiguous balanced
-/// shards: per-shard dominance scans run as parallel pool tasks with
-/// shard-local buffers, a cross-shard stitch scan adds the boundary edges,
-/// and one freeze canonicalizes the union. The frozen graph is byte-identical
-/// to the num_shards == 1 build at any shard/thread count — the edge *set*
-/// is the full dominance relation either way, and PairGraph::DedupEdges()
-/// canonicalizes equal edge sets to equal CSR arrays.
-GroupedGraph BuildGroupedGraph(std::vector<VertexGroup> groups,
-                               int num_shards = 1);
+GroupedGraph BuildGroupedGraph(std::vector<VertexGroup> groups);
 
 /// Builds a grouped graph of singleton groups using a base-graph builder —
 /// the "non-grouping" configuration sharing the same downstream machinery.
 /// `sims` is moved into the built graph; pass std::move to avoid the copy.
-/// num_shards > 1 routes through BuildShardedGraph (graph/sharded_builder.h)
-/// with the same byte-identity guarantee.
 GroupedGraph BuildUngrouped(const GraphBuilder& builder,
-                            std::vector<std::vector<double>> sims,
-                            int num_shards = 1);
+                            std::vector<std::vector<double>> sims);
 
 }  // namespace power
 

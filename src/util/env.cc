@@ -38,9 +38,6 @@ constexpr EnvKnobInfo kKnobs[] = {
     {"POWER_THREADS", "int", "hardware concurrency", "1..4096",
      "Worker threads for ParallelFor/ThreadPool; results are "
      "thread-count-invariant by construction."},
-    {"POWER_SHARDS", "int", "1 (monolithic)", "1..2^31-1",
-     "Blocking/graph-build shard count when PowerConfig::num_shards is 0; "
-     "merged output is byte-identical at any value."},
     {"POWER_SIMD", "enum", "auto", "off | scalar | avx2 | auto",
      "Similarity kernel engine; unknown values abort (fail-fast policy in "
      "ResolveSimdLevel). off==scalar; results are engine-invariant."},

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -93,6 +94,58 @@ TEST(GenerateCandidatesTest, DispatchAgrees) {
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   EXPECT_EQ(a, b);
+}
+
+Table RestaurantTable(size_t records, size_t entities, uint64_t seed) {
+  DatasetProfile p = RestaurantProfile();
+  p.num_records = records;
+  p.num_entities = entities;
+  return DatasetGenerator(seed).Generate(p);
+}
+
+TEST(GenerateCandidatesTest, AutoDispatchesByRecordCountAndCutoff) {
+  Table t = RestaurantTable(64, 40, 5);
+  FeatureCache features(t);
+  CandidateOptions options;
+  CandidateStats stats;
+
+  options.all_pairs_cutoff = 1000;  // 64 records <= cutoff -> quadratic scan
+  auto a = GenerateCandidates(features, 0.3, CandidateMethod::kAuto, options,
+                              &stats);
+  EXPECT_EQ(stats.resolved, CandidateMethod::kAllPairs);
+
+  options.all_pairs_cutoff = 10;  // 64 records > cutoff -> prefix join
+  auto b = GenerateCandidates(features, 0.3, CandidateMethod::kAuto, options,
+                              &stats);
+  EXPECT_EQ(stats.resolved, CandidateMethod::kPrefixJoin);
+
+  // The dispatch is invisible in the results.
+  EXPECT_EQ(a, b);
+}
+
+// Every method refuses a threshold outside (0, 1] the same way on both sides
+// of kAuto's record-count cutoff, naming the value. (The all-pairs scan on
+// its own would keep every pair at tau <= 0.)
+TEST(GenerateCandidatesDeathTest, RejectsTauOutsideUnitIntervalAtEverySize) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (size_t records : {size_t{10}, size_t{3000}}) {
+    SCOPED_TRACE(records);
+    Table t = RestaurantTable(records, records / 2, 8);
+    FeatureCache features(t);
+    for (CandidateMethod method :
+         {CandidateMethod::kAuto, CandidateMethod::kAllPairs,
+          CandidateMethod::kPrefixJoin}) {
+      SCOPED_TRACE(CandidateMethodName(method));
+      EXPECT_DEATH(GenerateCandidates(features, 0.0, method),
+                   "tau=0 is outside \\(0, 1\\]");
+      EXPECT_DEATH(GenerateCandidates(features, 1.5, method),
+                   "tau=1.5 is outside \\(0, 1\\]");
+      EXPECT_DEATH(GenerateCandidates(
+                       features, std::numeric_limits<double>::quiet_NaN(),
+                       method),
+                   "tau=-?nan is outside \\(0, 1\\]");
+    }
+  }
 }
 
 }  // namespace

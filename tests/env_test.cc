@@ -226,7 +226,6 @@ TEST(EnvKnobsTest, RegistryCoversEveryKnownKnob) {
   // the env-read lint rule funnels new readers through util/env.h, and this
   // list is the reminder to register them.
   EXPECT_TRUE(has("POWER_THREADS"));
-  EXPECT_TRUE(has("POWER_SHARDS"));
   EXPECT_TRUE(has("POWER_SIMD"));
   EXPECT_TRUE(has("POWER_HUGEPAGES"));
   EXPECT_TRUE(has("POWER_VERBOSE"));

@@ -1,19 +1,25 @@
 // Differential harness for the parallel hot paths: on randomized instances,
-// every parallelized stage — candidate generation, similarity vectors, and
-// all four graph builders — must produce output identical to the serial
-// path (num_threads == 1) at every thread count. Edge sets are compared
-// exactly; similarity values bit-for-bit (the partial order of §3.1 uses
-// exact double comparisons, so "close" is not good enough).
+// every parallelized stage — candidate generation (the all-pairs scan and
+// the prefix join), similarity vectors, all four graph builders and the
+// grouped graph — must produce output identical to the serial path
+// (num_threads == 1) at every thread count. Edge sets are compared exactly;
+// similarity values bit-for-bit (the partial order of §3.1 uses exact double
+// comparisons, so "close" is not good enough).
 #include <algorithm>
+#include <cmath>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "blocking/pair_generator.h"
+#include "blocking/prefix_join.h"
 #include "data/generator.h"
 #include "graph/builder.h"
+#include "group/grouped_graph.h"
+#include "group/split_grouper.h"
 #include "sim/similarity_matrix.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -107,6 +113,136 @@ TEST(ParallelBuilderDifferential, BuilderKindsAgreePairwiseWhenParallel) {
   EXPECT_EQ(EdgeSet(QuickSortBuilder(123).Build(sims)), expected);
   EXPECT_EQ(EdgeSet(RangeTreeBuilder().Build(sims)), expected);
   EXPECT_EQ(EdgeSet(RangeTreeMdBuilder().Build(sims)), expected);
+}
+
+// The grouped graph (Definition 5) must freeze to the same CSR adjacency,
+// vertex for vertex, at every thread count — not just the same edge set.
+TEST(ParallelGroupedGraphDifferential, CsrIdenticalAtEveryThreadCount) {
+  auto sims = RandomSims(29, 400, 3, 50);
+  const std::vector<VertexGroup> groups = SplitGrouper().Group(sims, 0.1);
+  ASSERT_GT(groups.size(), 64u);  // several 16-row chunks of the edge scan
+  GroupedGraph serial;
+  {
+    ScopedNumThreads scope(1);
+    serial = BuildGroupedGraph(groups);
+  }
+  ASSERT_GT(serial.graph.num_edges(), 0u);
+  for (int threads : kThreadCounts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ScopedNumThreads scope(threads);
+    GroupedGraph g = BuildGroupedGraph(groups);
+    ASSERT_TRUE(g.graph.frozen());
+    ASSERT_EQ(g.groups.size(), serial.groups.size());
+    ASSERT_EQ(g.graph.num_vertices(), serial.graph.num_vertices());
+    ASSERT_EQ(g.graph.num_edges(), serial.graph.num_edges());
+    EXPECT_EQ(g.graph.all_sims(), serial.graph.all_sims());
+    for (int v = 0; v < static_cast<int>(g.graph.num_vertices()); ++v) {
+      auto gc = g.graph.children(v), sc = serial.graph.children(v);
+      ASSERT_TRUE(std::equal(gc.begin(), gc.end(), sc.begin(), sc.end()))
+          << "children diverge at vertex " << v;
+      auto gp = g.graph.parents(v), sp = serial.graph.parents(v);
+      ASSERT_TRUE(std::equal(gp.begin(), gp.end(), sp.begin(), sp.end()))
+          << "parents diverge at vertex " << v;
+    }
+  }
+}
+
+// A table whose word frequencies fall off like Zipf's law over a large
+// vocabulary, so prefixes are selective. Records come in near-duplicate
+// clusters (one or two words swapped) so pairs pass at high tau too.
+Table LongTailTable(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  auto zipf_word = [&]() {
+    // Inverse-CDF of a 1/rank distribution over ~3000 ranks.
+    const double u = rng.UniformDouble(0.0, 1.0);
+    const int rank = static_cast<int>(std::exp(u * std::log(3000.0)));
+    return "w" + std::to_string(rank);
+  };
+  Table table(Schema({{"text", SimilarityFunction::kJaccard}}));
+  std::vector<std::string> words;
+  for (size_t i = 0; i < n; ++i) {
+    if (i % 3 == 0 || words.empty()) {
+      words.clear();
+      const int len = rng.UniformInt(2, 14);
+      for (int w = 0; w < len; ++w) words.push_back(zipf_word());
+    } else {
+      for (int edits = rng.UniformInt(0, 2); edits > 0; --edits) {
+        words[rng.UniformIndex(words.size())] = zipf_word();
+      }
+    }
+    std::string text;
+    for (const std::string& w : words) text += w + " ";
+    table.Add({-1, static_cast<int>(i / 3), {text}});
+  }
+  return table;
+}
+
+// The first `n` records of `table`.
+Table Head(const Table& table, size_t n) {
+  Table out(table.schema());
+  for (size_t i = 0; i < n && i < table.num_records(); ++i) {
+    out.Add(table.record(i));
+  }
+  return out;
+}
+
+// The prefix join equals the all-pairs scan byte for byte (order included)
+// over tau × thread count × table size × table shape. The join probes
+// 64-position ranges of its processing order per pool task (prefix_join.cc),
+// so the sizes straddle that grain.
+TEST(ParallelPrefixJoinDifferential, EqualsAllPairsByteForByte) {
+  DatasetProfile acm = AcmPubProfile(0.005);  // ~334 records, dense vocab
+  const Table dense = DatasetGenerator(41).Generate(acm);
+  const Table long_tail = LongTailTable(300, 42);
+  DatasetProfile restaurant = RestaurantProfile();
+  restaurant.num_records = 100;
+  restaurant.num_entities = 80;
+  const Table base = DatasetGenerator(43).Generate(restaurant);
+  // Every record three times over: identical token sets tie on size.
+  Table duplicates(base.schema());
+  for (size_t copy = 0; copy < 3; ++copy) {
+    for (const Record& r : base.records()) duplicates.Add(r);
+  }
+  // Every third record token-less: Jaccard(∅, ∅) = 1 pairs them all.
+  Table tokenless(base.schema());
+  for (size_t i = 0; i < 300; ++i) {
+    Record r = base.record(i % base.num_records());
+    if (i % 3 == 1) {
+      for (std::string& v : r.values) v.clear();
+    }
+    tokenless.Add(r);
+  }
+  const std::pair<const char*, const Table*> shapes[] = {
+      {"dense", &dense},
+      {"long_tail", &long_tail},
+      {"duplicates", &duplicates},
+      {"tokenless", &tokenless}};
+
+  size_t nonempty = 0;
+  for (const auto& [shape, table] : shapes) {
+    for (size_t n : {0, 1, 2, 63, 64, 65, 300}) {
+      const Table head = Head(*table, n);
+      const FeatureCache features(head);
+      for (double tau : {0.1, 0.3, 0.5, 0.8, 1.0}) {
+        SCOPED_TRACE(std::string(shape) + " n=" + std::to_string(n) +
+                     " tau=" + std::to_string(tau));
+        std::vector<std::pair<int, int>> reference;
+        {
+          ScopedNumThreads scope(1);
+          reference = AllPairsCandidates(features, tau);
+        }
+        if (!reference.empty()) ++nonempty;
+        for (int threads : kThreadCounts) {
+          ScopedNumThreads scope(threads);
+          EXPECT_EQ(PrefixFilterJoin(features, tau), reference)
+              << "threads=" << threads;
+        }
+      }
+    }
+  }
+  // Not vacuous: most (shape, size, tau) cells of three records or more
+  // have candidates.
+  EXPECT_GT(nonempty, 60u);
 }
 
 TEST(ParallelSimilarityDifferential, CandidatesAndVectorsMatchSerial) {
