@@ -145,8 +145,12 @@ size_t ParseIterations(const std::string& fingerprint) {
       std::strtoull(fingerprint.c_str() + at + key.size(), nullptr, 10));
 }
 
+// Keyed by the running test's name as well: the tests below reuse tags (the
+// kTopoSort reference, "collect:1"), and ctest -j runs them in parallel.
 std::string TempPath(const std::string& tag) {
-  return ::testing::TempDir() + "crash_inject_" + tag;
+  return ::testing::TempDir() + "crash_inject_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "_" + tag;
 }
 
 // Runs the uninterrupted reference child for `selector`, returning its
