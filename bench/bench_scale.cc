@@ -7,9 +7,11 @@
 //
 // The pipeline runs twice on the same generated table and feature cache,
 // once per candidate method (the all-pairs scan, then the prefix join), and
-// prints one row each. The two methods must return the identical candidate
-// vector, so every stage after candidates does the same work in both rows.
-// The second row's RSS watermarks include the first run's.
+// prints one row each, with the method's CandidateStats counters. The two
+// methods must return the identical candidate vector, so every stage after
+// candidates does the same work in both rows. The second row's RSS
+// watermarks include the first run's. Last it prints what kAuto resolves to
+// on the table, from the counted work of the join row.
 //
 // Usage:
 //   bench_scale [--smoke] [--records N] [--json <path>]
@@ -74,6 +76,7 @@ struct ScaleResult {
   size_t rss_after_candidates = 0;
   size_t rss_after_similarity = 0;
   size_t rss_after_resolve = 0;  // == process peak
+  CandidateStats stats;
 };
 
 // The pipeline from candidates on, with `method` pinned. `base` carries the
@@ -88,7 +91,8 @@ ScaleResult RunMethod(const ScaleResult& base, const Table& table,
   config.max_questions = max_questions;
 
   Stopwatch watch;
-  *candidates = GenerateCandidates(features, config.prune_tau, method);
+  *candidates = GenerateCandidates(features, config.prune_tau, method,
+                                   CandidateOptions{}, &out.stats);
   out.candidate_seconds = watch.ElapsedSeconds();
   out.candidate_pairs = candidates->size();
   out.rss_after_candidates = PeakRssBytes();
@@ -126,6 +130,15 @@ void PrintResult(const ScaleResult& r) {
   std::printf("groups / edges     %10zu / %zu\n", r.groups, r.edges);
   std::printf("questions          %12zu\n", r.questions);
   std::printf("F1                 %12.4f\n", r.f1);
+  std::printf("scan / join work   %12llu / %llu\n",
+              static_cast<unsigned long long>(r.stats.scan_work),
+              static_cast<unsigned long long>(r.stats.join_work));
+  std::printf("signature checks   %12llu\n",
+              static_cast<unsigned long long>(r.stats.signature_checks));
+  std::printf("verifications      %12llu\n",
+              static_cast<unsigned long long>(r.stats.verifications));
+  std::printf("posting visits     %12llu\n",
+              static_cast<unsigned long long>(r.stats.posting_visits));
   PrintRule();
   std::printf("%-22s %10s %14s\n", "stage", "wall (s)", "peak RSS (MB)");
   auto mb = [](size_t bytes) { return bytes / (1024.0 * 1024.0); };
@@ -156,7 +169,10 @@ std::string JsonRow(const ScaleResult& r) {
       "\"grouping_seconds\": %.3f, \"graph_seconds\": %.3f, "
       "\"resolve_seconds\": %.3f, \"total_seconds\": %.3f, "
       "\"rss_after_generate_mb\": %.1f, \"rss_after_candidates_mb\": %.1f, "
-      "\"rss_after_similarity_mb\": %.1f, \"peak_rss_mb\": %.1f}",
+      "\"rss_after_similarity_mb\": %.1f, \"peak_rss_mb\": %.1f, "
+      "\"scan_work\": %llu, \"join_work\": %llu, "
+      "\"signature_checks\": %llu, \"verifications\": %llu, "
+      "\"posting_visits\": %llu}",
       r.records, CandidateMethodName(r.method), r.threads, r.candidate_pairs,
       r.groups, r.edges, r.questions, r.f1, r.generate_seconds,
       r.feature_seconds, r.candidate_seconds, r.similarity_seconds,
@@ -164,7 +180,12 @@ std::string JsonRow(const ScaleResult& r) {
       r.rss_after_generate / (1024.0 * 1024.0),
       r.rss_after_candidates / (1024.0 * 1024.0),
       r.rss_after_similarity / (1024.0 * 1024.0),
-      r.rss_after_resolve / (1024.0 * 1024.0));
+      r.rss_after_resolve / (1024.0 * 1024.0),
+      static_cast<unsigned long long>(r.stats.scan_work),
+      static_cast<unsigned long long>(r.stats.join_work),
+      static_cast<unsigned long long>(r.stats.signature_checks),
+      static_cast<unsigned long long>(r.stats.verifications),
+      static_cast<unsigned long long>(r.stats.posting_visits));
   return buf;
 }
 
@@ -196,6 +217,13 @@ int Run(size_t num_records, const char* json_path) {
       RunMethod(base, table, features, CandidateMethod::kPrefixJoin,
                 kMaxQuestions, &join_pairs);
   PrintResult(join);
+  const CandidateMethod automatic =
+      AutoCandidateMethod(join.stats.scan_work, join.stats.join_work);
+  std::printf("kAuto resolves to  %12s (2 x join work %llu vs scan work "
+              "%llu)\n",
+              CandidateMethodName(automatic),
+              static_cast<unsigned long long>(2 * join.stats.join_work),
+              static_cast<unsigned long long>(join.stats.scan_work));
 
   if (json_path != nullptr) {
     FILE* f = std::fopen(json_path, "w");

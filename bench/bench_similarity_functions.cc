@@ -11,10 +11,11 @@
 // outputs are asserted equal before any timing is reported.
 //
 // Plus the kernel-level bench: the dispatched SIMD kernels
-// (sim/simd_kernels.h) against their scalar references on the two hot
+// (sim/simd_kernels.h) against their scalar references on the three hot
 // integer loops — the record-level Jaccard prune (sorted token-id span
-// intersection over every record pair) and the batched Myers edit distance
-// (8 texts per call against a shared reference string). Engine outputs are
+// intersection over every record pair), the batched Myers edit distance
+// (8 texts per call against a shared reference string) and the signature
+// distances of the candidate paths' filter. Engine outputs are
 // checksummed and asserted equal before any speedup is reported, and the
 // AVX2 rows carry an 8-lane roofline (8x the scalar element throughput) so
 // the achieved fraction is visible next to the speedup.
@@ -30,6 +31,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -288,7 +290,7 @@ int RunFrontEndBench(bool smoke, std::vector<std::string>* json_rows) {
 // ---------------------------------------------------------------------------
 
 struct KernelResult {
-  std::string kernel;    // "jaccard_prune" | "batch_myers"
+  std::string kernel;    // "jaccard_prune" | "batch_myers" | "signature"
   std::string engine;    // "scalar" | "avx2"
   size_t pairs = 0;      // pair comparisons timed
   size_t elements = 0;   // merge elements (prune) / text columns (myers)
@@ -367,6 +369,33 @@ KernelResult BenchBatchMyersKernel(const FeatureCache& features,
   return r;
 }
 
+// The signature filter's kernel in the all-pairs scan's shape: each
+// record's signature against the run of records after it. The checksum
+// folds every distance.
+KernelResult BenchSignatureKernel(const FeatureCache& features,
+                                  SimdLevel level, int reps) {
+  OverrideSimdLevel(level);
+  KernelResult r;
+  r.kernel = "signature";
+  r.engine = SimdLevelName(level);
+  const std::span<const TokenSignature> sigs = features.RecordSignatures();
+  const size_t n = sigs.size();
+  std::vector<uint16_t> distances(n);
+  Stopwatch watch;
+  for (int rep = 0; rep < reps; ++rep) {
+    for (size_t i = 0; i + 1 < n; ++i) {
+      const size_t count = n - i - 1;
+      SignatureDistances(sigs[i], sigs.data() + i + 1, count,
+                         distances.data());
+      for (size_t t = 0; t < count; ++t) r.checksum += distances[t];
+      r.pairs += count;
+    }
+  }
+  r.seconds = watch.ElapsedSeconds();
+  r.elements = 4 * r.pairs;  // 64-bit signature words compared
+  return r;
+}
+
 void PrintKernelRow(const KernelResult& r) {
   std::printf("%-14s %-8s %12zu %12.2fM %12.2fM\n", r.kernel.c_str(),
               r.engine.c_str(), r.pairs, r.pairs_per_sec() / 1e6,
@@ -388,6 +417,7 @@ int RunKernelBench(bool smoke, std::vector<std::string>* json_rows) {
   const size_t kRecords = smoke ? 220 : 2500;
   const int kPruneReps = smoke ? 1 : 3;
   const int kMyersReps = smoke ? 1 : 3;
+  const int kSignatureReps = smoke ? 1 : 20;
   Table table = MakeFrontEndTable(kRecords);
   ScopedNumThreads scope(1);  // kernel-level: single-thread, pure kernel time
   FeatureCache features(table);
@@ -437,6 +467,11 @@ int RunKernelBench(bool smoke, std::vector<std::string>* json_rows) {
                                      kMyersReps);
       },
       "batch_myers");
+  run_pair(
+      [&](SimdLevel level) {
+        return BenchSignatureKernel(features, level, kSignatureReps);
+      },
+      "signature");
   if (!avx2) {
     std::printf("(AVX2 engine unavailable on this build/CPU — scalar rows "
                 "only)\n");

@@ -9,8 +9,8 @@
 //
 // Flags: --tau=0.3 --eps=0.1 --band=90 --selector=topo|single|multi|random
 //        --plus (error tolerance) --budget=N --seed=N --out=clusters.csv
-// A malformed value, or a tau outside (0, 1], prints the usage line and
-// exits with status 2.
+// A malformed value, a tau outside (0, 1], or a negative eps prints the
+// usage line and exits with status 2.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -103,6 +103,11 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
       }
     } else if (ParseFlag(arg, "eps", &value)) {
       if (!ParseDoubleFlag("eps", value, &opts->eps)) return false;
+      if (!(opts->eps >= 0.0)) {
+        std::fprintf(stderr, "--eps must be >= 0, got '%s'\n",
+                     value.c_str());
+        return false;
+      }
     } else if (ParseFlag(arg, "band", &value)) {
       if (!ParseIntFlag("band", value, kIntMin, kIntMax, &n)) return false;
       opts->band = static_cast<int>(n);

@@ -1,6 +1,7 @@
 #ifndef POWER_BLOCKING_PAIR_GENERATOR_H_
 #define POWER_BLOCKING_PAIR_GENERATOR_H_
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -9,55 +10,73 @@
 
 namespace power {
 
-/// Pruning stage (paper §2.2 / §7.1): only pairs whose record-level Jaccard
-/// similarity reaches `tau` are kept as graph vertices; everything below is
-/// assumed non-matching without asking the crowd.
-///
-/// Enumerates all n*(n-1)/2 pairs over the cached record-level token-id
-/// spans. Fine for Restaurant/Cora-sized tables; use PrefixFilterJoin for
-/// ACMPub scale.
-std::vector<std::pair<int, int>> AllPairsCandidates(
-    const FeatureCache& features, double tau);
-
-/// Convenience wrapper: builds a FeatureCache and runs the cached scan.
-std::vector<std::pair<int, int>> AllPairsCandidates(const Table& table,
-                                                    double tau);
-
 /// Candidate generation method selector used by the pipeline config.
 enum class CandidateMethod {
   kAllPairs,
   kPrefixJoin,
-  /// Dispatch by record count: tables with more than
-  /// CandidateOptions::all_pairs_cutoff records use the prefix join,
-  /// smaller ones the all-pairs scan. Safe as a blanket default because the
-  /// two methods return the *same sorted pair vector* (blocking_test proves
-  /// equality), so the dispatch only ever changes wall time, never results.
+  /// Dispatch by counted work: plan the join (rank the tokens, count the
+  /// prefix posting lists) and take it only when
+  /// 2 × join_work < scan_work (see CandidateStats and
+  /// AutoCandidateMethod), else scan. The factor
+  /// is one measured cost ratio: a posting visit, index build included,
+  /// costs about 1.4–3.5 signature checks (DESIGN.md §14). Safe as a
+  /// blanket default because the two methods return the *same sorted pair
+  /// vector* (the differential tests prove it), so the dispatch only ever
+  /// changes wall time, never results.
   kAuto,
 };
 
 const char* CandidateMethodName(CandidateMethod method);
 
-/// Tuning knobs for GenerateCandidates.
-struct CandidateOptions {
-  /// kAuto record-count threshold: n <= cutoff scans all pairs, n > cutoff
-  /// runs the prefix join. The default is where the quadratic scan's cost
-  /// overtakes the join's ranking/indexing overhead on the synthetic ACMPub
-  /// profile (~a few ms either way at the boundary — the dispatch only needs
-  /// to be right in the asymptotes, small tables stay on the cache-friendly
-  /// scan and 100k-record tables never enumerate 5B pairs).
-  size_t all_pairs_cutoff = 2048;
-};
+/// GenerateCandidates' options. It has none: kAuto's choice is counted, not
+/// tuned. Kept so that callers passing CandidateOptions{} keep compiling.
+struct CandidateOptions {};
 
-/// What GenerateCandidates actually did (for PowerResult / bench reporting).
+/// What GenerateCandidates did, as exact counts: they depend only on the
+/// table, tau and the method, never on the thread count or SIMD level.
 struct CandidateStats {
   /// The method that ran — never kAuto.
   CandidateMethod resolved = CandidateMethod::kAllPairs;
+  /// The two numbers kAuto compares: the scan's n(n-1)/2 signature checks,
+  /// and the join's posting visits, Σ L(L-1)/2 over the lengths L of its
+  /// prefix posting lists. join_work is 0 when the method is pinned to
+  /// kAllPairs, which plans no join.
+  uint64_t scan_work = 0;
+  uint64_t join_work = 0;
+  /// Pairs whose signatures were compared, and how many of them then ran
+  /// the exact intersection (verifications <= signature_checks).
+  uint64_t signature_checks = 0;
+  uint64_t verifications = 0;
+  /// Posting-list entries the join's probes visited (0 for the scan); it
+  /// equals join_work whenever the join runs.
+  uint64_t posting_visits = 0;
 };
 
-/// Dispatches to AllPairsCandidates or PrefixFilterJoin by `method` and
-/// `options` (see CandidateMethod::kAuto). Aborts with a message naming tau
-/// unless tau is in (0, 1], so every method refuses the same thresholds at
-/// every table size. Reports the taken path via `stats` (optional) and,
+/// Pruning stage (paper §2.2 / §7.1): only pairs whose record-level Jaccard
+/// similarity reaches `tau` are kept as graph vertices; everything below is
+/// assumed non-matching without asking the crowd.
+///
+/// Scans all n*(n-1)/2 pairs over the cached record-level token-id spans.
+/// Every pair's signature distance goes through the signature filter
+/// (SignatureMayReach) first, so only the pairs that may pass reach the
+/// exact intersection. Fills the signature_checks and verifications counts
+/// of `stats` when given.
+std::vector<std::pair<int, int>> AllPairsCandidates(
+    const FeatureCache& features, double tau,
+    CandidateStats* stats = nullptr);
+
+/// Convenience wrapper: builds a FeatureCache and runs the cached scan.
+std::vector<std::pair<int, int>> AllPairsCandidates(const Table& table,
+                                                    double tau);
+
+/// kAuto's rule, from the two counted works: the join when
+/// 2 × join_work < scan_work, else the scan.
+CandidateMethod AutoCandidateMethod(uint64_t scan_work, uint64_t join_work);
+
+/// Dispatches to AllPairsCandidates or PrefixFilterJoin by `method` (see
+/// CandidateMethod::kAuto). Aborts with a message naming tau unless tau is
+/// in (0, 1], so every method refuses the same thresholds at every table
+/// size. Reports the taken path and its counts via `stats` (optional) and,
 /// when the POWER_VERBOSE environment variable is set non-empty (and not
 /// "0"), on stderr.
 std::vector<std::pair<int, int>> GenerateCandidates(

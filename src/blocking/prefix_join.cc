@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <span>
 
+#include "blocking/signature_filter.h"
+#include "sim/simd_kernels.h"
 #include "sim/tokenizer.h"
 #include "util/check.h"
 #include "util/parallel.h"
@@ -17,43 +19,140 @@ namespace {
 // vector at any thread count.
 constexpr int64_t kProbeGrain = 64;
 
-// The join's index, built once and shared read-only by every probe. Records
-// are addressed by their position in the processing order (increasing token
-// count, ties by id): the index-nested-loop join is only sound when a probe
-// sees records no longer than itself, and a posting list that holds
-// ascending positions lets each probe stop at its own position.
+// The join's index, built once on the plan and shared read-only by every
+// probe. Records are addressed by their position in the processing order.
 struct PrefixIndex {
-  double tau = 0.0;
-  /// Position -> record id.
-  std::vector<int> order;
-  /// CSR over positions: the record at position k has the rank-space tokens
-  /// ranks[token_begin[k] .. token_begin[k + 1]), ascending. A token's rank
-  /// orders rarer tokens first (ties by token bytes), so the prefix holds
-  /// the most selective tokens.
-  std::vector<size_t> token_begin;
-  std::vector<int32_t> ranks;
-  /// Per position: |x| - ceil(tau*|x|) + 1, capped at |x| (0 for a
-  /// token-less record). The prefix is the first prefix_len tokens.
-  std::vector<size_t> prefix_len;
+  PrefixJoinPlan plan;
+  /// Per position: the record's token signature (a copy of the cache's,
+  /// laid out beside the ranks so a probe's gather stays local).
+  std::vector<TokenSignature> signatures;
   /// CSR over ranks: the positions whose prefix holds rank r are
-  /// postings[posting_begin[r] .. posting_begin[r + 1]), ascending.
-  std::vector<size_t> posting_begin;
+  /// postings[plan.posting_begin[r] .. plan.posting_begin[r + 1]),
+  /// ascending.
   std::vector<int> postings;
 
-  std::span<const int32_t> Tokens(size_t k) const {
-    return std::span<const int32_t>(ranks).subspan(
-        token_begin[k], token_begin[k + 1] - token_begin[k]);
-  }
   std::span<const int> Postings(int32_t rank) const {
     const size_t r = static_cast<size_t>(rank);
     return std::span<const int>(postings).subspan(
-        posting_begin[r], posting_begin[r + 1] - posting_begin[r]);
+        plan.posting_begin[r],
+        plan.posting_begin[r + 1] - plan.posting_begin[r]);
   }
 };
 
-PrefixIndex BuildPrefixIndex(const FeatureCache& features, double tau) {
-  PrefixIndex index;
-  index.tau = tau;
+// Scatters the prefix postings in ascending position, so every list comes
+// out sorted, and copies the signatures into processing order.
+PrefixIndex BuildPrefixIndex(const FeatureCache& features,
+                             PrefixJoinPlan plan) {
+  PrefixIndex index{std::move(plan), {}, {}};
+  const PrefixJoinPlan& p = index.plan;
+  const size_t n = p.order.size();
+  const std::span<const TokenSignature> sigs = features.RecordSignatures();
+  index.signatures.resize(n);
+  for (size_t k = 0; k < n; ++k) {
+    index.signatures[k] = sigs[static_cast<size_t>(p.order[k])];
+  }
+  index.postings.resize(p.posting_begin.back());
+  std::vector<size_t> fill(p.posting_begin.begin(), p.posting_begin.end() - 1);
+  for (size_t k = 0; k < n; ++k) {
+    const std::span<const int32_t> t = p.Tokens(k);
+    for (size_t q = 0; q < p.prefix_len[k]; ++q) {
+      index.postings[fill[static_cast<size_t>(t[q])]++] = static_cast<int>(k);
+    }
+  }
+  return index;
+}
+
+// One chunk's counts, folded into CandidateStats in chunk order.
+struct ProbeCounts {
+  uint64_t posting_visits = 0;
+  uint64_t signature_checks = 0;
+  uint64_t verifications = 0;
+};
+
+// Probes positions [begin, end): each record is joined against the records
+// before it in the processing order that share a prefix token. Appends every
+// verified pair (min, max) to *out and returns the range's counts.
+// Token-less records have an empty prefix and never match here (see
+// AppendEmptyRecordPairs).
+ProbeCounts ProbeRange(const PrefixIndex& index, int begin, int end,
+                       std::vector<std::pair<int, int>>* out) {
+  const PrefixJoinPlan& plan = index.plan;
+  ProbeCounts counts;
+  // Candidates are no longer than the probe, and the probes ascend in
+  // length, so the last probe's length bounds every candidate's.
+  SignatureLimits limits(plan.Tokens(static_cast<size_t>(end - 1)).size(),
+                         plan.tau);
+  // Probe-stamped candidate dedup. A probe's candidates lie at positions
+  // before its own, so positions [0, end) cover every candidate.
+  std::vector<int> last_seen(static_cast<size_t>(end), -1);
+  std::vector<int> candidates;
+  std::vector<uint16_t> distances;
+  for (int k = begin; k < end; ++k) {
+    const std::span<const int32_t> tx = plan.Tokens(static_cast<size_t>(k));
+    const size_t len_x = tx.size();
+    const size_t prefix_x = plan.prefix_len[static_cast<size_t>(k)];
+    const int x = plan.order[static_cast<size_t>(k)];
+    limits.Reset(len_x);
+    candidates.clear();
+    for (size_t p = 0; p < prefix_x; ++p) {
+      for (int q : index.Postings(tx[p])) {
+        if (q >= k) break;
+        ++counts.posting_visits;
+        if (last_seen[static_cast<size_t>(q)] == k) continue;
+        last_seen[static_cast<size_t>(q)] = k;
+        candidates.push_back(q);
+      }
+    }
+    // Signature filter over the probe's candidates, in the order the
+    // posting lists offered them. It implies the length filter
+    // (|y| >= tau * |x|): the bound is capped at the shorter record's size,
+    // and a separate length check in front measured no faster.
+    distances.resize(candidates.size());
+    GatherSignatureDistances(index.signatures[static_cast<size_t>(k)],
+                             index.signatures.data(), candidates.data(),
+                             candidates.size(), distances.data());
+    counts.signature_checks += candidates.size();
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      const int q = candidates[c];
+      const std::span<const int32_t> ty = plan.Tokens(static_cast<size_t>(q));
+      const size_t len_y = ty.size();
+      if (!limits.MayPass(len_y, distances[c])) continue;
+      // Verification: the exact record-level Jaccard prune decision, same
+      // predicate (and same dispatched intersection kernel) as
+      // AllPairsCandidates — not a cross-multiplied epsilon rewrite that
+      // could disagree with it on the tau boundary.
+      ++counts.verifications;
+      const size_t inter = SortedIntersectionSize(tx, ty);
+      if (RecordJaccardAtLeast(inter, len_x, len_y, plan.tau)) {
+        const int y = plan.order[static_cast<size_t>(q)];
+        out->emplace_back(std::min(x, y), std::max(x, y));
+      }
+    }
+  }
+  return counts;
+}
+
+// The record-level prune defines Jaccard(∅, ∅) = 1, so when tau permits,
+// every pair of token-less records is a candidate. They never enter the
+// posting lists; they lead the processing order, ascending by id.
+void AppendEmptyRecordPairs(const PrefixJoinPlan& plan,
+                            std::vector<std::pair<int, int>>* out) {
+  if (!RecordJaccardAtLeast(0, 0, 0, plan.tau)) return;
+  size_t empty = 0;
+  while (empty < plan.order.size() && plan.Tokens(empty).empty()) ++empty;
+  for (size_t a = 0; a < empty; ++a) {
+    for (size_t b = a + 1; b < empty; ++b) {
+      out->emplace_back(plan.order[a], plan.order[b]);
+    }
+  }
+}
+
+}  // namespace
+
+PrefixJoinPlan PlanPrefixJoin(const FeatureCache& features, double tau) {
+  POWER_CHECK(tau > 0.0 && tau <= 1.0);
+  PrefixJoinPlan plan;
+  plan.tau = tau;
   const size_t n = features.num_records();
 
   // 1. Document frequency per interned token over the record-level spans.
@@ -85,9 +184,9 @@ PrefixIndex BuildPrefixIndex(const FeatureCache& features, double tau) {
 
   // 3. Processing order: increasing token count, ties by id. Interning and
   //    ranking are bijections, so a span's size is its rank-space size.
-  index.order.resize(n);
-  for (size_t i = 0; i < n; ++i) index.order[i] = static_cast<int>(i);
-  std::sort(index.order.begin(), index.order.end(), [&](int a, int b) {
+  plan.order.resize(n);
+  for (size_t i = 0; i < n; ++i) plan.order[i] = static_cast<int>(i);
+  std::sort(plan.order.begin(), plan.order.end(), [&](int a, int b) {
     const size_t la = features.RecordTokenIds(static_cast<size_t>(a)).size();
     const size_t lb = features.RecordTokenIds(static_cast<size_t>(b)).size();
     if (la != lb) return la < lb;
@@ -95,135 +194,83 @@ PrefixIndex BuildPrefixIndex(const FeatureCache& features, double tau) {
   });
 
   // 4. Rank-space tokens and prefix lengths, laid out in processing order.
-  index.token_begin.resize(n + 1, 0);
-  index.prefix_len.resize(n, 0);
+  plan.token_begin.resize(n + 1, 0);
+  plan.prefix_len.resize(n, 0);
   for (size_t k = 0; k < n; ++k) {
     const size_t len =
-        features.RecordTokenIds(static_cast<size_t>(index.order[k])).size();
-    index.token_begin[k + 1] = index.token_begin[k] + len;
+        features.RecordTokenIds(static_cast<size_t>(plan.order[k])).size();
+    plan.token_begin[k + 1] = plan.token_begin[k] + len;
     if (len > 0) {
       const size_t prefix = len - static_cast<size_t>(std::ceil(tau * len)) + 1;
-      index.prefix_len[k] = std::min(prefix, len);
+      plan.prefix_len[k] = std::min(prefix, len);
     }
   }
-  index.ranks.resize(index.token_begin[n]);
+  plan.ranks.resize(plan.token_begin[n]);
   for (size_t k = 0; k < n; ++k) {
-    auto first = index.ranks.begin() +
-                 static_cast<std::ptrdiff_t>(index.token_begin[k]);
+    auto first = plan.ranks.begin() +
+                 static_cast<std::ptrdiff_t>(plan.token_begin[k]);
     auto out = first;
     for (int32_t id :
-         features.RecordTokenIds(static_cast<size_t>(index.order[k]))) {
+         features.RecordTokenIds(static_cast<size_t>(plan.order[k]))) {
       *out++ = rank[static_cast<size_t>(id)];
     }
     std::sort(first, out);
   }
 
-  // 5. Prefix posting lists: count, prefix-sum, then scatter in ascending
-  //    position so every list comes out sorted.
-  index.posting_begin.assign(used.size() + 1, 0);
+  // 5. Prefix posting-list lengths, prefix-summed into offsets, and the
+  //    probes' visits.
+  plan.posting_begin.assign(used.size() + 1, 0);
   for (size_t k = 0; k < n; ++k) {
-    const std::span<const int32_t> t = index.Tokens(k);
-    for (size_t p = 0; p < index.prefix_len[k]; ++p) {
-      ++index.posting_begin[static_cast<size_t>(t[p]) + 1];
+    const std::span<const int32_t> t = plan.Tokens(k);
+    for (size_t p = 0; p < plan.prefix_len[k]; ++p) {
+      ++plan.posting_begin[static_cast<size_t>(t[p]) + 1];
     }
   }
   for (size_t r = 0; r < used.size(); ++r) {
-    index.posting_begin[r + 1] += index.posting_begin[r];
+    const uint64_t len = plan.posting_begin[r + 1];
+    if (len > 1) plan.work += len * (len - 1) / 2;
+    plan.posting_begin[r + 1] += plan.posting_begin[r];
   }
-  index.postings.resize(index.posting_begin[used.size()]);
-  std::vector<size_t> fill(index.posting_begin.begin(),
-                           index.posting_begin.end() - 1);
-  for (size_t k = 0; k < n; ++k) {
-    const std::span<const int32_t> t = index.Tokens(k);
-    for (size_t p = 0; p < index.prefix_len[k]; ++p) {
-      index.postings[fill[static_cast<size_t>(t[p])]++] = static_cast<int>(k);
-    }
-  }
-  return index;
+  return plan;
 }
-
-// Probes positions [begin, end): each record is joined against the records
-// before it in the processing order that share a prefix token. Appends every
-// verified pair (min, max) to *out. Token-less records have an empty prefix
-// and never match here (see AppendEmptyRecordPairs).
-void ProbeRange(const PrefixIndex& index, int begin, int end,
-                std::vector<std::pair<int, int>>* out) {
-  const double tau = index.tau;
-  // Probe-stamped candidate dedup. A probe's candidates lie at positions
-  // before its own, so positions [0, end) cover every candidate.
-  std::vector<int> last_seen(static_cast<size_t>(end), -1);
-  for (int k = begin; k < end; ++k) {
-    const std::span<const int32_t> tx = index.Tokens(static_cast<size_t>(k));
-    const size_t len_x = tx.size();
-    const size_t prefix_x = index.prefix_len[static_cast<size_t>(k)];
-    const int x = index.order[static_cast<size_t>(k)];
-    for (size_t p = 0; p < prefix_x; ++p) {
-      for (int q : index.Postings(tx[p])) {
-        if (q >= k) break;
-        if (last_seen[static_cast<size_t>(q)] == k) continue;
-        last_seen[static_cast<size_t>(q)] = k;
-        const std::span<const int32_t> ty =
-            index.Tokens(static_cast<size_t>(q));
-        const size_t len_y = ty.size();
-        // Length filter: the best case shares all of the shorter record, so
-        // Jaccard can only reach tau if min/max does. Phrased through the
-        // shared predicate — the exact arithmetic of the verification below
-        // and of the all-pairs scan — so a boundary pair can never be
-        // dropped here that verification would have accepted.
-        if (!RecordJaccardAtLeast(std::min(len_x, len_y), len_x, len_y,
-                                  tau)) {
-          continue;
-        }
-        // Verification: the exact record-level Jaccard prune decision, same
-        // predicate (and same dispatched intersection kernel) as
-        // AllPairsCandidates — not a cross-multiplied epsilon rewrite that
-        // could disagree with it on the tau boundary.
-        const size_t inter = SortedIntersectionSize(tx, ty);
-        if (RecordJaccardAtLeast(inter, len_x, len_y, tau)) {
-          const int y = index.order[static_cast<size_t>(q)];
-          out->emplace_back(std::min(x, y), std::max(x, y));
-        }
-      }
-    }
-  }
-}
-
-// The record-level prune defines Jaccard(∅, ∅) = 1, so when tau permits,
-// every pair of token-less records is a candidate. They never enter the
-// posting lists; they lead the processing order, ascending by id.
-void AppendEmptyRecordPairs(const PrefixIndex& index,
-                            std::vector<std::pair<int, int>>* out) {
-  if (!RecordJaccardAtLeast(0, 0, 0, index.tau)) return;
-  size_t empty = 0;
-  while (empty < index.order.size() && index.Tokens(empty).empty()) ++empty;
-  for (size_t a = 0; a < empty; ++a) {
-    for (size_t b = a + 1; b < empty; ++b) {
-      out->emplace_back(index.order[a], index.order[b]);
-    }
-  }
-}
-
-}  // namespace
 
 std::vector<std::pair<int, int>> PrefixFilterJoin(const FeatureCache& features,
-                                                  double tau) {
-  POWER_CHECK(tau > 0.0 && tau <= 1.0);
-  const PrefixIndex index = BuildPrefixIndex(features, tau);
-  const int64_t n = static_cast<int64_t>(index.order.size());
-  std::vector<std::vector<std::pair<int, int>>> found(
-      NumChunks(0, n, kProbeGrain));
+                                                  PrefixJoinPlan plan,
+                                                  CandidateStats* stats) {
+  const PrefixIndex index = BuildPrefixIndex(features, std::move(plan));
+  const int64_t n = static_cast<int64_t>(index.plan.order.size());
+  const size_t chunks = NumChunks(0, n, kProbeGrain);
+  std::vector<std::vector<std::pair<int, int>>> found(chunks);
+  std::vector<ProbeCounts> counts(chunks);
   ParallelForChunked(0, n, kProbeGrain,
                      [&](size_t chunk, int64_t begin, int64_t end) {
-                       ProbeRange(index, static_cast<int>(begin),
-                                  static_cast<int>(end), &found[chunk]);
+                       counts[chunk] =
+                           ProbeRange(index, static_cast<int>(begin),
+                                      static_cast<int>(end), &found[chunk]);
                      });
   std::vector<std::pair<int, int>> result;
   for (auto& buf : found) {
     result.insert(result.end(), buf.begin(), buf.end());
   }
-  AppendEmptyRecordPairs(index, &result);
+  AppendEmptyRecordPairs(index.plan, &result);
   std::sort(result.begin(), result.end());
+  if (stats != nullptr) {
+    stats->posting_visits = 0;
+    stats->signature_checks = 0;
+    stats->verifications = 0;
+    for (const ProbeCounts& c : counts) {
+      stats->posting_visits += c.posting_visits;
+      stats->signature_checks += c.signature_checks;
+      stats->verifications += c.verifications;
+    }
+  }
   return result;
+}
+
+std::vector<std::pair<int, int>> PrefixFilterJoin(const FeatureCache& features,
+                                                  double tau,
+                                                  CandidateStats* stats) {
+  return PrefixFilterJoin(features, PlanPrefixJoin(features, tau), stats);
 }
 
 std::vector<std::pair<int, int>> PrefixFilterJoin(const Table& table,

@@ -36,10 +36,11 @@ struct PowerConfig {
   // Pruning (§7.1): record-level Jaccard threshold and per-attribute floor.
   double prune_tau = 0.3;
   double component_floor = 0.2;
-  /// kAuto dispatches by record count (see CandidateOptions::
-  /// all_pairs_cutoff); the explicit methods pin one path. All three
-  /// settings produce the identical sorted candidate vector — the knob is
-  /// purely a performance choice.
+  /// kAuto picks by counted work (see CandidateMethod::kAuto): the prefix
+  /// join only when twice its posting visits are fewer than the scan's
+  /// pairs; the explicit methods pin one path. All three settings produce
+  /// the identical sorted candidate vector — the knob is purely a
+  /// performance choice.
   CandidateMethod candidate_method = CandidateMethod::kAuto;
 
   GroupingKind grouping = GroupingKind::kSplit;

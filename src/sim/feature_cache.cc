@@ -147,6 +147,7 @@ FeatureCache::FeatureCache(const Table& table)
   // ids are injective over token strings, so dedup-by-id equals the legacy
   // dedup-by-string and the spans represent exactly the same sets).
   std::vector<std::vector<int32_t>> rec_ids(n_);
+  rec_sig_.resize(n_);
   ParallelFor(0, static_cast<int64_t>(n_), kRecordGrain,
               [&](int64_t begin, int64_t end) {
                 for (int64_t i = begin; i < end; ++i) {
@@ -167,6 +168,7 @@ FeatureCache::FeatureCache(const Table& table)
                     rec.insert(rec.end(), w.begin(), w.end());
                   }
                   SortUnique(&rec);
+                  rec_sig_[static_cast<size_t>(i)] = SignatureOf(rec);
                 }
               });
 

@@ -1,6 +1,7 @@
 #ifndef POWER_SIM_FEATURE_CACHE_H_
 #define POWER_SIM_FEATURE_CACHE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "data/table.h"
+#include "sim/simd_kernels.h"
 #include "util/arena.h"
 
 namespace power {
@@ -23,6 +25,8 @@ namespace power {
 ///   bigram ids   — sorted-unique interned 2-gram ids per cell;
 ///   record ids   — sorted-unique word-token ids over the whole record
 ///                  (identical to WordTokenSet of the ' '-joined record);
+///   signatures   — a 256-bit TokenSignature of every record's ids (32 B
+///                  per record), for the candidate paths' signature filter;
 ///   numerics     — the Trim+strtod parse of every cell, done once.
 ///
 /// All token families share a single interned dictionary. Interning is a
@@ -74,6 +78,11 @@ class FeatureCache {
     return {rec_ids_.data() + rec_off_[i], rec_off_[i + 1] - rec_off_[i]};
   }
 
+  /// SignatureOf(RecordTokenIds(i)) for every record, indexed by record id.
+  std::span<const TokenSignature> RecordSignatures() const {
+    return {rec_sig_.data(), n_};
+  }
+
   /// Cached numeric parse of the raw cell value; returns false (and leaves
   /// *value at the cached 0.0) for non-numeric cells.
   bool NumericValue(size_t i, size_t k, double* value) const {
@@ -110,6 +119,7 @@ class FeatureCache {
   // Sorted-unique record-level word-token ids (n+1 offsets).
   ArenaVector<int32_t> rec_ids_;
   ArenaVector<uint64_t> rec_off_;
+  ArenaVector<TokenSignature> rec_sig_;
   // Pre-parsed numerics, one slot per cell.
   ArenaVector<double> numeric_val_;
   ArenaVector<uint8_t> numeric_ok_;
@@ -130,9 +140,10 @@ double ComputeSimilarity(const FeatureCache& features, SimilarityFunction fn,
 /// elements: the same double division, the same empty-set conventions (both
 /// empty -> 1, one empty -> 0), no epsilon, no cross-multiplied rewrite.
 ///
-/// AllPairsCandidates, PrefixFilterJoin (verification *and* length filter,
-/// via intersection = min(|A|,|B|)), and the SIMD kernel bench all route
-/// their threshold decision through this one inline so that a
+/// AllPairsCandidates and PrefixFilterJoin (verification, and the
+/// signature filter's table in blocking/signature_filter.h, which is also
+/// the join's length filter), SignatureMayReach and the SIMD kernel bench
+/// all route their threshold decision through this one inline so that a
 /// floating-point rewrite in one call site can never make the scalar and
 /// SIMD paths — or the all-pairs scan and the prefix join — disagree on a
 /// pair sitting exactly on the tau boundary.
@@ -142,6 +153,24 @@ inline bool RecordJaccardAtLeast(size_t intersection, size_t size_a,
   if (size_a == 0 || size_b == 0) return 0.0 >= tau;
   const size_t uni = size_a + size_b - intersection;
   return static_cast<double>(intersection) / static_cast<double>(uni) >= tau;
+}
+
+/// The signature filter: false only when no pair of sets with these sizes
+/// and signature distance `h` (popcount of their TokenSignatures' XOR) can
+/// pass RecordJaccardAtLeast. Each bit set in only one signature names a
+/// token of that set the other lacks, and distinct bits name distinct
+/// tokens, so h <= |A Δ B| = |A| + |B| - 2|A ∩ B|, i.e.
+/// |A ∩ B| <= floor((|A| + |B| - h) / 2). For fixed sizes the predicate is
+/// monotone in the intersection (the same double division; rounding is
+/// monotone), so evaluating it at that bound — capped at min(|A|, |B|),
+/// which makes it imply the length filter — never rejects a pair whose
+/// exact intersection passes. Both-empty sets have h = 0 and pass; a pair
+/// with one empty set fails, as RecordJaccardAtLeast decides.
+inline bool SignatureMayReach(size_t h, size_t size_a, size_t size_b,
+                              double tau) {
+  const size_t bound =
+      std::min({(size_a + size_b - h) / 2, size_a, size_b});
+  return RecordJaccardAtLeast(bound, size_a, size_b, tau);
 }
 
 }  // namespace power

@@ -1,6 +1,7 @@
 #include "sim/simd_kernels.h"
 
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -142,6 +143,64 @@ void BatchMyersEditDistance(std::string_view pattern,
   }
 #endif
   BatchMyersEditDistanceScalar(pattern, texts, count, out);
+}
+
+TokenSignature SignatureOf(std::span<const int32_t> ids) {
+  TokenSignature sig;
+  for (int32_t id : ids) {
+    const uint32_t bit = SignatureBit(id);
+    sig.words[bit >> 6] |= uint64_t{1} << (bit & 63);
+  }
+  return sig;
+}
+
+namespace {
+
+inline uint16_t Distance(const TokenSignature& a, const TokenSignature& b) {
+  return static_cast<uint16_t>(std::popcount(a.words[0] ^ b.words[0]) +
+                               std::popcount(a.words[1] ^ b.words[1]) +
+                               std::popcount(a.words[2] ^ b.words[2]) +
+                               std::popcount(a.words[3] ^ b.words[3]));
+}
+
+}  // namespace
+
+void SignatureDistancesScalar(const TokenSignature& a,
+                              const TokenSignature* run, size_t count,
+                              uint16_t* out) {
+  for (size_t t = 0; t < count; ++t) out[t] = Distance(a, run[t]);
+}
+
+void SignatureDistances(const TokenSignature& a, const TokenSignature* run,
+                        size_t count, uint16_t* out) {
+#if POWER_HAVE_AVX2
+  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
+    SignatureDistancesAvx2(a, run, count, out);
+    return;
+  }
+#endif
+  SignatureDistancesScalar(a, run, count, out);
+}
+
+void GatherSignatureDistancesScalar(const TokenSignature& a,
+                                    const TokenSignature* sigs,
+                                    const int* idx, size_t count,
+                                    uint16_t* out) {
+  for (size_t t = 0; t < count; ++t) {
+    out[t] = Distance(a, sigs[static_cast<size_t>(idx[t])]);
+  }
+}
+
+void GatherSignatureDistances(const TokenSignature& a,
+                              const TokenSignature* sigs, const int* idx,
+                              size_t count, uint16_t* out) {
+#if POWER_HAVE_AVX2
+  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
+    GatherSignatureDistancesAvx2(a, sigs, idx, count, out);
+    return;
+  }
+#endif
+  GatherSignatureDistancesScalar(a, sigs, idx, count, out);
 }
 
 }  // namespace power

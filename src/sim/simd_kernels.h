@@ -22,14 +22,19 @@ namespace power {
 ///       per column step). Powers the edit-similarity attribute loop in
 ///       ComputePairSimilarities, where every pair of a candidate run shares
 ///       its left record's cached lowercase bytes as the reference.
+///   signature distances — popcount(a ^ b) of one 256-bit token signature
+///       against many (AVX2: nibble-table byte counts, four signatures per
+///       step). Powers the signature filter in front of every record-level
+///       Jaccard verification of the all-pairs scan and the prefix join.
 ///
-/// Both kernel families are *integer* kernels: they return intersection
-/// counts and edit distances, never floats. Every similarity double is
-/// derived from those integers by the same scalar expressions on every
-/// dispatch path, so scalar and SIMD results are byte-identical by
-/// construction — and a differential-test layer (tests/simd_kernels_test.cc,
-/// tests/simd_dispatch_test.cc) proves it on adversarial inputs and on the
-/// end-to-end question/coloring trace (see DESIGN.md §13).
+/// All three kernel families are *integer* kernels: they return
+/// intersection counts, edit distances and bit counts, never floats. Every
+/// similarity double is derived from those integers by the same scalar
+/// expressions on every dispatch path, so scalar and SIMD results are
+/// byte-identical by construction — and a differential-test layer
+/// (tests/simd_kernels_test.cc, tests/simd_dispatch_test.cc) proves it on
+/// adversarial inputs and on the end-to-end question/coloring trace (see
+/// DESIGN.md §13).
 ///
 /// Dispatch is resolved once, at the first kernel call:
 ///   POWER_SIMD=off|scalar   force the scalar kernels;
@@ -112,6 +117,52 @@ void BatchMyersEditDistance(std::string_view pattern,
                             const std::string_view* texts, size_t count,
                             size_t* out);
 
+// ---------------------------------------------------------------------------
+// Token signatures.
+// ---------------------------------------------------------------------------
+
+/// A set's 256-bit token signature: bit SignatureBit(id) is set for every
+/// token id in the set. A bit set in only one of two signatures names a
+/// token of that set which the other lacks, and distinct bits name distinct
+/// tokens, so popcount(a ^ b) <= |A Δ B| (see SignatureMayReach in
+/// sim/feature_cache.h).
+struct alignas(32) TokenSignature {
+  uint64_t words[4] = {0, 0, 0, 0};
+};
+
+/// The signature bit of a token id: the top 8 bits of a multiplicative
+/// (Fibonacci) hash. Pinned: candidate output does not depend on it, but
+/// the CandidateStats counters do.
+inline constexpr uint32_t SignatureBit(int32_t id) {
+  return (static_cast<uint32_t>(id) * 0x9E3779B1u) >> 24;
+}
+
+/// The signature of a token-id set (duplicates set the same bit).
+TokenSignature SignatureOf(std::span<const int32_t> ids);
+
+/// out[t] = popcount(a ^ run[t]) for t in [0, count): one signature against
+/// a contiguous run, the all-pairs scan's shape — the scalar reference.
+void SignatureDistancesScalar(const TokenSignature& a,
+                              const TokenSignature* run, size_t count,
+                              uint16_t* out);
+
+/// Dispatched run: identical integers to the scalar reference.
+void SignatureDistances(const TokenSignature& a, const TokenSignature* run,
+                        size_t count, uint16_t* out);
+
+/// out[t] = popcount(a ^ sigs[idx[t]]) for t in [0, count): one signature
+/// against gathered entries, the prefix join's shape (one probe's
+/// candidates) — the scalar reference.
+void GatherSignatureDistancesScalar(const TokenSignature& a,
+                                    const TokenSignature* sigs,
+                                    const int* idx, size_t count,
+                                    uint16_t* out);
+
+/// Dispatched gather: identical integers to the scalar reference.
+void GatherSignatureDistances(const TokenSignature& a,
+                              const TokenSignature* sigs, const int* idx,
+                              size_t count, uint16_t* out);
+
 #if POWER_HAVE_AVX2
 /// AVX2 kernels, exposed directly for the differential tests and the
 /// kernel-level bench (callers normally go through the dispatched entry
@@ -121,6 +172,11 @@ size_t SortedIntersectionSizeAvx2(std::span<const int32_t> a,
 void BatchMyersEditDistanceAvx2(std::string_view pattern,
                                 const std::string_view* texts, size_t count,
                                 size_t* out);
+void SignatureDistancesAvx2(const TokenSignature& a, const TokenSignature* run,
+                            size_t count, uint16_t* out);
+void GatherSignatureDistancesAvx2(const TokenSignature& a,
+                                  const TokenSignature* sigs, const int* idx,
+                                  size_t count, uint16_t* out);
 #endif  // POWER_HAVE_AVX2
 
 }  // namespace power

@@ -4,7 +4,7 @@
 // runtime dispatch in simd_kernels.cc, so the rest of the library stays
 // baseline-ISA clean.
 //
-// Both kernels are integer kernels with scalar-identical results:
+// All three kernels are integer kernels with scalar-identical results:
 //
 //   SortedIntersectionSizeAvx2 — block-merge intersection (Schlegel/Lemire
 //     style): compare an 8-lane block of `a` against all 8 cyclic rotations
@@ -25,6 +25,12 @@
 //     and score are blend-masked out, which is bit-equivalent to having
 //     stopped their column loop. The pattern's peq table is built once per
 //     call (shared reference string), amortized over the whole batch.
+//
+//   SignatureDistancesAvx2 / GatherSignatureDistancesAvx2 — popcount of
+//     the XOR of one 256-bit token signature with each of many: byte counts
+//     from a 16-entry nibble table (vpshufb), summed per 64-bit lane by
+//     vpsadbw, and four signatures' lane sums packed into 16-bit fields so
+//     one horizontal add yields four distances.
 
 #include "sim/simd_kernels.h"
 
@@ -263,6 +269,94 @@ void BatchMyersEditDistanceAvx2(std::string_view pattern,
     }
     StoreScores(g0, n0, out + base);
     if (n1 > 0) StoreScores(g1, n1, out + base + 4);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Signature distances.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+inline __m256i LoadSignature(const TokenSignature& s) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s.words));
+}
+
+// Per-64-bit-lane bit counts of a ^ b: nibble-table byte counts (Mula),
+// summed eight bytes at a time by vpsadbw. Each lane holds at most 64.
+inline __m256i LaneDistances(__m256i a, __m256i b) {
+  const __m256i table =
+      _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,  //
+                       0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
+  const __m256i nibble = _mm256_set1_epi8(0x0f);
+  const __m256i x = _mm256_xor_si256(a, b);
+  const __m256i lo = _mm256_shuffle_epi8(table, _mm256_and_si256(x, nibble));
+  const __m256i hi = _mm256_shuffle_epi8(
+      table, _mm256_and_si256(_mm256_srli_epi16(x, 4), nibble));
+  return _mm256_sad_epu8(_mm256_add_epi8(lo, hi), _mm256_setzero_si256());
+}
+
+// Distances of a to b0..b3, written to out[0..4). Signature t's lane counts
+// are shifted into bits [16t, 16t + 16) of each 64-bit lane, and the four
+// lanes summed: a total is at most 256, so no field carries into the next,
+// and the low 64 bits hold the four distances as little-endian uint16s.
+inline void FourDistances(__m256i a, __m256i b0, __m256i b1, __m256i b2,
+                          __m256i b3, uint16_t* out) {
+  __m256i acc = LaneDistances(a, b0);
+  acc = _mm256_add_epi64(acc, _mm256_slli_epi64(LaneDistances(a, b1), 16));
+  acc = _mm256_add_epi64(acc, _mm256_slli_epi64(LaneDistances(a, b2), 32));
+  acc = _mm256_add_epi64(acc, _mm256_slli_epi64(LaneDistances(a, b3), 48));
+  __m128i sum = _mm_add_epi64(_mm256_castsi256_si128(acc),
+                              _mm256_extracti128_si256(acc, 1));
+  sum = _mm_add_epi64(sum, _mm_unpackhi_epi64(sum, sum));
+  _mm_storel_epi64(reinterpret_cast<__m128i*>(out), sum);
+}
+
+// The last count % 4 entries: missing slots compare a against itself
+// (distance 0) and are not copied out.
+template <typename Load>
+inline void TailDistances(__m256i a, size_t remaining, Load load,
+                          uint16_t* out) {
+  __m256i b[4] = {a, a, a, a};
+  for (size_t t = 0; t < remaining; ++t) b[t] = load(t);
+  uint16_t tail[4];
+  FourDistances(a, b[0], b[1], b[2], b[3], tail);
+  std::memcpy(out, tail, remaining * sizeof(uint16_t));
+}
+
+}  // namespace
+
+void SignatureDistancesAvx2(const TokenSignature& a, const TokenSignature* run,
+                            size_t count, uint16_t* out) {
+  const __m256i va = LoadSignature(a);
+  size_t t = 0;
+  for (; t + 4 <= count; t += 4) {
+    FourDistances(va, LoadSignature(run[t]), LoadSignature(run[t + 1]),
+                  LoadSignature(run[t + 2]), LoadSignature(run[t + 3]),
+                  out + t);
+  }
+  if (t < count) {
+    TailDistances(
+        va, count - t,
+        [&](size_t k) { return LoadSignature(run[t + k]); }, out + t);
+  }
+}
+
+void GatherSignatureDistancesAvx2(const TokenSignature& a,
+                                  const TokenSignature* sigs, const int* idx,
+                                  size_t count, uint16_t* out) {
+  const __m256i va = LoadSignature(a);
+  auto load = [&](size_t k) {
+    return LoadSignature(sigs[static_cast<size_t>(idx[k])]);
+  };
+  size_t t = 0;
+  for (; t + 4 <= count; t += 4) {
+    FourDistances(va, load(t), load(t + 1), load(t + 2), load(t + 3),
+                  out + t);
+  }
+  if (t < count) {
+    TailDistances(
+        va, count - t, [&](size_t k) { return load(t + k); }, out + t);
   }
 }
 

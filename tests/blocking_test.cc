@@ -103,29 +103,9 @@ Table RestaurantTable(size_t records, size_t entities, uint64_t seed) {
   return DatasetGenerator(seed).Generate(p);
 }
 
-TEST(GenerateCandidatesTest, AutoDispatchesByRecordCountAndCutoff) {
-  Table t = RestaurantTable(64, 40, 5);
-  FeatureCache features(t);
-  CandidateOptions options;
-  CandidateStats stats;
-
-  options.all_pairs_cutoff = 1000;  // 64 records <= cutoff -> quadratic scan
-  auto a = GenerateCandidates(features, 0.3, CandidateMethod::kAuto, options,
-                              &stats);
-  EXPECT_EQ(stats.resolved, CandidateMethod::kAllPairs);
-
-  options.all_pairs_cutoff = 10;  // 64 records > cutoff -> prefix join
-  auto b = GenerateCandidates(features, 0.3, CandidateMethod::kAuto, options,
-                              &stats);
-  EXPECT_EQ(stats.resolved, CandidateMethod::kPrefixJoin);
-
-  // The dispatch is invisible in the results.
-  EXPECT_EQ(a, b);
-}
-
-// Every method refuses a threshold outside (0, 1] the same way on both sides
-// of kAuto's record-count cutoff, naming the value. (The all-pairs scan on
-// its own would keep every pair at tau <= 0.)
+// Every method refuses a threshold outside (0, 1] the same way at every
+// table size, naming the value. (The all-pairs scan on its own would keep
+// every pair at tau <= 0.)
 TEST(GenerateCandidatesDeathTest, RejectsTauOutsideUnitIntervalAtEverySize) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   for (size_t records : {size_t{10}, size_t{3000}}) {

@@ -20,6 +20,7 @@
 #include "graph/builder.h"
 #include "group/grouped_graph.h"
 #include "group/split_grouper.h"
+#include "sim/simd_kernels.h"
 #include "sim/similarity_matrix.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -243,6 +244,111 @@ TEST(ParallelPrefixJoinDifferential, EqualsAllPairsByteForByte) {
   // Not vacuous: most (shape, size, tau) cells of three records or more
   // have candidates.
   EXPECT_GT(nonempty, 60u);
+}
+
+// kAuto picks by counted work: the scan on a dense vocabulary, where the
+// join's prefix posting lists are long, and the join on a long-tail one.
+// Either way the result equals the other method's.
+TEST(GenerateCandidatesTest, AutoDispatchesByCountedWork) {
+  const Table dense = Head(DatasetGenerator(41).Generate(AcmPubProfile(0.005)),
+                           300);
+  const Table long_tail = LongTailTable(300, 42);
+  struct Case {
+    const char* shape;
+    const Table* table;
+    CandidateMethod picked;
+    CandidateMethod other;
+  };
+  const Case cases[] = {
+      {"dense", &dense, CandidateMethod::kAllPairs,
+       CandidateMethod::kPrefixJoin},
+      {"long_tail", &long_tail, CandidateMethod::kPrefixJoin,
+       CandidateMethod::kAllPairs}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.shape);
+    ASSERT_EQ(c.table->num_records(), 300u);
+    const FeatureCache features(*c.table);
+    CandidateStats stats;
+    const std::vector<std::pair<int, int>> pairs = GenerateCandidates(
+        features, 0.3, CandidateMethod::kAuto, {}, &stats);
+    EXPECT_EQ(stats.resolved, c.picked);
+    EXPECT_EQ(stats.scan_work, 300u * 299u / 2);
+    EXPECT_GT(stats.join_work, 0u);
+    EXPECT_EQ(2 * stats.join_work < stats.scan_work,
+              c.picked == CandidateMethod::kPrefixJoin);
+    EXPECT_FALSE(pairs.empty());
+    EXPECT_EQ(pairs, GenerateCandidates(features, 0.3, c.other));
+  }
+}
+
+// Restores the ambient SIMD dispatch level when a test that flips it exits.
+class ScopedSimdLevel {
+ public:
+  explicit ScopedSimdLevel(SimdLevel level) : saved_(ActiveSimdLevel()) {
+    OverrideSimdLevel(level);
+  }
+  ~ScopedSimdLevel() { OverrideSimdLevel(saved_); }
+  ScopedSimdLevel(const ScopedSimdLevel&) = delete;
+  ScopedSimdLevel& operator=(const ScopedSimdLevel&) = delete;
+
+ private:
+  SimdLevel saved_;
+};
+
+// The candidate counters are exact: per chunk sums folded in chunk order, so
+// they repeat at every thread count and SIMD level, for every method.
+TEST(ParallelCandidateCounters, EqualAtEveryThreadCountAndSimdLevel) {
+  DatasetProfile cora = CoraProfile();
+  cora.num_records = 300;
+  cora.num_entities = 60;
+  const Table tables[] = {
+      Head(DatasetGenerator(41).Generate(AcmPubProfile(0.005)), 300),
+      DatasetGenerator(44).Generate(cora), LongTailTable(300, 42)};
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  if (BuiltWithAvx2() && CpuSupportsAvx2()) levels.push_back(SimdLevel::kAvx2);
+  for (const Table& table : tables) {
+    const FeatureCache features(table);
+    for (CandidateMethod method :
+         {CandidateMethod::kAllPairs, CandidateMethod::kPrefixJoin,
+          CandidateMethod::kAuto}) {
+      SCOPED_TRACE(std::string(CandidateMethodName(method)) + " " +
+                   std::to_string(table.num_records()) + " records");
+      CandidateStats want;
+      std::vector<std::pair<int, int>> reference;
+      {
+        ScopedNumThreads threads(1);
+        ScopedSimdLevel level(SimdLevel::kScalar);
+        reference = GenerateCandidates(features, 0.3, method, {}, &want);
+      }
+      ASSERT_FALSE(reference.empty());
+      EXPECT_GT(want.signature_checks, 0u);
+      EXPECT_GT(want.verifications, 0u);
+      EXPECT_LE(want.verifications, want.signature_checks);
+      if (want.resolved == CandidateMethod::kAllPairs) {
+        EXPECT_EQ(want.signature_checks, want.scan_work);
+        EXPECT_EQ(want.posting_visits, 0u);
+      } else {
+        EXPECT_EQ(want.posting_visits, want.join_work);
+      }
+      for (SimdLevel simd : levels) {
+        for (int threads : kThreadCounts) {
+          SCOPED_TRACE(std::string(SimdLevelName(simd)) + " threads=" +
+                       std::to_string(threads));
+          ScopedNumThreads thread_scope(threads);
+          ScopedSimdLevel level(simd);
+          CandidateStats got;
+          EXPECT_EQ(GenerateCandidates(features, 0.3, method, {}, &got),
+                    reference);
+          EXPECT_EQ(got.resolved, want.resolved);
+          EXPECT_EQ(got.scan_work, want.scan_work);
+          EXPECT_EQ(got.join_work, want.join_work);
+          EXPECT_EQ(got.signature_checks, want.signature_checks);
+          EXPECT_EQ(got.verifications, want.verifications);
+          EXPECT_EQ(got.posting_visits, want.posting_visits);
+        }
+      }
+    }
+  }
 }
 
 TEST(ParallelSimilarityDifferential, CandidatesAndVectorsMatchSerial) {

@@ -12,6 +12,7 @@
 
 #include "blocking/pair_generator.h"
 #include "blocking/prefix_join.h"
+#include "blocking/signature_filter.h"
 #include "data/table.h"
 #include "sim/feature_cache.h"
 #include "sim/similarity.h"
@@ -341,6 +342,246 @@ TEST(SimdKernelsPrunePredicate, PrefixJoinAgreesWithAllPairsOnBoundaries) {
   EXPECT_TRUE(has(2, 6));  // exactly tau
   EXPECT_TRUE(has(4, 5));  // Jaccard(∅, ∅) = 1
   EXPECT_FALSE(has(0, 3));
+}
+
+// ---------------------------------------------------------------------------
+// Token signatures and the signature filter.
+// ---------------------------------------------------------------------------
+
+// Bit-by-bit reference, independent of both distance kernels.
+uint16_t ReferenceDistance(const TokenSignature& a, const TokenSignature& b) {
+  uint16_t d = 0;
+  for (int w = 0; w < 4; ++w) {
+    for (int bit = 0; bit < 64; ++bit) {
+      d += ((a.words[w] ^ b.words[w]) >> bit) & 1;
+    }
+  }
+  return d;
+}
+
+TEST(SimdKernelsSignature, SignatureBitIsPinned) {
+  // Candidate output does not depend on the hash, but the CandidateStats
+  // counters do: a change here must be deliberate.
+  EXPECT_EQ(SignatureBit(0), 0u);
+  EXPECT_EQ(SignatureBit(1), 158u);
+  EXPECT_EQ(SignatureBit(2), 60u);
+  EXPECT_EQ(SignatureBit(3), 218u);
+  EXPECT_EQ(SignatureBit(100), 205u);
+  EXPECT_EQ(SignatureBit(12345), 161u);
+  EXPECT_EQ(SignatureBit(INT32_MAX), 225u);
+  // The whole map on the first 65536 ids, folded: a few golden values miss
+  // a change to the multiplier's low bits, this does not.
+  uint64_t fold = 0;
+  for (int32_t id = 0; id < 65536; ++id) fold = fold * 31 + SignatureBit(id);
+  EXPECT_EQ(fold, 17244027806413344923u);
+  const std::vector<int32_t> ids = {1, 2, 100};
+  const TokenSignature sig = SignatureOf(ids);
+  EXPECT_EQ(sig.words[0], uint64_t{1} << 60);
+  EXPECT_EQ(sig.words[1], 0u);
+  EXPECT_EQ(sig.words[2], uint64_t{1} << (158 - 128));
+  EXPECT_EQ(sig.words[3], uint64_t{1} << (205 - 192));
+}
+
+// Checks the bound and the filter on one pair of sorted-unique sets: the
+// signature distance never exceeds the symmetric difference, the filter
+// never rejects a pair RecordJaccardAtLeast accepts — with tau on the
+// pair's own Jaccard c/u and its neighbours — and the blocking table
+// decides exactly like the inline.
+void ExpectFilterSound(std::span<const int32_t> a, std::span<const int32_t> b,
+                       size_t* boundary_passes) {
+  const size_t inter = ReferenceIntersection(a, b);
+  const size_t sym = a.size() + b.size() - 2 * inter;
+  const uint16_t h = ReferenceDistance(SignatureOf(a), SignatureOf(b));
+  ASSERT_LE(h, sym);
+  const size_t uni = a.size() + b.size() - inter;
+  std::vector<double> taus = {1e-9, 0.3, 0.5, 1.0};
+  if (uni > 0) {
+    for (size_t c = std::max<size_t>(inter, 1) - 1; c <= inter + 1; ++c) {
+      if (c >= 1 && c <= uni) {
+        taus.push_back(static_cast<double>(c) / static_cast<double>(uni));
+      }
+    }
+  }
+  for (double tau : taus) {
+    SignatureLimits limits(std::max(a.size(), b.size()), tau);
+    limits.Reset(a.size());
+    const bool may = SignatureMayReach(h, a.size(), b.size(), tau);
+    ASSERT_EQ(limits.MayPass(b.size(), h), may) << "tau " << tau;
+    if (RecordJaccardAtLeast(inter, a.size(), b.size(), tau)) {
+      ASSERT_TRUE(may) << "rejected a passing pair: |A| " << a.size()
+                       << " |B| " << b.size() << " inter " << inter
+                       << " h " << h << " tau " << tau;
+      if (inter > 0 && uni > 0 &&
+          tau == static_cast<double>(inter) / static_cast<double>(uni)) {
+        ++*boundary_passes;
+      }
+    }
+  }
+}
+
+TEST(SimdKernelsPrunePredicate, SignatureFilterNeverRejectsAPassingPair) {
+  Rng rng(20261017);
+  size_t boundary_passes = 0;
+  // Random sets of 0-80 tokens over small (dense overlap) and large
+  // universes, duplicates included.
+  for (int round = 0; round < 3000; ++round) {
+    const int32_t universe =
+        rng.Bernoulli(0.3) ? 24 : (rng.Bernoulli(0.5) ? 500 : 100000);
+    std::vector<int32_t> a = RandomSortedUnique(&rng, 80, universe);
+    std::vector<int32_t> b = rng.Bernoulli(0.1)
+                                 ? a
+                                 : RandomSortedUnique(&rng, 80, universe);
+    ExpectFilterSound(a, b, &boundary_passes);
+  }
+  // Forced collisions: every token of both sets hashes to one of three
+  // signature bits, so most distinct tokens share a bit.
+  std::vector<std::vector<int32_t>> buckets(3);
+  for (int32_t id = 0; id < 400000; ++id) {
+    const uint32_t bit = SignatureBit(id);
+    if (bit < 3) buckets[bit].push_back(id);
+  }
+  for (int round = 0; round < 1000; ++round) {
+    std::set<int32_t> sa;
+    std::set<int32_t> sb;
+    const size_t na = rng.UniformIndex(40);
+    const size_t nb = rng.UniformIndex(40);
+    for (size_t t = 0; t < na + nb; ++t) {
+      const auto& bucket = buckets[rng.UniformIndex(3)];
+      // A narrow slice of each bucket, so the sets also share tokens.
+      const int32_t id = bucket[rng.UniformIndex(12)];
+      (t < na ? sa : sb).insert(id);
+    }
+    const std::vector<int32_t> a(sa.begin(), sa.end());
+    const std::vector<int32_t> b(sb.begin(), sb.end());
+    ExpectFilterSound(a, b, &boundary_passes);
+  }
+  // 0- and 1-token sets against each other and against small sets.
+  const std::vector<std::vector<int32_t>> tiny = {
+      {}, {7}, {8}, {7, 8}, {buckets[0][0]}, {buckets[0][1]},
+      {buckets[0][0], buckets[0][1]}};
+  for (const auto& a : tiny) {
+    for (const auto& b : tiny) ExpectFilterSound(a, b, &boundary_passes);
+  }
+  // Not vacuous: many pairs sat exactly on tau and passed.
+  EXPECT_GT(boundary_passes, 1000u);
+}
+
+TEST(SimdKernelsPrunePredicate, SignatureTableMatchesInlineOnEveryBoundary) {
+  // Exhaustive: every size pair up to 30, every distance up to |A| + |B|,
+  // tau on every boundary c/u with u <= 12.
+  std::vector<double> taus;
+  for (int u = 1; u <= 12; ++u) {
+    for (int c = 1; c <= u; ++c) {
+      taus.push_back(static_cast<double>(c) / static_cast<double>(u));
+    }
+  }
+  for (double tau : taus) {
+    SignatureLimits limits(30, tau);
+    for (size_t a = 0; a <= 30; ++a) {
+      limits.Reset(a);
+      for (size_t b = 0; b <= 30; ++b) {
+        // At distance 0 the table is the length filter.
+        ASSERT_EQ(limits.MayPass(b, 0),
+                  RecordJaccardAtLeast(std::min(a, b), a, b, tau))
+            << "|A| " << a << " |B| " << b << " tau " << tau;
+        for (size_t h = 0; h <= a + b; ++h) {
+          ASSERT_EQ(limits.MayPass(b, static_cast<uint32_t>(h)),
+                    SignatureMayReach(h, a, b, tau))
+              << "|A| " << a << " |B| " << b << " h " << h << " tau "
+              << tau;
+        }
+      }
+    }
+  }
+}
+
+void ExpectDistanceKernelsAgree(const TokenSignature& a,
+                                const std::vector<TokenSignature>& pool,
+                                size_t start, size_t count,
+                                const std::vector<int>& idx) {
+  std::vector<uint16_t> expected(count);
+  std::vector<uint16_t> expected_gather(idx.size());
+  for (size_t t = 0; t < count; ++t) {
+    expected[t] = ReferenceDistance(a, pool[start + t]);
+  }
+  for (size_t t = 0; t < idx.size(); ++t) {
+    expected_gather[t] =
+        ReferenceDistance(a, pool[static_cast<size_t>(idx[t])]);
+  }
+  // One slot past the end must survive every kernel untouched.
+  std::vector<uint16_t> got(count + 1, 0xBEEF);
+  std::vector<uint16_t> got_gather(idx.size() + 1, 0xBEEF);
+  auto check = [&](const char* what) {
+    ASSERT_EQ(got.back(), 0xBEEF) << what;
+    ASSERT_EQ(got_gather.back(), 0xBEEF) << what;
+    got.pop_back();
+    got_gather.pop_back();
+    ASSERT_EQ(got, expected) << what << " start " << start;
+    ASSERT_EQ(got_gather, expected_gather) << what;
+    got.assign(count + 1, 0xBEEF);
+    got_gather.assign(idx.size() + 1, 0xBEEF);
+  };
+  SignatureDistancesScalar(a, pool.data() + start, count, got.data());
+  GatherSignatureDistancesScalar(a, pool.data(), idx.data(), idx.size(),
+                                 got_gather.data());
+  check("scalar");
+#if POWER_HAVE_AVX2
+  if (Avx2Runnable()) {
+    SignatureDistancesAvx2(a, pool.data() + start, count, got.data());
+    GatherSignatureDistancesAvx2(a, pool.data(), idx.data(), idx.size(),
+                                 got_gather.data());
+    check("avx2");
+  }
+#endif
+  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
+    if (level == SimdLevel::kAvx2 && !Avx2Runnable()) continue;
+    ScopedSimdLevel scope(level);
+    SignatureDistances(a, pool.data() + start, count, got.data());
+    GatherSignatureDistances(a, pool.data(), idx.data(), idx.size(),
+                             got_gather.data());
+    check(SimdLevelName(level));
+  }
+}
+
+TEST(SimdKernelsSignature, RunAndGatherMatchScalar) {
+  Rng rng(31337);
+  // A pool of random, all-zero, all-one and token-set signatures.
+  std::vector<TokenSignature> pool(80);
+  for (size_t p = 0; p < pool.size(); ++p) {
+    for (uint64_t& w : pool[p].words) {
+      switch (p % 4) {
+        case 0:
+          w = rng.Fork();
+          break;
+        case 1:
+          w = 0;
+          break;
+        case 2:
+          w = ~uint64_t{0};
+          break;
+        default:
+          break;
+      }
+    }
+    if (p % 4 == 3) {
+      pool[p] = SignatureOf(RandomSortedUnique(&rng, 40, 5000));
+    }
+  }
+  TokenSignature zero;
+  TokenSignature ones;
+  for (uint64_t& w : ones.words) w = ~uint64_t{0};
+  const TokenSignature probes[] = {zero, ones, pool[0], pool[3]};
+  for (const TokenSignature& a : probes) {
+    // Counts 0-67 straddle the four-signature step; starts 0-3 shift the
+    // run against it.
+    for (size_t count = 0; count <= 67; ++count) {
+      for (size_t start = 0; start < 4; ++start) {
+        std::vector<int> idx(count);
+        for (int& i : idx) i = static_cast<int>(rng.UniformIndex(pool.size()));
+        ExpectDistanceKernelsAgree(a, pool, start, count, idx);
+      }
+    }
+  }
 }
 
 }  // namespace
