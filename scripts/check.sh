@@ -87,9 +87,9 @@ PARALLEL_TESTS='Parallel|ColoringFuzz|SelectionLoop|FeatureCache|EditDistanceFuz
 if [[ "$RUN_MAIN" == 1 ]]; then
   echo "== build (default flags) =="
   cmake -B build -S . >/dev/null
-  cmake --build build -j >/dev/null
+  cmake --build build -j "$(nproc)" >/dev/null
   echo "== ctest (full suite) =="
-  (cd build && ctest --output-on-failure -j)
+  (cd build && ctest --output-on-failure -j "$(nproc)")
 fi
 
 if [[ "$RUN_TSAN" == 1 ]]; then
@@ -101,7 +101,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
     -DPOWER_SANITIZE=thread \
     -DPOWER_BUILD_BENCHMARKS=ON \
     -DPOWER_BUILD_EXAMPLES=OFF >/dev/null
-  cmake --build build-tsan -j >/dev/null
+  cmake --build build-tsan -j "$(nproc)" >/dev/null
   echo "== ctest (parallel suite under TSan) =="
   # Exercise the pool beyond any single test's thread count.
   (cd build-tsan && POWER_THREADS=8 ctest --output-on-failure -j 2 \
@@ -114,12 +114,12 @@ if [[ "$RUN_ASAN" == 1 ]]; then
     -DPOWER_SANITIZE=address \
     -DPOWER_BUILD_BENCHMARKS=OFF \
     -DPOWER_BUILD_EXAMPLES=OFF >/dev/null
-  cmake --build build-asan -j >/dev/null
+  cmake --build build-asan -j "$(nproc)" >/dev/null
   echo "== ctest (full suite under ASan+UBSan) =="
   (cd build-asan && \
       ASAN_OPTIONS=detect_leaks=1 \
       UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-      ctest --output-on-failure -j)
+      ctest --output-on-failure -j "$(nproc)")
 fi
 
 if [[ "$RUN_UBSAN" == 1 ]]; then
@@ -130,11 +130,11 @@ if [[ "$RUN_UBSAN" == 1 ]]; then
     -DPOWER_SANITIZE=undefined \
     -DPOWER_BUILD_BENCHMARKS=OFF \
     -DPOWER_BUILD_EXAMPLES=OFF >/dev/null
-  cmake --build build-ubsan -j >/dev/null
+  cmake --build build-ubsan -j "$(nproc)" >/dev/null
   echo "== ctest (full suite under UBSan) =="
   (cd build-ubsan && \
       UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-      ctest --output-on-failure -j)
+      ctest --output-on-failure -j "$(nproc)")
 fi
 
 if [[ "$RUN_FAULTS" == 1 ]]; then
@@ -143,14 +143,14 @@ if [[ "$RUN_FAULTS" == 1 ]]; then
     -DPOWER_SANITIZE=address \
     -DPOWER_BUILD_BENCHMARKS=OFF \
     -DPOWER_BUILD_EXAMPLES=OFF >/dev/null
-  cmake --build build-asan -j >/dev/null
+  cmake --build build-asan -j "$(nproc)" >/dev/null
   echo "== ctest (fault-injection suite under ASan+UBSan) =="
-  # -L before the valueless -j: ctest would otherwise eat "-L" as -j's
-  # argument and silently run the full suite instead of the label.
+  # -L before -j: were -j ever left without its count, ctest would eat "-L"
+  # as -j's argument and silently run the full suite instead of the label.
   (cd build-asan && \
       ASAN_OPTIONS=detect_leaks=1 \
       UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-      ctest --output-on-failure -L fault -j)
+      ctest --output-on-failure -L fault -j "$(nproc)")
 fi
 
 if [[ "$RUN_CRASH" == 1 ]]; then
@@ -159,14 +159,14 @@ if [[ "$RUN_CRASH" == 1 ]]; then
     -DPOWER_SANITIZE=address \
     -DPOWER_BUILD_BENCHMARKS=OFF \
     -DPOWER_BUILD_EXAMPLES=OFF >/dev/null
-  cmake --build build-asan -j >/dev/null
+  cmake --build build-asan -j "$(nproc)" >/dev/null
   echo "== ctest (crash/durability suite under ASan+UBSan) =="
   # The kill point is std::_Exit, which skips LSan's atexit hook — the crash
   # children can't leak-report, and the resumed/reference children still do.
   (cd build-asan && \
       ASAN_OPTIONS=detect_leaks=1 \
       UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-      ctest --output-on-failure -L crash -j)
+      ctest --output-on-failure -L crash -j "$(nproc)")
 fi
 
 if [[ "$RUN_LINT" == 1 ]]; then

@@ -239,11 +239,11 @@ RunOnPairsJob::RunOnPairsJob(const PowerConfig& config,
                    ? &grouped_.graph.all_sims()
                    : &sims_;
 
-  fingerprint_ = JobFingerprint(config_, pairs);
   ResetLoopState();
 
   std::string checkpoint_path = ResolveCheckpointPath(config_);
   if (!checkpoint_path.empty()) {
+    fingerprint_ = JobFingerprint(config_, pairs);
     store_ = std::make_unique<CheckpointStore>(checkpoint_path);
   }
 

@@ -206,7 +206,7 @@ class RunOnPairsJob {
   std::vector<std::vector<double>> sims_;
   GroupedGraph grouped_;
   const std::vector<std::vector<double>>* pair_sims_ = nullptr;
-  uint64_t fingerprint_ = 0;
+  uint64_t fingerprint_ = 0;  // computed only with a checkpoint path
 
   // Loop state (exactly what a checkpoint persists).
   Rng rng_;

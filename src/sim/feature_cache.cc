@@ -14,29 +14,17 @@ namespace {
 
 constexpr int64_t kRecordGrain = 32;
 
-void SortUnique(std::vector<int32_t>* v) {
-  std::sort(v->begin(), v->end());
-  v->erase(std::unique(v->begin(), v->end()), v->end());
+// Slot of a 1- or 2-byte token in the direct intern table: one slot per
+// 1-byte token, then one per 2-byte token. Every bigram, and every word of
+// one or two bytes, is interned there instead of in the hash map.
+size_t ShortTokenSlot(std::string_view t) {
+  const auto b0 = static_cast<unsigned char>(t[0]);
+  if (t.size() == 1) return b0;
+  return 256 + (size_t{b0} << 8 | static_cast<unsigned char>(t[1]));
 }
 
-// Packs per-slot id vectors into one flat array + offsets. Offsets are a
-// serial prefix sum (pure function of the sizes); the copy shards over slots.
-// The destination arrays live on the aligned arena (util/arena.h).
-void PackCsr(const std::vector<std::vector<int32_t>>& rows,
-             ArenaVector<int32_t>* ids, ArenaVector<uint64_t>* off) {
-  off->assign(rows.size() + 1, 0);
-  for (size_t r = 0; r < rows.size(); ++r) {
-    (*off)[r + 1] = (*off)[r] + rows[r].size();
-  }
-  ids->resize(off->back());
-  ParallelFor(0, static_cast<int64_t>(rows.size()), kRecordGrain,
-              [&](int64_t begin, int64_t end) {
-                for (int64_t r = begin; r < end; ++r) {
-                  std::copy(rows[static_cast<size_t>(r)].begin(),
-                            rows[static_cast<size_t>(r)].end(),
-                            ids->data() + (*off)[static_cast<size_t>(r)]);
-                }
-              });
+bool IsSpace(char ch) {
+  return std::isspace(static_cast<unsigned char>(ch)) != 0;
 }
 
 }  // namespace
@@ -77,104 +65,92 @@ FeatureCache::FeatureCache(const Table& table)
                 }
               });
 
-  // Tokenize every cell into views over the (now immutable) lowercase arena.
-  std::vector<std::vector<std::string_view>> cell_words(cells);
-  std::vector<std::vector<std::string_view>> cell_grams(cells);
-  ParallelFor(
-      0, static_cast<int64_t>(n_), kRecordGrain,
-      [&](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-          for (size_t k = 0; k < m_; ++k) {
-            const size_t c = cell(static_cast<size_t>(i), k);
-            std::string_view lower = LowerValue(static_cast<size_t>(i), k);
-            auto is_space = [&](size_t p) {
-              return std::isspace(static_cast<unsigned char>(lower[p])) != 0;
-            };
-            size_t p = 0;
-            while (p < lower.size()) {
-              while (p < lower.size() && is_space(p)) ++p;
-              size_t start = p;
-              while (p < lower.size() && !is_space(p)) ++p;
-              if (p > start) {
-                cell_words[c].push_back(lower.substr(start, p - start));
-              }
-            }
-            // QGramSet(·, 2) semantics: strings of length <= 2 yield the
-            // whole string as a single gram; longer strings every window.
-            if (!lower.empty()) {
-              if (lower.size() <= 2) {
-                cell_grams[c].push_back(lower);
-              } else {
-                cell_grams[c].reserve(lower.size() - 1);
-                for (size_t b = 0; b + 2 <= lower.size(); ++b) {
-                  cell_grams[c].push_back(lower.substr(b, 2));
-                }
-              }
-            }
-          }
-        }
-      });
-
-  // Serial interning pass: cells in ascending order, word tokens before
-  // bigrams within a cell. First occurrence assigns the id, so the mapping
-  // is independent of the thread count. View keys point into lower_bytes_,
-  // which no longer reallocates.
-  std::unordered_map<std::string_view, int32_t> intern;
-  std::vector<std::vector<int32_t>> word_ids(cells);
-  std::vector<std::vector<int32_t>> gram_ids(cells);
-  auto intern_all = [&](const std::vector<std::string_view>& tokens,
-                        std::vector<int32_t>* out) {
-    out->reserve(tokens.size());
-    for (std::string_view t : tokens) {
-      auto [it, added] =
-          intern.try_emplace(t, static_cast<int32_t>(dict_ref_.size()));
-      if (added) {
-        dict_ref_.emplace_back(
-            static_cast<uint64_t>(t.data() - lower_bytes_.data()),
-            static_cast<uint32_t>(t.size()));
-      }
-      out->push_back(it->second);
+  // Serial pass: tokenize cells in ascending order, words before bigrams
+  // within a cell, and intern by first occurrence, so ids do not depend on
+  // the thread count. An id joins a span the first time it appears there:
+  // cell_seen[id] is 2c + 1 once among cell c's words, 2c + 2 once among
+  // its bigrams; record_seen[id] is i + 1 once among record i's words. View
+  // keys point into lower_bytes_, which no longer reallocates.
+  std::vector<int32_t> short_ids(256 + 65536, -1);
+  std::unordered_map<std::string_view, int32_t> long_ids;
+  std::vector<uint64_t> cell_seen;
+  std::vector<uint64_t> record_seen;
+  auto intern = [&](std::string_view t) {
+    int32_t& id = t.size() <= 2 ? short_ids[ShortTokenSlot(t)]
+                                : long_ids.try_emplace(t, -1).first->second;
+    if (id < 0) {
+      id = static_cast<int32_t>(dict_ref_.size());
+      dict_ref_.emplace_back(
+          static_cast<uint64_t>(t.data() - lower_bytes_.data()),
+          static_cast<uint32_t>(t.size()));
+      cell_seen.push_back(0);
+      record_seen.push_back(0);
     }
+    return static_cast<size_t>(id);
   };
-  for (size_t c = 0; c < cells; ++c) {
-    intern_all(cell_words[c], &word_ids[c]);
-    intern_all(cell_grams[c], &gram_ids[c]);
-  }
-  cell_words = {};
-  cell_grams = {};
 
-  // Sort-unique every cell span and union the record-level span (parallel;
-  // ids are injective over token strings, so dedup-by-id equals the legacy
-  // dedup-by-string and the spans represent exactly the same sets).
-  std::vector<std::vector<int32_t>> rec_ids(n_);
+  // A cell has at most one bigram per byte.
+  gram_ids_.reserve(lower_bytes_.size());
+  word_off_.assign(cells + 1, 0);
+  gram_off_.assign(cells + 1, 0);
+  rec_off_.assign(n_ + 1, 0);
+  for (size_t i = 0; i < n_; ++i) {
+    for (size_t k = 0; k < m_; ++k) {
+      const size_t c = cell(i, k);
+      const std::string_view lower = LowerValue(i, k);
+      for (size_t p = 0; p < lower.size();) {
+        while (p < lower.size() && IsSpace(lower[p])) ++p;
+        const size_t start = p;
+        while (p < lower.size() && !IsSpace(lower[p])) ++p;
+        if (p == start) continue;
+        const size_t id = intern(lower.substr(start, p - start));
+        if (cell_seen[id] == 2 * c + 1) continue;
+        cell_seen[id] = 2 * c + 1;
+        word_ids_.push_back(static_cast<int32_t>(id));
+        // Record tokens == union of the cell word-token sets: the legacy
+        // concatenation joins cells with ' ', so no token ever spans a
+        // cell boundary.
+        if (record_seen[id] != i + 1) {
+          record_seen[id] = i + 1;
+          rec_ids_.push_back(static_cast<int32_t>(id));
+        }
+      }
+      word_off_[c + 1] = word_ids_.size();
+      // QGramSet(·, 2) semantics: a value of 1 or 2 bytes is its own single
+      // gram, a longer one yields every 2-byte window.
+      const size_t grams = lower.size() > 1 ? lower.size() - 1 : lower.size();
+      for (size_t b = 0; b < grams; ++b) {
+        const size_t id = intern(lower.substr(b, 2));
+        if (cell_seen[id] == 2 * c + 2) continue;
+        cell_seen[id] = 2 * c + 2;
+        gram_ids_.push_back(static_cast<int32_t>(id));
+      }
+      gram_off_[c + 1] = gram_ids_.size();
+    }
+    rec_off_[i + 1] = rec_ids_.size();
+  }
+  word_ids_.shrink_to_fit();
+  rec_ids_.shrink_to_fit();
+
+  // Sort every span in place (parallel; ids are injective over token
+  // strings, so the sorted ids of a span represent exactly the legacy
+  // sorted-unique string set).
   rec_sig_.resize(n_);
+  auto sort_span = [](int32_t* ids, const uint64_t* off, size_t s) {
+    std::sort(ids + off[s], ids + off[s + 1]);
+  };
   ParallelFor(0, static_cast<int64_t>(n_), kRecordGrain,
               [&](int64_t begin, int64_t end) {
-                for (int64_t i = begin; i < end; ++i) {
-                  size_t total = 0;
+                for (auto i = static_cast<size_t>(begin);
+                     i < static_cast<size_t>(end); ++i) {
                   for (size_t k = 0; k < m_; ++k) {
-                    const size_t c = cell(static_cast<size_t>(i), k);
-                    SortUnique(&word_ids[c]);
-                    SortUnique(&gram_ids[c]);
-                    total += word_ids[c].size();
+                    sort_span(word_ids_.data(), word_off_.data(), cell(i, k));
+                    sort_span(gram_ids_.data(), gram_off_.data(), cell(i, k));
                   }
-                  // Record tokens == union of the cell word-token sets: the
-                  // legacy concatenation joins cells with ' ', so no token
-                  // ever spans a cell boundary.
-                  auto& rec = rec_ids[static_cast<size_t>(i)];
-                  rec.reserve(total);
-                  for (size_t k = 0; k < m_; ++k) {
-                    const auto& w = word_ids[cell(static_cast<size_t>(i), k)];
-                    rec.insert(rec.end(), w.begin(), w.end());
-                  }
-                  SortUnique(&rec);
-                  rec_sig_[static_cast<size_t>(i)] = SignatureOf(rec);
+                  sort_span(rec_ids_.data(), rec_off_.data(), i);
+                  rec_sig_[i] = SignatureOf(RecordTokenIds(i));
                 }
               });
-
-  PackCsr(word_ids, &word_ids_, &word_off_);
-  PackCsr(gram_ids, &gram_ids_, &gram_off_);
-  PackCsr(rec_ids, &rec_ids_, &rec_off_);
 }
 
 double ComputeSimilarity(const FeatureCache& features, SimilarityFunction fn,

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,6 +13,7 @@
 #include "blocking/prefix_join.h"
 #include "core/power.h"
 #include "crowd/answer_cache.h"
+#include "data/generator.h"
 #include "data/table.h"
 #include "sim/similarity.h"
 #include "sim/similarity_matrix.h"
@@ -171,6 +174,131 @@ TEST(FeatureCacheTokens, FeaturesMatchLegacyTokenizationExactly) {
     std::sort(rec.begin(), rec.end());
     EXPECT_EQ(rec, WordTokenSet(concat));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Token ids are exact, not just the token sets: a reference interns by first
+// occurrence in a std::map, walking cells in ascending order with word
+// tokens before bigrams within a cell. Ids feed the signature hash, so they
+// decide the candidate paths' CandidateStats counters.
+// ---------------------------------------------------------------------------
+
+struct ReferenceFeatures {
+  std::vector<std::string> dict;  // id -> token
+  std::vector<std::vector<int32_t>> words, grams;  // per cell, sorted-unique
+  std::vector<std::vector<int32_t>> records;       // per record
+};
+
+ReferenceFeatures InternByFirstOccurrence(const Table& table) {
+  const size_t m = table.schema().num_attributes();
+  ReferenceFeatures ref;
+  std::map<std::string, int> ids;
+  auto intern = [&](const std::string& token) {
+    auto [it, added] = ids.emplace(token, static_cast<int>(ref.dict.size()));
+    if (added) ref.dict.push_back(token);
+    return static_cast<int32_t>(it->second);
+  };
+  auto sort_unique = [](std::vector<int32_t> v) {
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+    return v;
+  };
+  for (size_t i = 0; i < table.num_records(); ++i) {
+    std::vector<int32_t> record;
+    for (size_t k = 0; k < m; ++k) {
+      const std::string lower = ToLower(table.Value(i, k));
+      std::vector<int32_t> words;
+      for (const std::string& w : SplitWhitespace(lower)) {
+        words.push_back(intern(w));
+      }
+      std::vector<int32_t> grams;
+      if (!lower.empty() && lower.size() <= 2) grams.push_back(intern(lower));
+      for (size_t b = 0; lower.size() > 2 && b + 2 <= lower.size(); ++b) {
+        grams.push_back(intern(lower.substr(b, 2)));
+      }
+      record.insert(record.end(), words.begin(), words.end());
+      ref.words.push_back(sort_unique(std::move(words)));
+      ref.grams.push_back(sort_unique(std::move(grams)));
+    }
+    ref.records.push_back(sort_unique(std::move(record)));
+  }
+  return ref;
+}
+
+std::vector<int32_t> AsVector(std::span<const int32_t> ids) {
+  return {ids.begin(), ids.end()};
+}
+
+void ExpectIdsMatchReference(const Table& table, const std::string& label) {
+  const ReferenceFeatures ref = InternByFirstOccurrence(table);
+  const size_t m = table.schema().num_attributes();
+  for (int threads : {1, 2, 8}) {
+    ScopedNumThreads scope(threads);
+    FeatureCache features(table);
+    const std::string at = label + " threads " + std::to_string(threads);
+    ASSERT_EQ(features.dict_size(), ref.dict.size()) << at;
+    for (size_t id = 0; id < ref.dict.size(); ++id) {
+      ASSERT_EQ(features.TokenString(static_cast<int32_t>(id)), ref.dict[id])
+          << at << " id " << id;
+    }
+    for (size_t i = 0; i < table.num_records(); ++i) {
+      for (size_t k = 0; k < m; ++k) {
+        ASSERT_EQ(AsVector(features.WordTokenIds(i, k)), ref.words[i * m + k])
+            << at << " cell (" << i << ", " << k << ")";
+        ASSERT_EQ(AsVector(features.BigramIds(i, k)), ref.grams[i * m + k])
+            << at << " cell (" << i << ", " << k << ")";
+      }
+      ASSERT_EQ(AsVector(features.RecordTokenIds(i)), ref.records[i])
+          << at << " record " << i;
+      const TokenSignature want = SignatureOf(ref.records[i]);
+      ASSERT_EQ(std::memcmp(&features.RecordSignatures()[i], &want,
+                            sizeof(want)),
+                0)
+          << at << " record " << i;
+    }
+  }
+}
+
+Table ProfileTable(DatasetProfile profile, size_t records) {
+  const double ratio = static_cast<double>(profile.num_entities) /
+                       static_cast<double>(profile.num_records);
+  profile.num_records = records;
+  profile.num_entities = std::max<size_t>(
+      1, static_cast<size_t>(static_cast<double>(records) * ratio));
+  return DatasetGenerator(51).Generate(profile);
+}
+
+TEST(FeatureCacheDifferential, TokenIdsMatchFirstOccurrenceReference) {
+  ExpectIdsMatchReference(ProfileTable(AcmPubProfile(1.0), 1500), "ACMPub");
+  ExpectIdsMatchReference(ProfileTable(CoraProfile(), 600), "Cora");
+  ExpectIdsMatchReference(ProfileTable(RestaurantProfile(), 858),
+                          "Restaurant");
+  ExpectIdsMatchReference(MakeAdversarialTable(/*seed=*/61, 60),
+                          "adversarial");
+}
+
+TEST(FeatureCacheDifferential, TokenIdsMatchReferenceOnHostileCells) {
+  Schema schema({{"a", SimilarityFunction::kJaccard},
+                 {"b", SimilarityFunction::kBigramJaccard},
+                 {"c", SimilarityFunction::kEditSimilarity}});
+  Table table(schema);
+  const std::vector<std::vector<std::string>> rows = {
+      {"", " ", "\t\n\v\f\r"},
+      // 1- and 2-byte cells; "ab" is a bigram of "xab" before it is a word.
+      {"xab", "a", "ab"},
+      {"A", "Ab", " a"},
+      // Bytes >= 0x80, and a NUL inside a value.
+      {"caf\xc3\xa9 \xff\x80", "\xc3\xa9", std::string("a\0b", 3)},
+      // A token repeated within a cell and across one record's cells.
+      {"ab cd ab ab", "cd ab", "ab\tab\nab"},
+      {"  ", "\r\n", "zz zz"},
+  };
+  for (const auto& values : rows) {
+    Record r;
+    r.values = values;
+    table.Add(std::move(r));
+  }
+  ExpectIdsMatchReference(table, "hostile");
 }
 
 // ---------------------------------------------------------------------------

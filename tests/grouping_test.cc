@@ -1,11 +1,21 @@
 #include <algorithm>
+#include <cstring>
+#include <deque>
+#include <numeric>
 #include <set>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "blocking/pair_generator.h"
+#include "core/power.h"
+#include "data/generator.h"
 #include "data/paper_example.h"
 #include "group/greedy_grouper.h"
 #include "group/split_grouper.h"
+#include "sim/feature_cache.h"
+#include "sim/similarity_matrix.h"
 #include "util/rng.h"
 
 namespace power {
@@ -182,6 +192,176 @@ TEST(SplitGrouperTest, LargerEpsilonFewerGroups) {
     EXPECT_LE(groups.size(), prev);
     prev = groups.size();
   }
+}
+
+// ---------------------------------------------------------------------------
+// Split against a reference copy of its queue-of-vectors form: a deque of
+// member vectors, each split node's members stable-sorted by child key. A
+// key compares as a big integer (bit b is the b-th split attribute, the
+// highest bit most significant), which also orders keys past 64 split
+// attributes. SplitGrouper must emit the same groups in the same order.
+// ---------------------------------------------------------------------------
+
+std::vector<VertexGroup> ReferenceSplit(
+    const std::vector<std::vector<double>>& sims, double epsilon) {
+  std::vector<VertexGroup> result;
+  if (sims.empty()) return result;
+  const size_t m = sims[0].size();
+  std::vector<int> all(sims.size());
+  std::iota(all.begin(), all.end(), 0);
+  std::deque<std::vector<int>> queue;
+  queue.push_back(std::move(all));
+  while (!queue.empty()) {
+    std::vector<int> node = std::move(queue.front());
+    queue.pop_front();
+    std::vector<double> lo(m), hi(m);
+    for (size_t k = 0; k < m; ++k) {
+      lo[k] = hi[k] = sims[node[0]][k];
+      for (int v : node) {
+        lo[k] = std::min(lo[k], sims[v][k]);
+        hi[k] = std::max(hi[k], sims[v][k]);
+      }
+    }
+    std::vector<size_t> split_dims;
+    for (size_t k = 0; k < m; ++k) {
+      if (hi[k] - lo[k] > epsilon) split_dims.push_back(k);
+    }
+    if (split_dims.empty()) {
+      result.push_back(MakeGroup(sims, std::move(node)));
+      continue;
+    }
+    using Keyed = std::pair<std::vector<bool>, int>;
+    std::vector<Keyed> keyed;
+    for (int v : node) {
+      std::vector<bool> key(split_dims.size());
+      for (size_t b = 0; b < split_dims.size(); ++b) {
+        const size_t k = split_dims[b];
+        key[b] = sims[v][k] > (lo[k] + hi[k]) / 2.0;
+      }
+      keyed.emplace_back(std::move(key), v);
+    }
+    std::stable_sort(keyed.begin(), keyed.end(),
+                     [](const Keyed& a, const Keyed& b) {
+                       for (size_t bit = a.first.size(); bit-- > 0;) {
+                         if (a.first[bit] != b.first[bit]) return b.first[bit];
+                       }
+                       return false;
+                     });
+    for (size_t i = 0; i < keyed.size();) {
+      std::vector<int> members;
+      size_t j = i;
+      for (; j < keyed.size() && keyed[j].first == keyed[i].first; ++j) {
+        members.push_back(keyed[j].second);
+      }
+      queue.push_back(std::move(members));
+      i = j;
+    }
+  }
+  return result;
+}
+
+template <typename T>
+bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+// memcmp, not ==: a bound of -0.0 where the reference has 0.0 differs.
+void ExpectSameGroups(const std::vector<VertexGroup>& got,
+                      const std::vector<VertexGroup>& want,
+                      const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t g = 0; g < got.size(); ++g) {
+    EXPECT_TRUE(SameBytes(got[g].members, want[g].members))
+        << label << " group " << g;
+    EXPECT_TRUE(SameBytes(got[g].lower, want[g].lower))
+        << label << " group " << g;
+    EXPECT_TRUE(SameBytes(got[g].upper, want[g].upper))
+        << label << " group " << g;
+  }
+}
+
+void ExpectSplitMatchesReference(const std::vector<std::vector<double>>& sims,
+                                 const std::string& label) {
+  for (double eps : {0.0, 0.05, 0.1, 1.0}) {
+    ExpectSameGroups(SplitGrouper().Group(sims, eps),
+                     ReferenceSplit(sims, eps),
+                     label + " eps " + std::to_string(eps));
+  }
+}
+
+// Values on a grid of eighths, so many sit exactly on a node's midpoint;
+// zero is drawn with either sign.
+std::vector<std::vector<double>> GridSims(uint64_t seed, size_t n, size_t m) {
+  Rng rng(seed);
+  std::vector<std::vector<double>> sims(n, std::vector<double>(m));
+  for (auto& v : sims) {
+    for (auto& x : v) {
+      x = rng.UniformInt(0, 8) / 8.0;
+      if (x == 0.0 && rng.Bernoulli(0.5)) x = -0.0;
+    }
+  }
+  return sims;
+}
+
+TEST(SplitGrouperDifferential, GridVectorsMatchReference) {
+  for (size_t m = 1; m <= 12; ++m) {
+    ExpectSplitMatchesReference(GridSims(100 + m, 400, m),
+                                "grid m " + std::to_string(m));
+  }
+  ExpectSplitMatchesReference(GridSims(170, 200, 70), "grid m 70");
+}
+
+TEST(SplitGrouperDifferential, DuplicatesAndSingleVertexMatchReference) {
+  ExpectSplitMatchesReference({{0.3, 0.7}}, "single vertex");
+  ExpectSplitMatchesReference(
+      std::vector<std::vector<double>>(50, {0.2, 0.4, 0.9}), "all equal");
+  std::vector<std::vector<double>> few = GridSims(7, 6, 4);
+  std::vector<std::vector<double>> dups;
+  Rng rng(8);
+  for (int v = 0; v < 300; ++v) dups.push_back(few[rng.UniformIndex(6)]);
+  ExpectSplitMatchesReference(dups, "six distinct vectors");
+}
+
+// Similarity vectors of the pairs a default run keeps from a generated
+// table, resized as perfbench resizes its workloads' profiles.
+std::vector<std::vector<double>> ProfileSims(DatasetProfile profile,
+                                             size_t records) {
+  const double ratio = static_cast<double>(profile.num_entities) /
+                       static_cast<double>(profile.num_records);
+  profile.num_records = records;
+  profile.num_entities = std::max<size_t>(
+      1, static_cast<size_t>(static_cast<double>(records) * ratio));
+  Table table = DatasetGenerator(51).Generate(profile);
+  FeatureCache features(table);
+  const PowerConfig config;
+  std::vector<std::vector<double>> sims;
+  for (const SimilarPair& p : ComputePairSimilarities(
+           features, AllPairsCandidates(features, config.prune_tau),
+           config.component_floor)) {
+    sims.push_back(p.sims);
+  }
+  return sims;
+}
+
+TEST(SplitGrouperDifferential, GeneratedTablesMatchReference) {
+  ExpectSplitMatchesReference(ProfileSims(AcmPubProfile(1.0), 6000),
+                              "ACMPub 6k");
+  ExpectSplitMatchesReference(ProfileSims(CoraProfile(), 2000), "Cora 2k");
+}
+
+// More than 63 split attributes once aborted on a 64-bit key.
+TEST(SplitGrouperTest, SeventyWideAttributesSplit) {
+  std::vector<std::vector<double>> sims(4, std::vector<double>(70));
+  for (size_t v = 0; v < sims.size(); ++v) {
+    for (size_t k = 0; k < 70; ++k) sims[v][k] = (v + k) % 2 ? 0.9 : 0.1;
+  }
+  auto groups = SplitGrouper().Group(sims, 0.1);
+  EXPECT_TRUE(IsPartition(groups, sims.size()));
+  for (const auto& g : groups) {
+    EXPECT_TRUE(IsValidGroup(sims, g.members, 0.1));
+  }
+  ExpectSameGroups(groups, ReferenceSplit(sims, 0.1), "70 attributes");
 }
 
 }  // namespace
