@@ -42,16 +42,6 @@ void BM_EditDistance(benchmark::State& state) {
 }
 BENCHMARK(BM_EditDistance)->Arg(16)->Arg(64)->Arg(256);
 
-void BM_BoundedEditDistance(benchmark::State& state) {
-  Rng rng(1);
-  std::string a = RandomString(rng, static_cast<size_t>(state.range(0)));
-  std::string b = RandomString(rng, static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BoundedEditDistance(a, b, 4));
-  }
-}
-BENCHMARK(BM_BoundedEditDistance)->Arg(16)->Arg(64)->Arg(256);
-
 void BM_BigramJaccard(benchmark::State& state) {
   Rng rng(2);
   std::string a = RandomString(rng, static_cast<size_t>(state.range(0)));

@@ -76,13 +76,12 @@ esac
 # (fault-injected serve loops must stay byte-identical at 1/2/8 threads),
 # plus the SIMD differential layer (scalar vs AVX2 kernels and the dispatch
 # invariance suite — dispatch resolution itself is a racy first-call CAS),
-# Arena* (the aligned-allocation substrate behind the CSR and feature-cache
-# arrays), and bench_scale_smoke (the 10k
-# end-to-end scale run, whose prefix-join probes and all-pairs scan both run
-# on the pool; the join's own differential against the scan is
-# ParallelPrefixJoinDifferential, matched by Parallel).
+# and bench_scale_smoke (the 10k end-to-end scale run, whose prefix-join
+# probes and all-pairs scan both run on the pool; the join's own
+# differential against the scan is ParallelPrefixJoinDifferential, matched
+# by Parallel).
 # ctest filters by gtest-discovered *test* names, not binary names.
-PARALLEL_TESTS='Parallel|ColoringFuzz|SelectionLoop|FeatureCache|EditDistanceFuzz|FaultSweep|SimdKernels|SimdDispatch|Arena|bench_scale_smoke'
+PARALLEL_TESTS='Parallel|ColoringFuzz|SelectionLoop|FeatureCache|EditDistanceFuzz|FaultSweep|SimdKernels|SimdDispatch|bench_scale_smoke'
 
 if [[ "$RUN_MAIN" == 1 ]]; then
   echo "== build (default flags) =="

@@ -49,12 +49,6 @@ Rules:
                    behind the dispatched kernel API with a scalar reference
                    and a differential test.
 
-  raw-arena        No raw aligned/page allocation calls (aligned_alloc,
-                   posix_memalign, memalign, valloc, mmap, munmap, madvise)
-                   in src/ outside util/arena.{h,cc}: alignment, hugepage
-                   opt-in, fallback, and ASan poisoning stay in one audited
-                   place.
-
   float-reduce     No compound assignment (+= -= *= /=) on a floating-point
                    variable captured from outside a ParallelFor / pool-task
                    lambda (src/ and bench/, outside util/parallel.*). FP
@@ -130,7 +124,6 @@ RULES = [
     "naked-thread",
     "wall-clock",
     "raw-simd",
-    "raw-arena",
     "float-reduce",
     "task-noexcept",
     "env-read",
@@ -168,8 +161,6 @@ def is_rule_home(rel, rule):
         return bool(re.search(r"(^|/)util/stopwatch\.h$", r))
     if rule == "raw-simd":
         return bool(re.search(r"(^|/)sim/simd_kernels[^/]*\.(h|cc)$", r))
-    if rule == "raw-arena":
-        return bool(re.search(r"(^|/)util/arena\.(h|cc)$", r))
     if rule == "env-read":
         return bool(re.search(r"(^|/)util/env\.(h|cc)$", r))
     if rule == "raw-io":
@@ -181,7 +172,7 @@ def is_rule_home(rel, rule):
 
 def rule_applies(rel, rule):
     """File scoping: which tree each rule polices (before home exemptions)."""
-    if rule in ("unordered-iter", "raw-arena", "raw-io"):
+    if rule in ("unordered-iter", "raw-io"):
         return in_src(rel)
     if rule in ("float-reduce", "task-noexcept", "env-read"):
         return in_src(rel) or in_bench(rel)
@@ -208,10 +199,6 @@ MESSAGES = {
         "raw SIMD intrinsic — vector code lives in src/sim/simd_kernels* "
         "behind the dispatched kernel API (sim/simd_kernels.h) with a "
         "scalar reference"),
-    "raw-arena": (
-        "raw aligned/page allocation — hot-path arrays allocate through "
-        "arena::Alloc/ArenaVector (util/arena.h) so alignment, hugepage "
-        "opt-in, and fallback stay in one audited place"),
     "float-reduce": (
         "floating-point accumulation into captured '{what}' inside a "
         "pool-task lambda — FP addition does not commute across chunk "
@@ -224,8 +211,8 @@ MESSAGES = {
         "pre-validate inputs or use operator[] with POWER_CHECK"),
     "env-read": (
         "raw environment/number parsing '{what}' — POWER_* knobs resolve "
-        "through the typed util/env.h accessors (EnvInt/EnvDouble/EnvBool/"
-        "EnvEnum); data parses through power::ParseInt/ParseDouble"),
+        "through the typed util/env.h accessors (EnvInt/EnvDouble); data "
+        "parses through power::ParseInt/ParseDouble"),
     "raw-io": (
         "raw file write '{what}' — durable state in src/ persists through "
         "the atomic snapshot layer (util/snapshot.h: write-temp + fsync + "
@@ -335,10 +322,6 @@ NAKED_THREAD = re.compile(r"\bstd::(?:thread|jthread|async)\b")
 WALL_CLOCK = re.compile(
     r"\bstd::chrono::(?:system_clock|steady_clock|high_resolution_clock)\b")
 RAW_SIMD = re.compile(r"\b_mm(?:256|512)?_\w+|\b__m(?:128|256|512)i?\b")
-RAW_ARENA = re.compile(
-    r"(?<![\w:])(?:std::)?"
-    r"(?:aligned_alloc|posix_memalign|memalign|valloc|pvalloc"
-    r"|mmap|munmap|madvise)\s*\(")
 ENV_READ = re.compile(
     r"(?<![\w:.])(?:std::)?(?:getenv|secure_getenv)\s*\("
     r"|(?<![\w:.])(?:std::)?ato(?:i|f|l|ll)\s*\(")
@@ -556,10 +539,6 @@ def regex_check_file(path, rel, findings):
             findings.add(rel, idx + 1, "wall-clock")
         if not is_rule_home(rel, "raw-simd") and RAW_SIMD.search(line):
             findings.add(rel, idx + 1, "raw-simd")
-        if (rule_applies(rel, "raw-arena") and
-                not is_rule_home(rel, "raw-arena") and
-                RAW_ARENA.search(line)):
-            findings.add(rel, idx + 1, "raw-arena")
         if (rule_applies(rel, "env-read") and
                 not is_rule_home(rel, "env-read")):
             m = ENV_READ.search(line)
@@ -635,8 +614,6 @@ def load_libclang():
 UNORDERED_TYPES = re.compile(
     r"\bunordered_(?:map|set|multimap|multiset)\s*<")
 CLOCK_NAMES = ("system_clock", "steady_clock", "high_resolution_clock")
-ARENA_CALLS = {"aligned_alloc", "posix_memalign", "memalign", "valloc",
-               "pvalloc", "mmap", "munmap", "madvise"}
 ENV_CALLS = {"getenv", "secure_getenv", "atoi", "atof", "atol", "atoll"}
 RANDOM_CALLS = {"rand", "srand", "time"}
 THROWER_CALLS = {"at", "stoi", "stol", "stoll", "stoul", "stoull", "stof",
@@ -842,10 +819,6 @@ class AstEngine:
                 if name.startswith("_mm") and \
                         not is_rule_home(rel, "raw-simd"):
                     self.findings.add(rel, line, "raw-simd")
-                if name in ARENA_CALLS and \
-                        rule_applies(rel, "raw-arena") and \
-                        not is_rule_home(rel, "raw-arena"):
-                    self.findings.add(rel, line, "raw-arena")
                 if name in ENV_CALLS and \
                         rule_applies(rel, "env-read") and \
                         not is_rule_home(rel, "env-read"):

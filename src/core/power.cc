@@ -193,6 +193,14 @@ RunOnPairsJob::RunOnPairsJob(const PowerConfig& config,
       oracle_(oracle),
       thread_scope_(config.num_threads),
       rng_(config.seed) {
+  // Checked before anything else, so a negative or NaN epsilon fails the
+  // same way under every grouping kind (NonGroup never reads it) and at
+  // every table size (an empty pair list never reaches a grouper).
+  if (!(config_.epsilon >= 0.0)) {
+    std::fprintf(stderr, "power: grouping epsilon=%g must be >= 0\n",
+                 config_.epsilon);
+    std::abort();
+  }
   POWER_CHECK(oracle != nullptr);
   POWER_CHECK(config_.max_ask_attempts >= 1);
   result_.num_threads = NumThreads();

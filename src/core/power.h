@@ -44,6 +44,8 @@ struct PowerConfig {
   CandidateMethod candidate_method = CandidateMethod::kAuto;
 
   GroupingKind grouping = GroupingKind::kSplit;
+  /// Must be >= 0 under every grouping kind; RunOnPairsJob aborts with
+  /// "power: grouping epsilon=<value> must be >= 0" otherwise.
   double epsilon = 0.1;
 
   BuilderKind builder = BuilderKind::kRangeTree;

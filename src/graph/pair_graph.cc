@@ -66,8 +66,8 @@ void PairGraph::AddEdgeChunks(
 }
 
 void PairGraph::BuildCsrSide(bool keyed_by_parent,
-                             ArenaVector<int64_t>* offsets,
-                             ArenaVector<int>* edges) const {
+                             std::vector<int64_t>* offsets,
+                             std::vector<int>* edges) const {
   const size_t n = sims_.size();
   const int64_t num_pending = static_cast<int64_t>(pending_.size());
 

@@ -7,8 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/arena.h"
-
 namespace power {
 
 /// The directed acyclic graph of the partial-order framework (Definition 2).
@@ -99,21 +97,18 @@ class PairGraph {
   void CheckFrozenVertex(int v) const;
   /// Builds one CSR direction from the pending edges: key = pair.first when
   /// keyed_by_parent, else pair.second.
-  void BuildCsrSide(bool keyed_by_parent, ArenaVector<int64_t>* offsets,
-                    ArenaVector<int>* edges) const;
+  void BuildCsrSide(bool keyed_by_parent, std::vector<int64_t>* offsets,
+                    std::vector<int>* edges) const;
 
   std::vector<std::vector<double>> sims_;
   std::vector<std::pair<int, int>> pending_;  // build phase only
   bool frozen_ = false;
   // CSR adjacency, valid once frozen. offsets have num_vertices() + 1
   // entries; edge arrays hold the deduplicated, per-vertex-sorted targets.
-  // Backed by the cache-line-aligned (optionally hugepage-backed) arena:
-  // on closure graphs the edge arrays are by far the largest allocation in
-  // the process, and the serving loop streams them every round.
-  ArenaVector<int64_t> child_off_;
-  ArenaVector<int> child_edges_;
-  ArenaVector<int64_t> parent_off_;
-  ArenaVector<int> parent_edges_;
+  std::vector<int64_t> child_off_;
+  std::vector<int> child_edges_;
+  std::vector<int64_t> parent_off_;
+  std::vector<int> parent_edges_;
   size_t num_edges_ = 0;
 };
 

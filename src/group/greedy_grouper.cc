@@ -60,6 +60,7 @@ uint64_t HashMembers(const std::vector<int>& members) {
 
 std::vector<VertexGroup> GreedyGrouper::Group(
     const std::vector<std::vector<double>>& sims, double epsilon) const {
+  POWER_CHECK(epsilon >= 0.0);
   std::vector<VertexGroup> result;
   if (sims.empty()) return result;
   const size_t m = sims[0].size();

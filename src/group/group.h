@@ -32,7 +32,7 @@ bool IsPartition(const std::vector<VertexGroup>& groups, size_t n);
 std::vector<VertexGroup> SingletonGroups(
     const std::vector<std::vector<double>>& sims);
 
-/// A vertex-grouping algorithm (§4.2).
+/// A vertex-grouping algorithm (§4.2). Group aborts unless epsilon >= 0.
 class Grouper {
  public:
   virtual ~Grouper() = default;

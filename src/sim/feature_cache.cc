@@ -35,7 +35,7 @@ FeatureCache::FeatureCache(const Table& table)
       m_(table.schema().num_attributes()) {
   const size_t cells = n_ * m_;
 
-  // Lowercase arena + numerics. Byte offsets are a pure function of the
+  // Lowercase bytes + numerics. Byte offsets are a pure function of the
   // value sizes, so every cell's slot is fixed before the parallel fill.
   lower_off_.assign(cells + 1, 0);
   for (size_t c = 0; c < cells; ++c) {

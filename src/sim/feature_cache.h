@@ -11,13 +11,12 @@
 
 #include "data/table.h"
 #include "sim/simd_kernels.h"
-#include "util/arena.h"
 
 namespace power {
 
 /// Per-table record feature cache: every string-derived feature the
 /// similarity front end consumes, computed once on the deterministic pool
-/// and stored in flat CSR-style arenas (offsets + one contiguous value
+/// and stored in flat CSR-style arrays (offsets + one contiguous value
 /// array per feature family):
 ///
 ///   lower bytes  — the lower-cased bytes of every cell, concatenated;
@@ -105,24 +104,21 @@ class FeatureCache {
   size_t n_ = 0;
   size_t m_ = 0;
 
-  // Lower-cased bytes of all cells, concatenated; n*m+1 offsets. The byte
-  // arena stays std::string (string_view substr interface); every id/offset
-  // arena below is cache-line-aligned and hugepage-eligible via util/arena.h
-  // — at 100k-record scale these arrays dominate the cache's footprint.
+  // Lower-cased bytes of all cells, concatenated; n*m+1 offsets.
   std::string lower_bytes_;
-  ArenaVector<uint64_t> lower_off_;
+  std::vector<uint64_t> lower_off_;
   // Sorted-unique token-id runs per cell (n*m+1 offsets each).
-  ArenaVector<int32_t> word_ids_;
-  ArenaVector<uint64_t> word_off_;
-  ArenaVector<int32_t> gram_ids_;
-  ArenaVector<uint64_t> gram_off_;
+  std::vector<int32_t> word_ids_;
+  std::vector<uint64_t> word_off_;
+  std::vector<int32_t> gram_ids_;
+  std::vector<uint64_t> gram_off_;
   // Sorted-unique record-level word-token ids (n+1 offsets).
-  ArenaVector<int32_t> rec_ids_;
-  ArenaVector<uint64_t> rec_off_;
-  ArenaVector<TokenSignature> rec_sig_;
+  std::vector<int32_t> rec_ids_;
+  std::vector<uint64_t> rec_off_;
+  std::vector<TokenSignature> rec_sig_;
   // Pre-parsed numerics, one slot per cell.
-  ArenaVector<double> numeric_val_;
-  ArenaVector<uint8_t> numeric_ok_;
+  std::vector<double> numeric_val_;
+  std::vector<uint8_t> numeric_ok_;
   // Token id -> (offset, length) into lower_bytes_.
   std::vector<std::pair<uint64_t, uint32_t>> dict_ref_;
 };

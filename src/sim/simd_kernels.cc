@@ -71,9 +71,9 @@ SimdLevel ResolveSimdLevel(const char* env_value, bool built_with_avx2,
 SimdLevel ActiveSimdLevel() {
   int level = g_simd_level.load(std::memory_order_acquire);
   if (level < 0) {
-    // EnvRaw, not EnvEnum: ResolveSimdLevel owns the grammar, including the
-    // deliberate abort on unknown values (a typo'd engine name must never
-    // silently run a different kernel set than the caller intended).
+    // EnvRaw: ResolveSimdLevel owns the grammar, including the deliberate
+    // abort on unknown values (a typo'd engine name must never silently
+    // run a different kernel set than the caller intended).
     SimdLevel resolved = ResolveSimdLevel(EnvRaw("POWER_SIMD"),
                                           BuiltWithAvx2(), CpuSupportsAvx2());
     level = static_cast<int>(resolved);

@@ -31,41 +31,6 @@ size_t EditDistance(std::string_view a, std::string_view b) {
   return row[b.size()];
 }
 
-size_t BoundedEditDistance(std::string_view a, std::string_view b,
-                           size_t max_dist) {
-  if (a.size() < b.size()) std::swap(a, b);
-  size_t len_gap = a.size() - b.size();
-  if (len_gap > max_dist) return max_dist + 1;
-  if (b.empty()) return a.size();
-
-  // Ukkonen band of half-width max_dist around the diagonal.
-  const size_t kBig = max_dist + 1;
-  std::vector<size_t> row(b.size() + 1, kBig);
-  for (size_t j = 0; j <= std::min(b.size(), max_dist); ++j) row[j] = j;
-  for (size_t i = 1; i <= a.size(); ++i) {
-    size_t lo = i > max_dist ? i - max_dist : 1;
-    size_t hi = std::min(b.size(), i + max_dist);
-    if (lo > hi) return max_dist + 1;
-    size_t diag = (lo == 1) ? static_cast<size_t>(i - 1)
-                            : row[lo - 1];  // value of (i-1, lo-1)
-    size_t prev_left = (lo == 1) ? i : kBig;  // value of (i, lo-1)
-    size_t row_min = prev_left;
-    for (size_t j = lo; j <= hi; ++j) {
-      size_t up = row[j];  // value of (i-1, j)
-      size_t sub = diag + (a[i - 1] == b[j - 1] ? 0 : 1);
-      size_t val = std::min({up + 1, prev_left + 1, sub});
-      val = std::min(val, kBig);
-      diag = up;
-      row[j] = val;
-      prev_left = val;
-      row_min = std::min(row_min, val);
-    }
-    if (lo > 1) row[lo - 1] = kBig;  // cell left of the band is now invalid
-    if (row_min > max_dist) return max_dist + 1;
-  }
-  return row[b.size()];
-}
-
 namespace {
 
 constexpr size_t kWordBits = 64;

@@ -11,18 +11,11 @@ namespace power {
 /// O(|a|*|b|) time, O(min(|a|,|b|)) space.
 size_t EditDistance(std::string_view a, std::string_view b);
 
-/// Banded edit distance: returns the exact distance if it is <= max_dist,
-/// otherwise any value > max_dist. Used by similarity pruning to skip the
-/// full DP when strings are clearly far apart.
-size_t BoundedEditDistance(std::string_view a, std::string_view b,
-                           size_t max_dist);
-
 /// Myers' bit-parallel Levenshtein distance: O(ceil(min(m,n)/64) * max(m,n))
 /// time, allocation-free for min(m,n) <= 64 (thread-local scratch above).
 /// Returns exactly the same integer as EditDistance on every input
 /// (tests/edit_distance_fuzz_test.cc); this is what the similarity hot path
-/// runs. Keep EditDistance as the reference DP and BoundedEditDistance as
-/// the Ukkonen-banded variant for bounded queries.
+/// runs. EditDistance stays as the reference DP it is tested against.
 size_t MyersEditDistance(std::string_view a, std::string_view b);
 
 /// Edit similarity, Eq. 2: 1 - ED(a,b) / max(|a|,|b|). Both empty -> 1.

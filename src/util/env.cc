@@ -41,9 +41,6 @@ constexpr EnvKnobInfo kKnobs[] = {
     {"POWER_SIMD", "enum", "auto", "off | scalar | avx2 | auto",
      "Similarity kernel engine; unknown values abort (fail-fast policy in "
      "ResolveSimdLevel). off==scalar; results are engine-invariant."},
-    {"POWER_HUGEPAGES", "bool", "off", "1/on/true/yes | 0/off/false/no",
-     "Back arena allocations >= 2 MiB with MADV_HUGEPAGE mmap regions; "
-     "falls back to aligned malloc when mmap fails."},
     {"POWER_VERBOSE", "bool", "off", "any non-empty value but '0'",
      "Log resolved knob values, candidate-path dispatch, and other "
      "diagnostic one-liners to stderr."},
@@ -103,11 +100,6 @@ std::optional<double> ParseDouble(std::string_view text) {
   return v;
 }
 
-bool EnvIsSet(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0';
-}
-
 const char* EnvRaw(const char* name) { return std::getenv(name); }
 
 bool EnvVerbose() {
@@ -163,55 +155,6 @@ double EnvDouble(const char* name, double def, double lo, double hi) {
   }
   LogResolved(name, std::to_string(v), "environment");
   return v;
-}
-
-bool EnvBool(const char* name, bool def) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || raw[0] == '\0') {
-    LogResolved(name, def ? "1" : "0", "default");
-    return def;
-  }
-  static constexpr const char* kTrue[] = {"1", "on", "true", "yes"};
-  static constexpr const char* kFalse[] = {"0", "off", "false", "no"};
-  for (const char* t : kTrue) {
-    if (std::strcmp(raw, t) == 0) {
-      LogResolved(name, "1", "environment");
-      return true;
-    }
-  }
-  for (const char* f : kFalse) {
-    if (std::strcmp(raw, f) == 0) {
-      LogResolved(name, "0", "environment");
-      return false;
-    }
-  }
-  WarnMalformed(name, raw, "boolean (1/on/true/yes or 0/off/false/no)",
-                def ? "1" : "0");
-  return def;
-}
-
-size_t EnvEnum(const char* name, size_t def_index,
-               std::span<const char* const> options) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || raw[0] == '\0') {
-    LogResolved(name, options[def_index], "default");
-    return def_index;
-  }
-  for (size_t i = 0; i < options.size(); ++i) {
-    if (std::strcmp(raw, options[i]) == 0) {
-      LogResolved(name, options[i], "environment");
-      return i;
-    }
-  }
-  std::string expected;
-  for (size_t i = 0; i < options.size(); ++i) {
-    if (i > 0) expected += " | ";
-    expected += options[i];
-  }
-  std::fprintf(stderr,
-               "power: env %s='%s' names no option (%s); using default %s\n",
-               name, raw, expected.c_str(), options[def_index]);
-  return def_index;
 }
 
 std::span<const EnvKnobInfo> EnvKnobs() { return kKnobs; }

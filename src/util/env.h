@@ -39,16 +39,13 @@ std::optional<int64_t> ParseInt(std::string_view text);
 /// input, NaN, and infinities (knobs are finite by construction).
 std::optional<double> ParseDouble(std::string_view text);
 
-/// True iff the variable is set to a non-empty value.
-bool EnvIsSet(const char* name);
-
 /// The raw value (nullptr when unset). The escape hatch for knobs with a
 /// bespoke grammar (POWER_SIMD's resolve policy aborts on typos — a
 /// deliberate fail-fast the generic accessors do not provide).
 const char* EnvRaw(const char* name);
 
-/// POWER_VERBOSE: set, non-empty, and not "0". Read directly (not through
-/// EnvBool) because the env layer's own logging keys off it.
+/// POWER_VERBOSE: set, non-empty, and not "0". The env layer's own logging
+/// keys off it.
 bool EnvVerbose();
 
 /// Integer knob. Resolution: unset/empty -> def (silent); malformed -> def
@@ -58,16 +55,6 @@ int64_t EnvInt(const char* name, int64_t def, int64_t lo, int64_t hi);
 
 /// Floating knob; same resolution contract as EnvInt.
 double EnvDouble(const char* name, double def, double lo, double hi);
-
-/// Boolean knob. Accepts 1/on/true/yes and 0/off/false/no (case-sensitive,
-/// matching the historical POWER_HUGEPAGES grammar); unset/empty -> def;
-/// anything else -> def with a warning.
-bool EnvBool(const char* name, bool def);
-
-/// Enumerated knob: returns the index of the matching option, or def_index
-/// with a warning when the value names no option. unset/empty -> def_index.
-size_t EnvEnum(const char* name, size_t def_index,
-               std::span<const char* const> options);
 
 /// One registered knob (the generated README table's row shape).
 struct EnvKnobInfo {

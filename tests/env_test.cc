@@ -1,8 +1,8 @@
 // Tests for the centralized environment-knob surface (util/env.h): parse
-// strictness, the unset/malformed/clamp resolution contract, the boolean and
-// enum grammars, and the knob registry the README table is generated from.
-// Also covers the ranked-mutex lock-order assertion (util/mutex.h), whose
-// runtime half backs the POWER_ACQUIRED_BEFORE annotations.
+// strictness, the unset/malformed/clamp resolution contract, the raw and
+// verbose accessors, and the knob registry the README table is generated
+// from. Also covers the ranked-mutex lock-order assertion (util/mutex.h),
+// whose runtime half backs the POWER_ACQUIRED_BEFORE annotations.
 
 #include "util/env.h"
 
@@ -146,53 +146,15 @@ TEST(EnvDoubleTest, ResolutionContract) {
 }
 
 // ---------------------------------------------------------------------------
-// EnvBool / EnvEnum / EnvIsSet / EnvVerbose.
+// EnvRaw / EnvVerbose.
 // ---------------------------------------------------------------------------
-
-TEST(EnvBoolTest, Vocabulary) {
-  for (const char* yes : {"1", "on", "true", "yes"}) {
-    ScopedEnv env(kVar, yes);
-    EXPECT_TRUE(EnvBool(kVar, false)) << yes;
-  }
-  for (const char* no : {"0", "off", "false", "no"}) {
-    ScopedEnv env(kVar, no);
-    EXPECT_FALSE(EnvBool(kVar, true)) << no;
-  }
-}
-
-TEST(EnvBoolTest, UnsetAndUnknownUseDefault) {
-  ScopedEnv unset(kVar, nullptr);
-  EXPECT_TRUE(EnvBool(kVar, true));
-  EXPECT_FALSE(EnvBool(kVar, false));
-  ScopedEnv env(kVar, "maybe");
-  EXPECT_TRUE(EnvBool(kVar, true));
-}
-
-TEST(EnvEnumTest, MatchesOptionsAndDefaults) {
-  static constexpr const char* const kOptions[] = {"off", "scalar", "avx2",
-                                                   "auto"};
-  {
-    ScopedEnv env(kVar, "avx2");
-    EXPECT_EQ(EnvEnum(kVar, 3, kOptions), 2u);
-  }
-  {
-    ScopedEnv unset(kVar, nullptr);
-    EXPECT_EQ(EnvEnum(kVar, 3, kOptions), 3u);
-  }
-  {
-    ScopedEnv env(kVar, "turbo");  // unknown -> default index, with warning
-    EXPECT_EQ(EnvEnum(kVar, 3, kOptions), 3u);
-  }
-}
 
 TEST(EnvMiscTest, IsSetAndRaw) {
   ScopedEnv unset(kVar, nullptr);
-  EXPECT_FALSE(EnvIsSet(kVar));
   EXPECT_EQ(EnvRaw(kVar), nullptr);
   ScopedEnv empty(kVar, "");
-  EXPECT_FALSE(EnvIsSet(kVar));  // empty counts as unset
+  EXPECT_STREQ(EnvRaw(kVar), "");
   ScopedEnv env(kVar, "x");
-  EXPECT_TRUE(EnvIsSet(kVar));
   EXPECT_STREQ(EnvRaw(kVar), "x");
 }
 
@@ -227,7 +189,6 @@ TEST(EnvKnobsTest, RegistryCoversEveryKnownKnob) {
   // list is the reminder to register them.
   EXPECT_TRUE(has("POWER_THREADS"));
   EXPECT_TRUE(has("POWER_SIMD"));
-  EXPECT_TRUE(has("POWER_HUGEPAGES"));
   EXPECT_TRUE(has("POWER_VERBOSE"));
   EXPECT_TRUE(has("POWER_ACMPUB_SCALE"));
   for (const EnvKnobInfo& k : knobs) {

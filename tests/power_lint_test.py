@@ -93,8 +93,6 @@ void Bad() {
   (void)deadline;
   __m256i sum = _mm256_add_epi64(sum, sum);  // intrinsic outside simd_kernels
   (void)sum;
-  void* block = aligned_alloc(64, 4096);  // raw allocation outside util/arena
-  free(block);
 }
 """
 
@@ -284,22 +282,16 @@ def main():
     out = check_fixture(
         "violations", {"src/bad.cc": VIOLATIONS}, 1,
         expect_rules=("unordered-iter", "raw-random", "naked-thread",
-                      "wall-clock", "raw-simd", "raw-arena"))
+                      "wall-clock", "raw-simd"))
 
     # 3. allow() suppresses, and a used allow is not reported stale.
     check_fixture("suppression", {"src/ok.cc": SUPPRESSED}, 0,
                   forbid_rules=("unordered-iter", "stale-allow"))
 
-    # 4. Sanctioned homes are exempt; raw-arena is src/-scoped.
+    # 4. Sanctioned homes are exempt.
     check_fixture("simd home exempt", {
         "src/sim/simd_kernels_avx2.cc":
             "__m256i V(__m256i a) { return _mm256_add_epi64(a, a); }\n"}, 0)
-    check_fixture("arena home exempt + src scope", {
-        "src/util/arena.cc":
-            "void* A(unsigned long n) { return aligned_alloc(64, n); }\n",
-        "bench/probe.cc":
-            "void* P(unsigned long n) { return aligned_alloc(64, n); }\n"},
-        0)
 
     # 5. Typedef / using renames of unordered containers cannot slip through
     #    (the acceptance fixture of the v2 rewrite).

@@ -1,3 +1,6 @@
+#include <limits>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/power.h"
@@ -171,6 +174,31 @@ TEST(PowerFrameworkTest, EmptyPairListIsFine) {
   PowerResult result = PowerFramework(PowerConfig{}).RunOnPairs({}, &oracle);
   EXPECT_EQ(result.questions, 0u);
   EXPECT_TRUE(result.matched_pairs.empty());
+}
+
+// A negative or NaN epsilon is refused before anything else runs, with one
+// message under every grouping kind and at every table size.
+TEST(PowerFrameworkDeathTest, RejectsBadEpsilonUnderEveryGroupingAndSize) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Table table = PaperExampleTable();
+  CrowdOracle oracle = PerfectOracle(table);
+  const std::vector<SimilarPair> no_pairs;
+  const std::vector<SimilarPair> small = PaperExamplePairs();
+  for (GroupingKind grouping :
+       {GroupingKind::kSplit, GroupingKind::kGreedy, GroupingKind::kNone}) {
+    SCOPED_TRACE(GroupingKindName(grouping));
+    for (const std::vector<SimilarPair>* pairs : {&no_pairs, &small}) {
+      SCOPED_TRACE(pairs->size());
+      PowerConfig config;
+      config.grouping = grouping;
+      config.epsilon = -0.1;
+      EXPECT_DEATH(PowerFramework(config).RunOnPairs(*pairs, &oracle),
+                   "grouping epsilon=-0\\.1 must be >= 0");
+      config.epsilon = std::numeric_limits<double>::quiet_NaN();
+      EXPECT_DEATH(PowerFramework(config).RunOnPairs(*pairs, &oracle),
+                   "grouping epsilon=-?nan must be >= 0");
+    }
+  }
 }
 
 TEST(PowerFrameworkTest, KindNamesAreStable) {

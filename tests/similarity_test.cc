@@ -42,33 +42,6 @@ TEST(EditDistanceTest, TriangleInequalityProperty) {
   }
 }
 
-TEST(BoundedEditDistanceTest, MatchesFullDistanceWithinBound) {
-  Rng rng(37);
-  auto random_string = [&rng]() {
-    std::string s;
-    size_t len = rng.UniformIndex(14);
-    for (size_t i = 0; i < len; ++i) {
-      s.push_back(static_cast<char>('a' + rng.UniformIndex(5)));
-    }
-    return s;
-  };
-  for (int trial = 0; trial < 500; ++trial) {
-    std::string a = random_string();
-    std::string b = random_string();
-    size_t full = EditDistance(a, b);
-    for (size_t bound : {0u, 1u, 2u, 4u, 8u, 16u}) {
-      size_t banded = BoundedEditDistance(a, b, bound);
-      if (full <= bound) {
-        EXPECT_EQ(banded, full) << "a=" << a << " b=" << b
-                                << " bound=" << bound;
-      } else {
-        EXPECT_GT(banded, bound) << "a=" << a << " b=" << b
-                                 << " bound=" << bound;
-      }
-    }
-  }
-}
-
 TEST(EditSimilarityTest, Equation2) {
   // EDS = 1 - ED / max(len).
   EXPECT_DOUBLE_EQ(EditSimilarity("abcd", "abcd"), 1.0);
