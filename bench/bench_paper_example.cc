@@ -4,6 +4,7 @@
 // the attribute weights / histograms of Figs. 18-19 — then runs the full
 // Power pipeline on the 11 records.
 #include <cstdio>
+#include <span>
 #include <string>
 
 #include "bench_util.h"
@@ -83,7 +84,7 @@ void Run() {
   }
 
   // Fig 18-19: weights and histograms from the colored pairs of Appendix C.
-  std::vector<std::vector<double>> greens;
+  std::vector<std::span<const double>> greens;
   for (auto [a, b] : std::vector<std::pair<int, int>>{
            {1, 3}, {6, 7}, {4, 5}, {2, 3}, {4, 6}, {5, 6}, {4, 7}, {5, 7}}) {
     greens.push_back(pairs[PaperExamplePairIndex(a, b)].sims);

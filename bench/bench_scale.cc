@@ -1,5 +1,5 @@
 // End-to-end scale benchmark: 100k synthetic records through the full
-// pipeline — generate → feature cache → candidates → similarity vectors →
+// pipeline — generate → feature cache → candidates → similarity table →
 // grouping → grouped dominance graph → ask-and-color → Power+ resolution —
 // reporting per-stage wall time and the peak-RSS watermark after each stage
 // (ru_maxrss is monotone, so the stage where the watermark jumps is the
@@ -7,9 +7,11 @@
 //
 // The pipeline runs twice on the same generated table and feature cache,
 // once per candidate method (the all-pairs scan, then the prefix join), and
-// prints one row each, with the method's CandidateStats counters. The two
-// methods must return the identical candidate vector, so every stage after
-// candidates does the same work in both rows. The second row's RSS
+// prints one row each, with the method's CandidateStats counters. Both rows
+// take the entry points PowerFramework::Run takes: ComputeSimilarityTable,
+// then RunOnPairs on the table, moved in. The two methods must return the
+// identical candidate vector, so every stage after candidates does the same
+// work in both rows. The second row's RSS
 // watermarks include the first run's. Last it prints what kAuto resolves to
 // on the table, from the counted work of the join row.
 //
@@ -22,6 +24,7 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -98,15 +101,16 @@ ScaleResult RunMethod(const ScaleResult& base, const Table& table,
   out.rss_after_candidates = PeakRssBytes();
 
   watch.Restart();
-  std::vector<SimilarPair> pairs =
-      ComputePairSimilarities(features, *candidates, config.component_floor);
+  SimilarityTable pairs =
+      ComputeSimilarityTable(features, *candidates, config.component_floor);
   out.similarity_seconds = watch.ElapsedSeconds();
   out.rss_after_similarity = PeakRssBytes();
 
   watch.Restart();
   CrowdOracle oracle(&table, {1.0, 1.0}, WorkerModel::kExactAccuracy, 5,
                      kBenchSeed);
-  PowerResult result = PowerFramework(config).RunOnPairs(pairs, &oracle);
+  PowerResult result =
+      PowerFramework(config).RunOnPairs(std::move(pairs), &oracle);
   out.resolve_seconds = watch.ElapsedSeconds();
   out.rss_after_resolve = PeakRssBytes();
   out.total_seconds = out.generate_seconds + out.feature_seconds +

@@ -79,9 +79,11 @@ esac
 # and bench_scale_smoke (the 10k end-to-end scale run, whose prefix-join
 # probes and all-pairs scan both run on the pool; the join's own
 # differential against the scan is ParallelPrefixJoinDifferential, matched
-# by Parallel).
+# by Parallel), and the similarity-table suites (the pooled table fill ==
+# the single-pair path, bit for bit, at 1/2/8 threads, and the job over
+# the table == the job over packed pairs).
 # ctest filters by gtest-discovered *test* names, not binary names.
-PARALLEL_TESTS='Parallel|ColoringFuzz|SelectionLoop|FeatureCache|EditDistanceFuzz|FaultSweep|SimdKernels|SimdDispatch|bench_scale_smoke'
+PARALLEL_TESTS='Parallel|ColoringFuzz|SelectionLoop|FeatureCache|SimilarityTable|EditDistanceFuzz|FaultSweep|SimdKernels|SimdDispatch|bench_scale_smoke'
 
 if [[ "$RUN_MAIN" == 1 ]]; then
   echo "== build (default flags) =="

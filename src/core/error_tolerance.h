@@ -25,6 +25,11 @@ struct ErrorToleranceConfig {
 /// Returns (base pair vertex id, kGreen/kRed) for exactly those pairs.
 std::vector<std::pair<int, Color>> ResolveBlueVertices(
     const GroupedGraph& grouped, const ColoringState& state,
+    SimilarityRows pair_sims, const ErrorToleranceConfig& config);
+
+/// Packing adapter for nested vectors: identical output to the row entry.
+std::vector<std::pair<int, Color>> ResolveBlueVertices(
+    const GroupedGraph& grouped, const ColoringState& state,
     const std::vector<std::vector<double>>& pair_sims,
     const ErrorToleranceConfig& config);
 

@@ -8,11 +8,11 @@
 namespace power {
 
 std::vector<double> ComputeAttributeWeights(
-    const std::vector<std::vector<double>>& green_sims, size_t m) {
+    const std::vector<std::span<const double>>& green_sims, size_t m) {
   POWER_CHECK(m >= 1);
   std::vector<double> weights(m, 0.0);
   double denom = 0.0;
-  for (const auto& sims : green_sims) {
+  for (std::span<const double> sims : green_sims) {
     POWER_CHECK(sims.size() == m);
     for (size_t k = 0; k < m; ++k) {
       weights[k] += sims[k];
@@ -28,7 +28,7 @@ std::vector<double> ComputeAttributeWeights(
   return weights;
 }
 
-double WeightedSimilarity(const std::vector<double>& sims,
+double WeightedSimilarity(std::span<const double> sims,
                           const std::vector<double>& weights) {
   POWER_CHECK(sims.size() == weights.size());
   double s = 0.0;

@@ -2,6 +2,7 @@
 #define POWER_CORE_HISTOGRAM_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace power {
@@ -9,12 +10,12 @@ namespace power {
 /// Attribute weights from the GREEN pair set (Eq. 7):
 ///   ω_k = Σ_{p ∈ Pg} s_p^k / Σ_{p ∈ Pg} Σ_t s_p^t.
 /// Falls back to uniform weights when there are no GREEN pairs (or their
-/// similarities sum to zero).
+/// similarities sum to zero). The rows are folded in the order given.
 std::vector<double> ComputeAttributeWeights(
-    const std::vector<std::vector<double>>& green_sims, size_t m);
+    const std::vector<std::span<const double>>& green_sims, size_t m);
 
 /// Weighted similarity ŝ = Σ_k ω_k · s^k (Eq. 8).
-double WeightedSimilarity(const std::vector<double>& sims,
+double WeightedSimilarity(std::span<const double> sims,
                           const std::vector<double>& weights);
 
 /// Histogram over weighted similarities of GREEN/RED-labeled pairs (§6).

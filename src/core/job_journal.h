@@ -28,11 +28,15 @@ namespace power {
 
 /// "POWERJOB" as a little-endian u64 — the snapshot-file type tag.
 inline constexpr uint64_t kJobSnapshotMagic = 0x424F4A5245574F50ULL;
-inline constexpr uint32_t kJobSnapshotVersion = 1;
+/// Version 2 fingerprints the similarity table one 8-byte word at a time
+/// (version 1 hashed it bytewise). A version-1 file is refused by version,
+/// with a warning, and the job starts clean.
+inline constexpr uint32_t kJobSnapshotVersion = 2;
 
 struct JobCheckpoint {
-  /// FNV-1a over the loop-relevant PowerConfig fields and the pair list
-  /// (ids + similarity bit patterns). See JobFingerprint in power.cc.
+  /// FNV-1a over the loop-relevant PowerConfig fields and the similarity
+  /// table (pair keys + value bit patterns). See JobFingerprint in
+  /// power.cc.
   uint64_t fingerprint = 0;
 
   /// RunPhase (as u8) the resumed job steps into next.

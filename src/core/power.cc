@@ -1,5 +1,6 @@
 #include "core/power.h"
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -101,13 +102,19 @@ uint64_t FnvMix(uint64_t h, const T& v) {
   return Fnv1a64(&v, sizeof(v), h);
 }
 
+/// One FNV-1a step over a whole 8-byte word.
+uint64_t FnvWord(uint64_t h, uint64_t word) {
+  return (h ^ word) * 0x100000001B3ULL;
+}
+
 /// Binds a checkpoint to the exact job that wrote it: the loop-relevant
-/// configuration plus the full pair list (ids and similarity bit
-/// patterns). Machine-side knobs that cannot change the loop's draws or
-/// answers (num_threads, timing) are deliberately excluded so a resume may
-/// legally run at a different thread count.
+/// configuration (bytewise) plus the full pair table, one step per 8-byte
+/// word: n, m, every PairKey, then every similarity bit pattern in row
+/// order. Machine-side knobs that cannot change the loop's draws or answers
+/// (num_threads, timing) are deliberately excluded so a resume may legally
+/// run at a different thread count.
 uint64_t JobFingerprint(const PowerConfig& config,
-                        const std::vector<SimilarPair>& pairs) {
+                        const SimilarityTable& pairs) {
   uint64_t h = 0xcbf29ce484222325ULL;
   h = FnvMix(h, config.grouping);
   h = FnvMix(h, config.epsilon);
@@ -118,12 +125,10 @@ uint64_t JobFingerprint(const PowerConfig& config,
   h = FnvMix(h, config.confidence_threshold);
   h = FnvMix(h, config.max_ask_attempts);
   h = FnvMix(h, config.seed);
-  h = FnvMix(h, pairs.size());
-  for (const SimilarPair& p : pairs) {
-    h = FnvMix(h, p.i);
-    h = FnvMix(h, p.j);
-    for (double s : p.sims) h = FnvMix(h, s);
-  }
+  h = FnvWord(h, pairs.size());
+  h = FnvWord(h, pairs.m);
+  for (const auto& [i, j] : pairs.ids) h = FnvWord(h, PairKey(i, j));
+  for (double s : pairs.values) h = FnvWord(h, std::bit_cast<uint64_t>(s));
   return h;
 }
 
@@ -140,32 +145,43 @@ std::string ResolveCheckpointPath(const PowerConfig& config) {
 PowerResult PowerFramework::Run(const Table& table,
                                 PairOracle* oracle) const {
   ScopedNumThreads thread_scope(config_.num_threads);
-  // One feature cache feeds both the pruning scan and the per-pair
-  // similarity vectors; its build cost is charged to the pruning stage.
-  Stopwatch prune_watch;
-  FeatureCache features(table);
   CandidateStats candidate_stats;
-  std::vector<std::pair<int, int>> candidates =
-      GenerateCandidates(features, config_.prune_tau, config_.candidate_method,
-                         CandidateOptions{}, &candidate_stats);
-  double pruning_seconds = prune_watch.ElapsedSeconds();
-  Stopwatch sim_watch;
-  std::vector<SimilarPair> pairs =
-      ComputePairSimilarities(features, candidates, config_.component_floor);
-  double similarity_seconds = sim_watch.ElapsedSeconds();
-  PowerResult result = RunOnPairs(pairs, oracle);
+  SimilarityTable pairs;
+  double pruning_seconds = 0.0;
+  double similarity_seconds = 0.0;
+  {
+    // One feature cache feeds both the pruning scan and the similarity
+    // table; its build cost is charged to the pruning stage. It and the
+    // candidate list are freed before the job, which reads only the table.
+    Stopwatch prune_watch;
+    FeatureCache features(table);
+    std::vector<std::pair<int, int>> candidates = GenerateCandidates(
+        features, config_.prune_tau, config_.candidate_method,
+        CandidateOptions{}, &candidate_stats);
+    pruning_seconds = prune_watch.ElapsedSeconds();
+    Stopwatch sim_watch;
+    pairs = ComputeSimilarityTable(features, candidates,
+                                   config_.component_floor);
+    similarity_seconds = sim_watch.ElapsedSeconds();
+  }
+  PowerResult result = RunOnPairs(std::move(pairs), oracle);
   result.pruning_seconds = pruning_seconds;
   result.similarity_seconds = similarity_seconds;
   result.candidate_method = CandidateMethodName(candidate_stats.resolved);
   return result;
 }
 
-PowerResult PowerFramework::RunOnPairs(const std::vector<SimilarPair>& pairs,
+PowerResult PowerFramework::RunOnPairs(SimilarityTable pairs,
                                        PairOracle* oracle) const {
-  RunOnPairsJob job(config_, pairs, oracle);
+  RunOnPairsJob job(config_, std::move(pairs), oracle);
   while (job.Step()) {
   }
   return job.Finish();
+}
+
+PowerResult PowerFramework::RunOnPairs(const std::vector<SimilarPair>& pairs,
+                                       PairOracle* oracle) const {
+  return RunOnPairs(PackSimilarPairs(pairs), oracle);
 }
 
 PowerResult PowerFramework::ResumeFromCheckpoint(
@@ -188,30 +204,36 @@ PowerResult PowerFramework::ResumeFromCheckpoint(
 RunOnPairsJob::RunOnPairsJob(const PowerConfig& config,
                              const std::vector<SimilarPair>& pairs,
                              PairOracle* oracle)
+    : RunOnPairsJob(config, PackSimilarPairs(pairs), oracle) {}
+
+RunOnPairsJob::RunOnPairsJob(const PowerConfig& config, SimilarityTable pairs,
+                             PairOracle* oracle)
     : config_(config),
-      pairs_(&pairs),
+      pairs_(std::move(pairs)),
       oracle_(oracle),
       thread_scope_(config.num_threads),
       rng_(config.seed) {
-  // Checked before anything else, so a negative or NaN epsilon fails the
-  // same way under every grouping kind (NonGroup never reads it) and at
-  // every table size (an empty pair list never reaches a grouper).
+  // Checked before anything else, so a bad epsilon or attempt budget fails
+  // the same way under every grouping kind (NonGroup never reads epsilon)
+  // and at every table size (an empty pair list never reaches a grouper or
+  // the ask loop).
   if (!(config_.epsilon >= 0.0)) {
     std::fprintf(stderr, "power: grouping epsilon=%g must be >= 0\n",
                  config_.epsilon);
     std::abort();
   }
+  if (config_.max_ask_attempts < 1) {
+    std::fprintf(stderr, "power: max_ask_attempts=%zu must be >= 1\n",
+                 config_.max_ask_attempts);
+    std::abort();
+  }
   POWER_CHECK(oracle != nullptr);
-  POWER_CHECK(config_.max_ask_attempts >= 1);
   result_.num_threads = NumThreads();
-  result_.num_pairs = pairs.size();
-  if (pairs.empty()) {
+  result_.num_pairs = pairs_.size();
+  if (pairs_.empty()) {
     phase_ = RunPhase::kDone;
     return;
   }
-
-  sims_.reserve(pairs.size());
-  for (const auto& p : pairs) sims_.push_back(p.sims);
 
   // 1. Grouping (§4.2) + grouped graph (Definition 5). Ungrouped runs use
   //    singleton groups built with the configured graph builder (§4.1).
@@ -219,10 +241,10 @@ RunOnPairsJob::RunOnPairsJob(const PowerConfig& config,
   if (config_.grouping == GroupingKind::kNone) {
     result_.grouping_seconds = 0.0;
     Stopwatch graph_watch;
-    // The graph takes ownership of the local copy; the pair sims are read
-    // back through grouped_.graph.all_sims() below.
+    // The graph builders own nested vectors, so the ungrouped graph gets
+    // an unpacked copy of the rows.
     grouped_ = BuildUngrouped(*MakeBuilder(config_.builder, rng_.Fork()),
-                              std::move(sims_));
+                              UnpackRows(pairs_.rows()));
     result_.graph_seconds = graph_watch.ElapsedSeconds();
   } else {
     std::unique_ptr<Grouper> grouper;
@@ -231,7 +253,8 @@ RunOnPairsJob::RunOnPairsJob(const PowerConfig& config,
     } else {
       grouper = std::make_unique<GreedyGrouper>();
     }
-    std::vector<VertexGroup> groups = grouper->Group(sims_, config_.epsilon);
+    std::vector<VertexGroup> groups =
+        grouper->Group(pairs_.rows(), config_.epsilon);
     result_.grouping_seconds = grouping_watch.ElapsedSeconds();
     Stopwatch graph_watch;
     grouped_ = BuildGroupedGraph(std::move(groups));
@@ -239,19 +262,12 @@ RunOnPairsJob::RunOnPairsJob(const PowerConfig& config,
   }
   result_.num_groups = grouped_.groups.size();
   result_.num_edges = grouped_.graph.num_edges();
-  // Per-pair similarity vectors for the Power+ histogram pass: the
-  // ungrouped path moved them into the graph (whose vertices are the
-  // pairs); the grouped path keeps the local copy (the graph holds group
-  // midpoints).
-  pair_sims_ = config_.grouping == GroupingKind::kNone
-                   ? &grouped_.graph.all_sims()
-                   : &sims_;
 
   ResetLoopState();
 
   std::string checkpoint_path = ResolveCheckpointPath(config_);
   if (!checkpoint_path.empty()) {
-    fingerprint_ = JobFingerprint(config_, pairs);
+    fingerprint_ = JobFingerprint(config_, pairs_);
     store_ = std::make_unique<CheckpointStore>(checkpoint_path);
   }
 
@@ -490,9 +506,8 @@ void RunOnPairsJob::StepSelect() {
   questions_.reserve(batch_.size());
   for (int g : batch_) {
     const auto& members = grouped_.groups[g].members;
-    const SimilarPair& rep =
-        (*pairs_)[members[rng_.UniformIndex(members.size())]];
-    questions_.push_back({rep.i, rep.j});
+    questions_.push_back(
+        pairs_.ids[members[rng_.UniformIndex(members.size())]]);
   }
   votes_.assign(batch_.size(), VoteResult{});
   unanswered_.clear();
@@ -581,14 +596,23 @@ PowerResult RunOnPairsJob::Finish() {
   POWER_CHECK_MSG(!crashed_, "Finish on a crashed job");
   POWER_CHECK_MSG(phase_ == RunPhase::kDone,
                   "Finish requires a completed job (phase == kDone)");
-  if (pairs_->empty()) return result_;
+  POWER_CHECK_MSG(!finished_, "Finish called twice on one job");
+  finished_ = true;
+  if (pairs_.empty()) return std::move(result_);
 
-  // 3. Harvest GREEN groups at pair granularity.
+  // 3. Harvest GREEN groups at pair granularity, into a set sized once.
+  size_t green_members = 0;
+  for (size_t g = 0; g < grouped_.groups.size(); ++g) {
+    if (state_->color(static_cast<int>(g)) == Color::kGreen) {
+      green_members += grouped_.groups[g].members.size();
+    }
+  }
+  result_.matched_pairs.reserve(green_members);
   for (size_t g = 0; g < grouped_.groups.size(); ++g) {
     if (state_->color(static_cast<int>(g)) == Color::kGreen) {
       for (int v : grouped_.groups[g].members) {
-        result_.matched_pairs.insert(
-            PairKey((*pairs_)[v].i, (*pairs_)[v].j));
+        const auto& [i, j] = pairs_.ids[v];
+        result_.matched_pairs.insert(PairKey(i, j));
       }
     }
   }
@@ -602,10 +626,10 @@ PowerResult RunOnPairsJob::Finish() {
   if ((config_.error_tolerant && result_.num_blue_groups > 0) ||
       result_.budget_exhausted || result_.degraded_questions > 0) {
     for (const auto& [v, color] : ResolveBlueVertices(
-             grouped_, *state_, *pair_sims_, config_.tolerance)) {
+             grouped_, *state_, pairs_.rows(), config_.tolerance)) {
       if (color == Color::kGreen) {
-        result_.matched_pairs.insert(
-            PairKey((*pairs_)[v].i, (*pairs_)[v].j));
+        const auto& [i, j] = pairs_.ids[v];
+        result_.matched_pairs.insert(PairKey(i, j));
       }
     }
   }
@@ -613,7 +637,7 @@ PowerResult RunOnPairsJob::Finish() {
   // checkpoint generations instead of letting a stale file shadow the next
   // job that reuses the path.
   if (store_ != nullptr) store_->Clear();
-  return result_;
+  return std::move(result_);
 }
 
 }  // namespace power

@@ -71,6 +71,8 @@ struct PowerConfig {
   /// byte-identical to the fault-free baseline). Questions still unanswered
   /// after the last attempt degrade to the §6 histogram/machine answer
   /// instead of wedging the loop. Must be >= 1; 1 = degrade immediately.
+  /// RunOnPairsJob aborts with "power: max_ask_attempts=0 must be >= 1"
+  /// otherwise.
   size_t max_ask_attempts = 8;
 
   uint64_t seed = 7;
@@ -145,9 +147,12 @@ inline constexpr int kCrashExitCode = 86;
 /// loop — including the rng draw order — and a job resumed from any phase
 /// boundary completes byte-identical to an uninterrupted run.
 ///
-/// `pairs` and `oracle` must outlive the job.
+/// The job owns its similarity table; `oracle` must outlive the job.
 class RunOnPairsJob {
  public:
+  RunOnPairsJob(const PowerConfig& config, SimilarityTable pairs,
+                PairOracle* oracle);
+  /// Packing adapter: packs `pairs` into a table and delegates.
   RunOnPairsJob(const PowerConfig& config,
                 const std::vector<SimilarPair>& pairs, PairOracle* oracle);
 
@@ -156,8 +161,9 @@ class RunOnPairsJob {
   /// false without executing anything on a crashed job.
   bool Step();
 
-  /// Harvests the final PowerResult (GREEN groups, Power+ blue resolution)
-  /// and clears the checkpoint store. Requires phase() == kDone.
+  /// Harvests the final PowerResult (GREEN groups, Power+ blue resolution),
+  /// moves it out and clears the checkpoint store. Requires phase() ==
+  /// kDone; a second call aborts.
   PowerResult Finish();
 
   RunPhase phase() const { return phase_; }
@@ -198,16 +204,15 @@ class RunOnPairsJob {
   void MaybeCrash(RunPhase executed);
 
   PowerConfig config_;
-  const std::vector<SimilarPair>* pairs_;
+  SimilarityTable pairs_;
   PairOracle* oracle_;
   ScopedNumThreads thread_scope_;
   PowerResult result_;
+  bool finished_ = false;
 
   // Machine-side setup (deterministic from config + pairs; never
   // checkpointed).
-  std::vector<std::vector<double>> sims_;
   GroupedGraph grouped_;
-  const std::vector<std::vector<double>>* pair_sims_ = nullptr;
   uint64_t fingerprint_ = 0;  // computed only with a checkpoint path
 
   // Loop state (exactly what a checkpoint persists).
@@ -245,6 +250,8 @@ class PowerFramework {
   /// pipeline stages, and by the paper-example fixtures). Drives a
   /// RunOnPairsJob to completion; with a checkpoint path configured this
   /// auto-resumes from any checkpoint a crashed run left behind.
+  PowerResult RunOnPairs(SimilarityTable pairs, PairOracle* oracle) const;
+  /// Packing adapter: identical result to the table entry on the same pairs.
   PowerResult RunOnPairs(const std::vector<SimilarPair>& pairs,
                          PairOracle* oracle) const;
 

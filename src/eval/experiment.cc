@@ -45,9 +45,10 @@ ExperimentRow RunMethod(Method method, const Table& table,
       PowerConfig config = setup.power_config;
       config.error_tolerant = (method == Method::kPowerPlus);
       PowerFramework framework(config);
-      std::vector<SimilarPair> pairs = ComputePairSimilarities(
-          table, candidates, config.component_floor);
-      er = framework.RunOnPairs(pairs, &oracle);
+      const FeatureCache features(table);
+      er = framework.RunOnPairs(
+          ComputeSimilarityTable(features, candidates, config.component_floor),
+          &oracle);
       break;
     }
     case Method::kTrans:

@@ -9,15 +9,16 @@
 namespace power {
 namespace {
 
-// Maximal 1-d windows: sorts vertices by sims[.][k] descending and emits
+// Maximal 1-d windows: sorts vertices by attribute k descending and emits
 // every window [i, t] with value span <= epsilon that is not contained in a
 // previous window. Members are returned as sorted vertex-id vectors.
-std::vector<std::vector<int>> MaximalGroups1d(
-    const std::vector<std::vector<double>>& sims, size_t k, double epsilon) {
-  std::vector<int> order(sims.size());
-  for (size_t v = 0; v < sims.size(); ++v) order[v] = static_cast<int>(v);
+std::vector<std::vector<int>> MaximalGroups1d(SimilarityRows sims, size_t k,
+                                              double epsilon) {
+  auto at = [&](int v) { return sims.data[v * sims.m + k]; };
+  std::vector<int> order(sims.n);
+  for (size_t v = 0; v < sims.n; ++v) order[v] = static_cast<int>(v);
   std::sort(order.begin(), order.end(), [&](int a, int b) {
-    if (sims[a][k] != sims[b][k]) return sims[a][k] > sims[b][k];
+    if (at(a) != at(b)) return at(a) > at(b);
     return a < b;
   });
   std::vector<std::vector<int>> windows;
@@ -25,7 +26,7 @@ std::vector<std::vector<int>> MaximalGroups1d(
   for (size_t i = 0; i < order.size(); ++i) {
     size_t t = i;
     while (t + 1 < order.size() &&
-           sims[order[i]][k] - sims[order[t + 1]][k] <= epsilon + 1e-12) {
+           at(order[i]) - at(order[t + 1]) <= epsilon + 1e-12) {
       ++t;
     }
     // The window [i, t] is maximal iff it extends past every earlier window.
@@ -58,12 +59,12 @@ uint64_t HashMembers(const std::vector<int>& members) {
 
 }  // namespace
 
-std::vector<VertexGroup> GreedyGrouper::Group(
-    const std::vector<std::vector<double>>& sims, double epsilon) const {
+std::vector<VertexGroup> GreedyGrouper::Group(SimilarityRows sims,
+                                               double epsilon) const {
   POWER_CHECK(epsilon >= 0.0);
   std::vector<VertexGroup> result;
-  if (sims.empty()) return result;
-  const size_t m = sims[0].size();
+  if (sims.n == 0) return result;
+  const size_t m = sims.m;
 
   // 1. Candidate maximal groups: join the per-attribute maximal windows
   //    (Theorem 3: the join contains every maximal group).
@@ -87,8 +88,8 @@ std::vector<VertexGroup> GreedyGrouper::Group(
   // 2. Greedy set cover: take the largest candidate, remove its vertices
   //    everywhere, repeat. Subsets of valid groups stay valid groups, so the
   //    shrunken candidates remain usable.
-  std::vector<bool> covered(sims.size(), false);
-  size_t remaining = sims.size();
+  std::vector<bool> covered(sims.n, false);
+  size_t remaining = sims.n;
   while (remaining > 0) {
     size_t best = 0;
     size_t best_size = 0;

@@ -13,8 +13,9 @@ namespace power {
 /// inputs (the paper could not run it on ACMPub within 10 hours).
 class GreedyGrouper : public Grouper {
  public:
+  using Grouper::Group;
   const char* name() const override { return "Greedy"; }
-  std::vector<VertexGroup> Group(const std::vector<std::vector<double>>& sims,
+  std::vector<VertexGroup> Group(SimilarityRows sims,
                                  double epsilon) const override;
 };
 

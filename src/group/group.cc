@@ -1,31 +1,60 @@
 #include "group/group.h"
 
 #include <algorithm>
+#include <span>
 
 #include "util/check.h"
 
 namespace power {
 
-VertexGroup MakeGroup(const std::vector<std::vector<double>>& sims,
-                      std::vector<int> members) {
+VertexGroup MakeGroup(SimilarityRows sims, std::vector<int> members) {
   POWER_CHECK(!members.empty());
   std::sort(members.begin(), members.end());
-  const size_t m = sims[members[0]].size();
+  const size_t m = sims.m;
   VertexGroup g;
   g.lower.assign(m, 0.0);
   g.upper.assign(m, 0.0);
   for (size_t k = 0; k < m; ++k) {
-    double lo = sims[members[0]][k];
+    double lo = sims.row(members[0])[k];
     double hi = lo;
     for (int v : members) {
-      lo = std::min(lo, sims[v][k]);
-      hi = std::max(hi, sims[v][k]);
+      lo = std::min(lo, sims.row(v)[k]);
+      hi = std::max(hi, sims.row(v)[k]);
     }
     g.lower[k] = lo;
     g.upper[k] = hi;
   }
   g.members = std::move(members);
   return g;
+}
+
+PackedRows PackRows(const std::vector<std::vector<double>>& sims) {
+  PackedRows packed;
+  packed.n = sims.size();
+  packed.m = sims.empty() ? 0 : sims[0].size();
+  packed.values.reserve(packed.n * packed.m);
+  for (const std::vector<double>& v : sims) {
+    POWER_CHECK_MSG(v.size() == packed.m,
+                    "every similarity vector must have one width");
+    packed.values.insert(packed.values.end(), v.begin(), v.end());
+  }
+  return packed;
+}
+
+std::vector<std::vector<double>> UnpackRows(SimilarityRows sims) {
+  std::vector<std::vector<double>> out;
+  out.reserve(sims.n);
+  for (size_t v = 0; v < sims.n; ++v) {
+    const std::span<const double> row = sims.row(v);
+    out.emplace_back(row.begin(), row.end());
+  }
+  return out;
+}
+
+std::vector<VertexGroup> Grouper::Group(
+    const std::vector<std::vector<double>>& sims, double epsilon) const {
+  const PackedRows packed = PackRows(sims);
+  return Group(packed.rows(), epsilon);
 }
 
 bool IsValidGroup(const std::vector<std::vector<double>>& sims,

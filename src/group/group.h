@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "sim/pair.h"
+
 namespace power {
 
 /// A vertex group (Definition 3): a set of pair-vertices whose similarity
@@ -15,9 +17,23 @@ struct VertexGroup {
   std::vector<double> upper;
 };
 
-/// Recomputes lower/upper from the members' similarity vectors.
-VertexGroup MakeGroup(const std::vector<std::vector<double>>& sims,
-                      std::vector<int> members);
+/// Sorts the members and computes lower/upper from their rows.
+VertexGroup MakeGroup(SimilarityRows sims, std::vector<int> members);
+
+/// Nested vectors, all of one width, packed into one row-major array.
+struct PackedRows {
+  std::vector<double> values;
+  size_t n = 0;
+  size_t m = 0;
+
+  SimilarityRows rows() const { return {values.data(), n, m}; }
+};
+
+/// Packs nested vectors and unpacks rows. The nested entry points pack
+/// through PackRows; the NonGroup path unpacks for the graph builders,
+/// which own nested vectors.
+PackedRows PackRows(const std::vector<std::vector<double>>& sims);
+std::vector<std::vector<double>> UnpackRows(SimilarityRows sims);
 
 /// True iff the ε-constraint of Definition 3 holds for this member set.
 bool IsValidGroup(const std::vector<std::vector<double>>& sims,
@@ -37,8 +53,12 @@ class Grouper {
  public:
   virtual ~Grouper() = default;
   virtual const char* name() const = 0;
-  virtual std::vector<VertexGroup> Group(
-      const std::vector<std::vector<double>>& sims, double epsilon) const = 0;
+  virtual std::vector<VertexGroup> Group(SimilarityRows sims,
+                                         double epsilon) const = 0;
+  /// Packing adapter for nested vectors: identical groups to the row entry.
+  /// Subclasses re-export it with `using Grouper::Group;`.
+  std::vector<VertexGroup> Group(const std::vector<std::vector<double>>& sims,
+                                 double epsilon) const;
 };
 
 }  // namespace power

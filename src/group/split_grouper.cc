@@ -11,23 +11,23 @@
 
 namespace power {
 
-std::vector<VertexGroup> SplitGrouper::Group(
-    const std::vector<std::vector<double>>& sims, double epsilon) const {
+std::vector<VertexGroup> SplitGrouper::Group(SimilarityRows sims,
+                                              double epsilon) const {
   POWER_CHECK(epsilon >= 0.0);
   std::vector<VertexGroup> result;
-  if (sims.empty()) return result;
-  const size_t m = sims[0].size();
+  if (sims.n == 0) return result;
+  const size_t m = sims.m;
 
   // Every node is a range [begin, end) of one permutation of the vertices,
   // holding its members in the order its parent's split left them. Nodes
   // are split in FIFO order, so the emitted group order is breadth-first.
-  std::vector<int> perm(sims.size());
+  std::vector<int> perm(sims.n);
   std::iota(perm.begin(), perm.end(), 0);
   std::deque<std::pair<size_t, size_t>> queue = {{0, perm.size()}};
   // key[v * stride + d] is byte d of vertex v's child key in its node.
   const size_t stride = (m + 7) / 8;
-  std::vector<uint8_t> key(sims.size() * stride);
-  std::vector<int> scratch(sims.size());
+  std::vector<uint8_t> key(sims.n * stride);
+  std::vector<int> scratch(sims.n);
   std::array<size_t, 257> start{};
   std::vector<double> lo(m), hi(m);
   std::vector<size_t> split_dims;
@@ -36,9 +36,10 @@ std::vector<VertexGroup> SplitGrouper::Group(
     queue.pop_front();
 
     // Per-attribute value ranges of this node, folded in member order.
-    for (size_t k = 0; k < m; ++k) lo[k] = hi[k] = sims[perm[begin]][k];
+    const double* first = sims.data + perm[begin] * m;
+    for (size_t k = 0; k < m; ++k) lo[k] = hi[k] = first[k];
     for (size_t r = begin; r < end; ++r) {
-      const std::vector<double>& x = sims[perm[r]];
+      const double* x = sims.data + perm[r] * m;
       for (size_t k = 0; k < m; ++k) {
         lo[k] = std::min(lo[k], x[k]);
         hi[k] = std::max(hi[k], x[k]);
@@ -64,7 +65,7 @@ std::vector<VertexGroup> SplitGrouper::Group(
     const size_t t = split_dims.size();
     const size_t digits = (t + 7) / 8;
     for (size_t r = begin; r < end; ++r) {
-      const std::vector<double>& x = sims[perm[r]];
+      const double* x = sims.data + perm[r] * m;
       for (size_t d = 0; d < digits; ++d) {
         unsigned byte = 0;
         for (size_t b = 8 * d; b < std::min(t, 8 * d + 8); ++b) {

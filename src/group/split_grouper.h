@@ -10,8 +10,9 @@ namespace power {
 /// O(|V| log(1/ε)) and the fast choice in practice (Appendix E.1.2).
 class SplitGrouper : public Grouper {
  public:
+  using Grouper::Group;
   const char* name() const override { return "Split"; }
-  std::vector<VertexGroup> Group(const std::vector<std::vector<double>>& sims,
+  std::vector<VertexGroup> Group(SimilarityRows sims,
                                  double epsilon) const override;
 };
 

@@ -19,8 +19,8 @@ namespace power {
 ///   batched Myers edit distance — Levenshtein distances of up to 8 texts
 ///       per call against one shared reference string, lanes advanced in
 ///       lock-step (AVX2: 4 × 64-bit pattern words per vector, two vectors
-///       per column step). Powers the edit-similarity attribute loop in
-///       ComputePairSimilarities, where every pair of a candidate run shares
+///       per column step). Powers the edit-similarity columns of
+///       ComputeSimilarityTable, where every pair of a candidate run shares
 ///       its left record's cached lowercase bytes as the reference.
 ///   signature distances — popcount(a ^ b) of one 256-bit token signature
 ///       against many (AVX2: nibble-table byte counts, four signatures per

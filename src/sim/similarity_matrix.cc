@@ -1,6 +1,7 @@
 #include "sim/similarity_matrix.h"
 
 #include <algorithm>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -25,17 +26,18 @@ inline double EditSimilarityFromDistance(size_t dist, size_t len_a,
   return 1.0 - static_cast<double>(dist) / static_cast<double>(max_len);
 }
 
-// Fills out[p].sims[k] for every pair of the run candidates[begin, end)
-// (all sharing the same left record) on an edit-similarity attribute, via
-// the batched Myers kernel against the run's shared reference string
-// lower(i, k). Scratch is caller-owned so steady-state chunks reuse it.
+// Fills column k of rows [begin, end) of `out` for the run
+// candidates[begin, end) (all sharing the same left record) on an
+// edit-similarity attribute, via the batched Myers kernel against the run's
+// shared reference string lower(i, k). Scratch is caller-owned so
+// steady-state chunks reuse it.
 void FillEditAttributeForRun(const FeatureCache& features,
                              const std::vector<std::pair<int, int>>& candidates,
                              int64_t begin, int64_t end, size_t k,
                              double component_floor,
                              std::vector<std::string_view>* texts,
                              std::vector<size_t>* dists,
-                             std::vector<SimilarPair>* out) {
+                             SimilarityTable* out) {
   const size_t count = static_cast<size_t>(end - begin);
   const size_t i = static_cast<size_t>(candidates[static_cast<size_t>(begin)].first);
   const std::string_view pattern = features.LowerValue(i, k);
@@ -51,7 +53,7 @@ void FillEditAttributeForRun(const FeatureCache& features,
     double s = EditSimilarityFromDistance((*dists)[t], pattern.size(),
                                           (*texts)[t].size());
     if (s < component_floor) s = 0.0;
-    (*out)[static_cast<size_t>(p)].sims[k] = s;
+    out->values[static_cast<size_t>(p) * out->m + k] = s;
   }
 }
 
@@ -94,12 +96,12 @@ SimilarPair ComputePairSimilarity(const FeatureCache& features, int i, int j,
   return p;
 }
 
-std::vector<SimilarPair> ComputePairSimilarities(
+SimilarityTable ComputeSimilarityTable(
     const FeatureCache& features,
     const std::vector<std::pair<int, int>>& candidates,
     double component_floor) {
-  // Each pair's vector is independent and lands in its own slot, so the loop
-  // shards over the pool; the output is positionally identical to the serial
+  // Each pair's row is independent and lands in its own slot, so the loop
+  // shards over the pool; the table is positionally identical to the serial
   // loop's at any thread count.
   //
   // Within a chunk, edit-similarity attributes run through the batched
@@ -116,27 +118,30 @@ std::vector<SimilarPair> ComputePairSimilarities(
   for (size_t k = 0; k < m; ++k) {
     any_edit |= schema.attribute(k).sim == SimilarityFunction::kEditSimilarity;
   }
-  std::vector<SimilarPair> out(candidates.size());
+  SimilarityTable out;
+  out.m = m;
+  out.ids.resize(candidates.size());
+  out.values.resize(candidates.size() * m);
   ParallelFor(
       0, static_cast<int64_t>(candidates.size()), kPairGrain,
       [&](int64_t begin, int64_t end) {
         for (int64_t p = begin; p < end; ++p) {
           const auto& [i, j] = candidates[static_cast<size_t>(p)];
           POWER_CHECK(i != j);
-          SimilarPair& sp = out[static_cast<size_t>(p)];
-          sp.i = std::min(i, j);
-          sp.j = std::max(i, j);
-          sp.sims.assign(m, 0.0);
+          const int lo = std::min(i, j);
+          const int hi = std::max(i, j);
+          out.ids[static_cast<size_t>(p)] = {lo, hi};
+          double* row = out.values.data() + static_cast<size_t>(p) * m;
           for (size_t k = 0; k < m; ++k) {
             if (schema.attribute(k).sim ==
                 SimilarityFunction::kEditSimilarity) {
               continue;  // filled by the batched pass below
             }
             double s = ComputeSimilarity(features, schema.attribute(k).sim,
-                                         static_cast<size_t>(sp.i),
-                                         static_cast<size_t>(sp.j), k);
+                                         static_cast<size_t>(lo),
+                                         static_cast<size_t>(hi), k);
             if (s < component_floor) s = 0.0;
-            sp.sims[k] = s;
+            row[k] = s;
           }
         }
         if (!any_edit) return;
@@ -163,10 +168,40 @@ std::vector<SimilarPair> ComputePairSimilarities(
 }
 
 std::vector<SimilarPair> ComputePairSimilarities(
+    const FeatureCache& features,
+    const std::vector<std::pair<int, int>>& candidates,
+    double component_floor) {
+  const SimilarityTable table =
+      ComputeSimilarityTable(features, candidates, component_floor);
+  std::vector<SimilarPair> pairs(table.size());
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    pairs[p].i = table.ids[p].first;
+    pairs[p].j = table.ids[p].second;
+    const std::span<const double> row = table.row(p);
+    pairs[p].sims.assign(row.begin(), row.end());
+  }
+  return pairs;
+}
+
+std::vector<SimilarPair> ComputePairSimilarities(
     const Table& table, const std::vector<std::pair<int, int>>& candidates,
     double component_floor) {
   FeatureCache features(table);
   return ComputePairSimilarities(features, candidates, component_floor);
+}
+
+SimilarityTable PackSimilarPairs(const std::vector<SimilarPair>& pairs) {
+  SimilarityTable table;
+  table.m = pairs.empty() ? 0 : pairs[0].sims.size();
+  table.ids.reserve(pairs.size());
+  table.values.reserve(pairs.size() * table.m);
+  for (const SimilarPair& p : pairs) {
+    POWER_CHECK_MSG(p.sims.size() == table.m,
+                    "every pair's similarity vector must have one width");
+    table.ids.emplace_back(p.i, p.j);
+    table.values.insert(table.values.end(), p.sims.begin(), p.sims.end());
+  }
+  return table;
 }
 
 double RecordLevelJaccard(const Table& table, int i, int j) {

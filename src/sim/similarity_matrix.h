@@ -25,8 +25,17 @@ SimilarPair ComputePairSimilarity(const Table& table, int i, int j,
 SimilarPair ComputePairSimilarity(const FeatureCache& features, int i, int j,
                                   double component_floor);
 
-/// Computes similarity vectors for a batch of candidate pairs over cached
-/// features.
+/// Computes the similarity vectors of a batch of candidate pairs over cached
+/// features into one table, row p for candidates[p] (ids ordered i < j).
+/// The pooled loop writes each row in place; edit-similarity columns come
+/// from the batched Myers kernel. Every value is bit-identical to the
+/// single-pair ComputePairSimilarity at any thread count.
+SimilarityTable ComputeSimilarityTable(
+    const FeatureCache& features,
+    const std::vector<std::pair<int, int>>& candidates,
+    double component_floor);
+
+/// ComputeSimilarityTable unpacked into one SimilarPair per row.
 std::vector<SimilarPair> ComputePairSimilarities(
     const FeatureCache& features,
     const std::vector<std::pair<int, int>>& candidates,
@@ -38,6 +47,10 @@ std::vector<SimilarPair> ComputePairSimilarities(
 std::vector<SimilarPair> ComputePairSimilarities(
     const Table& table, const std::vector<std::pair<int, int>>& candidates,
     double component_floor);
+
+/// Packs pairs into a table, bit for bit (the width of the first pair; every
+/// pair must have it).
+SimilarityTable PackSimilarPairs(const std::vector<SimilarPair>& pairs);
 
 /// Record-level similarity used for pruning (paper §7.1): word-token Jaccard
 /// over the concatenation of all attribute values. Legacy string path (it

@@ -28,6 +28,7 @@
 #include "platform/platform_oracle.h"
 #include "platform/requester.h"
 #include "sim/pair.h"
+#include "util/snapshot.h"
 
 namespace power {
 namespace {
@@ -284,6 +285,55 @@ TEST(CheckpointResumeTest, FingerprintMismatchStartsClean) {
   PowerResult r = job2.Finish();
   EXPECT_EQ(r.resumed, 0u);
   EXPECT_GT(r.questions, 0u);
+}
+
+TEST(CheckpointResumeTest, VersionOneCheckpointIsRefusedAndRunStartsClean) {
+  // A file of the previous checkpoint format (version 1, whose fingerprint
+  // hashed the pairs bytewise) is refused by its version with a warning,
+  // even when its payload is a checkpoint of this very job; the job starts
+  // clean and completes byte-identical to an uninterrupted run.
+  Table table = PaperExampleTable();
+  const std::vector<SimilarPair> pairs = PaperExamplePairs();
+
+  const std::string ref_path = CheckpointPath("v1_ref");
+  CheckpointStore(ref_path).Clear();
+  CrowdPlatform ref_platform(&table, FaultyPlatformConfig());
+  PlatformOracle ref_oracle(&ref_platform, TestRetryPolicy());
+  RunOnPairsJob ref_job(JobConfig(SelectorKind::kTopoSort, 1, ref_path),
+                        pairs, &ref_oracle);
+  while (ref_job.Step()) {
+  }
+  const RunTrace want = TraceOf(ref_job, ref_job.Finish(), ref_platform);
+
+  const std::string path = CheckpointPath("v1");
+  CheckpointStore(path).Clear();
+  const PowerConfig config = JobConfig(SelectorKind::kTopoSort, 1, path);
+  {
+    CrowdPlatform platform(&table, FaultyPlatformConfig());
+    PlatformOracle oracle(&platform, TestRetryPolicy());
+    RunOnPairsJob job(config, pairs, &oracle);
+    for (int s = 0; s < 5; ++s) ASSERT_TRUE(job.Step());
+    job.SimulateCrashForTest();
+  }
+  JobCheckpoint cp;
+  ASSERT_TRUE(CheckpointStore(path).Load(&cp));
+  CheckpointStore(path).Clear();
+  ASSERT_EQ(CommitSnapshotWithRotation(path, kJobSnapshotMagic, 1,
+                                       EncodeJobCheckpoint(cp)),
+            SnapshotStatus::kOk);
+
+  CrowdPlatform platform(&table, FaultyPlatformConfig());
+  PlatformOracle oracle(&platform, TestRetryPolicy());
+  ::testing::internal::CaptureStderr();
+  RunOnPairsJob job(config, pairs, &oracle);
+  const std::string warning = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(warning.find("bad-version"), std::string::npos) << warning;
+  EXPECT_FALSE(job.resumed());
+  while (job.Step()) {
+  }
+  const PowerResult result = job.Finish();
+  EXPECT_EQ(result.resumed, 0u);
+  ExpectTracesEqual(TraceOf(job, result, platform), want);
 }
 
 TEST(CheckpointResumeTest, ResumeFromCheckpointEntryPoint) {

@@ -125,6 +125,38 @@ TEST(ErrorToleranceTest, EquiDepthVariantResolves) {
   EXPECT_EQ(resolution[0].second, Color::kGreen);
 }
 
+TEST(ErrorToleranceTest, RowEntryMatchesNested) {
+  std::vector<std::vector<double>> sims;
+  for (int v = 0; v < 90; ++v) {
+    sims.push_back({(v % 10) / 9.0, (v * 7 % 11) / 10.0, (v % 4) / 3.0});
+  }
+  GroupedGraph gg = BuildGroupedGraph(SplitGrouper().Group(sims, 0.2));
+  ColoringState state(&gg.graph);
+  // GREEN, RED and BLUE groups in turn; the rest stay uncolored.
+  for (size_t g = 0; g < gg.groups.size(); ++g) {
+    const int v = static_cast<int>(g);
+    switch (g % 4) {
+      case 0:
+        state.ApplyAnswer(v, true, /*propagate=*/false);
+        break;
+      case 1:
+        state.ApplyAnswer(v, false, /*propagate=*/false);
+        break;
+      case 2:
+        state.MarkBlue(v);
+        break;
+    }
+  }
+  const PackedRows packed = PackRows(sims);
+  for (bool equi_depth : {false, true}) {
+    ErrorToleranceConfig config;
+    config.equi_depth = equi_depth;
+    const auto want = ResolveBlueVertices(gg, state, sims, config);
+    EXPECT_FALSE(want.empty());
+    EXPECT_EQ(ResolveBlueVertices(gg, state, packed.rows(), config), want);
+  }
+}
+
 TEST(ErrorToleranceTest, NoBlueGroupsYieldsEmptyResolution) {
   std::vector<std::vector<double>> sims = {{0.9, 0.9}, {0.1, 0.1}};
   GroupedGraph gg = BuildGroupedGraph(SingletonGroups(sims));

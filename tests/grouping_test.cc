@@ -47,7 +47,7 @@ std::vector<std::vector<double>> RandomSims(uint64_t seed, size_t n,
 
 TEST(GroupTest, MakeGroupComputesBounds) {
   std::vector<std::vector<double>> sims = {{0.1, 0.9}, {0.3, 0.8}};
-  VertexGroup g = MakeGroup(sims, {1, 0});
+  VertexGroup g = MakeGroup(PackRows(sims).rows(), {1, 0});
   EXPECT_EQ(g.members, (std::vector<int>{0, 1}));
   EXPECT_EQ(g.lower, (std::vector<double>{0.1, 0.8}));
   EXPECT_EQ(g.upper, (std::vector<double>{0.3, 0.9}));
@@ -65,12 +65,13 @@ TEST(GroupTest, IsPartition) {
   std::vector<std::vector<double>> sims = {{0.0}, {0.5}, {1.0}};
   auto singletons = SingletonGroups(sims);
   EXPECT_TRUE(IsPartition(singletons, 3));
+  const PackedRows packed = PackRows(sims);
   // Overlapping groups are not a partition.
-  std::vector<VertexGroup> overlap = {MakeGroup(sims, {0, 1}),
-                                      MakeGroup(sims, {1, 2})};
+  std::vector<VertexGroup> overlap = {MakeGroup(packed.rows(), {0, 1}),
+                                      MakeGroup(packed.rows(), {1, 2})};
   EXPECT_FALSE(IsPartition(overlap, 3));
   // Missing vertex 2.
-  std::vector<VertexGroup> incomplete = {MakeGroup(sims, {0, 1})};
+  std::vector<VertexGroup> incomplete = {MakeGroup(packed.rows(), {0, 1})};
   EXPECT_FALSE(IsPartition(incomplete, 3));
 }
 
@@ -150,6 +151,7 @@ class GrouperProperty : public ::testing::TestWithParam<GroupCase> {};
 TEST_P(GrouperProperty, BothGroupersProduceValidPartitions) {
   const GroupCase& c = GetParam();
   auto sims = RandomSims(c.seed, c.n, c.m);
+  const PackedRows packed = PackRows(sims);
   for (const Grouper* grouper :
        {static_cast<const Grouper*>(new SplitGrouper()),
         static_cast<const Grouper*>(new GreedyGrouper())}) {
@@ -159,7 +161,7 @@ TEST_P(GrouperProperty, BothGroupersProduceValidPartitions) {
       EXPECT_TRUE(IsValidGroup(sims, g.members, c.epsilon))
           << grouper->name();
       // Bounds are consistent with members.
-      VertexGroup recomputed = MakeGroup(sims, g.members);
+      VertexGroup recomputed = MakeGroup(packed.rows(), g.members);
       EXPECT_EQ(g.lower, recomputed.lower);
       EXPECT_EQ(g.upper, recomputed.upper);
     }
@@ -199,8 +201,29 @@ TEST(SplitGrouperTest, LargerEpsilonFewerGroups) {
 // member vectors, each split node's members stable-sorted by child key. A
 // key compares as a big integer (bit b is the b-th split attribute, the
 // highest bit most significant), which also orders keys past 64 split
-// attributes. SplitGrouper must emit the same groups in the same order.
+// attributes. SplitGrouper must emit the same groups in the same order,
+// through its row entry and through the nested adapter.
 // ---------------------------------------------------------------------------
+
+// A leaf of the reference: members sorted, bounds folded over them in that
+// order from the first member (as MakeGroup folds, so signed zeros match).
+VertexGroup ReferenceGroup(const std::vector<std::vector<double>>& sims,
+                           std::vector<int> members) {
+  std::sort(members.begin(), members.end());
+  VertexGroup g;
+  for (size_t k = 0; k < sims[members[0]].size(); ++k) {
+    double lo = sims[members[0]][k];
+    double hi = lo;
+    for (int v : members) {
+      lo = std::min(lo, sims[v][k]);
+      hi = std::max(hi, sims[v][k]);
+    }
+    g.lower.push_back(lo);
+    g.upper.push_back(hi);
+  }
+  g.members = std::move(members);
+  return g;
+}
 
 std::vector<VertexGroup> ReferenceSplit(
     const std::vector<std::vector<double>>& sims, double epsilon) {
@@ -227,7 +250,7 @@ std::vector<VertexGroup> ReferenceSplit(
       if (hi[k] - lo[k] > epsilon) split_dims.push_back(k);
     }
     if (split_dims.empty()) {
-      result.push_back(MakeGroup(sims, std::move(node)));
+      result.push_back(ReferenceGroup(sims, std::move(node)));
       continue;
     }
     using Keyed = std::pair<std::vector<bool>, int>;
@@ -283,10 +306,13 @@ void ExpectSameGroups(const std::vector<VertexGroup>& got,
 
 void ExpectSplitMatchesReference(const std::vector<std::vector<double>>& sims,
                                  const std::string& label) {
+  const PackedRows packed = PackRows(sims);
   for (double eps : {0.0, 0.05, 0.1, 1.0}) {
-    ExpectSameGroups(SplitGrouper().Group(sims, eps),
-                     ReferenceSplit(sims, eps),
-                     label + " eps " + std::to_string(eps));
+    const std::vector<VertexGroup> want = ReferenceSplit(sims, eps);
+    ExpectSameGroups(SplitGrouper().Group(packed.rows(), eps), want,
+                     label + " rows eps " + std::to_string(eps));
+    ExpectSameGroups(SplitGrouper().Group(sims, eps), want,
+                     label + " nested eps " + std::to_string(eps));
   }
 }
 
@@ -348,6 +374,19 @@ TEST(SplitGrouperDifferential, GeneratedTablesMatchReference) {
   ExpectSplitMatchesReference(ProfileSims(AcmPubProfile(1.0), 6000),
                               "ACMPub 6k");
   ExpectSplitMatchesReference(ProfileSims(CoraProfile(), 2000), "Cora 2k");
+}
+
+TEST(GreedyGrouperTest, RowEntryMatchesNested) {
+  for (uint64_t seed : {31u, 32u}) {
+    const auto sims = GridSims(seed, 80, 3);
+    const PackedRows packed = PackRows(sims);
+    for (double eps : {0.0, 0.1, 0.3}) {
+      ExpectSameGroups(GreedyGrouper().Group(packed.rows(), eps),
+                       GreedyGrouper().Group(sims, eps),
+                       "greedy seed " + std::to_string(seed) + " eps " +
+                           std::to_string(eps));
+    }
+  }
 }
 
 // More than 63 split attributes once aborted on a 64-bit key.

@@ -1,3 +1,6 @@
+#include <span>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/histogram.h"
@@ -10,13 +13,18 @@ std::vector<double> PairSims(int a, int b) {
   return PaperExamplePairs()[PaperExamplePairIndex(a, b)].sims;
 }
 
+std::vector<std::span<const double>> Rows(
+    const std::vector<std::vector<double>>& sims) {
+  return {sims.begin(), sims.end()};
+}
+
 TEST(AttributeWeightsTest, PaperAppendixCValues) {
   // Appendix C: P^g = {p13, p67, p45, p23, p46, p56, p47, p57}
   //   -> ω = {0.32, 0.28, 0.21, 0.19}.
   std::vector<std::vector<double>> greens = {
       PairSims(1, 3), PairSims(6, 7), PairSims(4, 5), PairSims(2, 3),
       PairSims(4, 6), PairSims(5, 6), PairSims(4, 7), PairSims(5, 7)};
-  auto w = ComputeAttributeWeights(greens, 4);
+  auto w = ComputeAttributeWeights(Rows(greens), 4);
   ASSERT_EQ(w.size(), 4u);
   EXPECT_NEAR(w[0], 0.32, 0.005);
   EXPECT_NEAR(w[1], 0.28, 0.005);
@@ -29,7 +37,8 @@ TEST(AttributeWeightsTest, PaperAppendixCValues) {
 TEST(AttributeWeightsTest, UniformFallbackWithoutGreens) {
   auto w = ComputeAttributeWeights({}, 4);
   for (double x : w) EXPECT_DOUBLE_EQ(x, 0.25);
-  auto w2 = ComputeAttributeWeights({{0.0, 0.0}}, 2);
+  const std::vector<double> zero = {0.0, 0.0};
+  auto w2 = ComputeAttributeWeights({zero}, 2);
   for (double x : w2) EXPECT_DOUBLE_EQ(x, 0.5);
 }
 
@@ -37,7 +46,7 @@ TEST(WeightedSimilarityTest, PaperFigure18Values) {
   std::vector<std::vector<double>> greens = {
       PairSims(1, 3), PairSims(6, 7), PairSims(4, 5), PairSims(2, 3),
       PairSims(4, 6), PairSims(5, 6), PairSims(4, 7), PairSims(5, 7)};
-  auto w = ComputeAttributeWeights(greens, 4);
+  auto w = ComputeAttributeWeights(Rows(greens), 4);
   // Figure 18's estimated similarities (±0.015: the paper prints weights
   // rounded to two decimals).
   EXPECT_NEAR(WeightedSimilarity(PairSims(1, 2), w), 0.72, 0.015);
@@ -55,7 +64,7 @@ TEST(EquiWidthHistogramTest, PaperFigure19Probabilities) {
   std::vector<std::vector<double>> greens = {
       PairSims(1, 3), PairSims(6, 7), PairSims(4, 5), PairSims(2, 3),
       PairSims(4, 6), PairSims(5, 6), PairSims(4, 7), PairSims(5, 7)};
-  auto w = ComputeAttributeWeights(greens, 4);
+  auto w = ComputeAttributeWeights(Rows(greens), 4);
 
   std::vector<SimilarityHistogram::LabeledSample> samples;
   for (const auto& g : greens) {

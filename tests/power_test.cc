@@ -171,7 +171,8 @@ TEST(PowerFrameworkTest, PowerPlusNoWorseThanPowerWithNoisyWorkers) {
 TEST(PowerFrameworkTest, EmptyPairListIsFine) {
   Table table = PaperExampleTable();
   CrowdOracle oracle = PerfectOracle(table);
-  PowerResult result = PowerFramework(PowerConfig{}).RunOnPairs({}, &oracle);
+  PowerResult result = PowerFramework(PowerConfig{}).RunOnPairs(
+      std::vector<SimilarPair>{}, &oracle);
   EXPECT_EQ(result.questions, 0u);
   EXPECT_TRUE(result.matched_pairs.empty());
 }
@@ -197,6 +198,28 @@ TEST(PowerFrameworkDeathTest, RejectsBadEpsilonUnderEveryGroupingAndSize) {
       config.epsilon = std::numeric_limits<double>::quiet_NaN();
       EXPECT_DEATH(PowerFramework(config).RunOnPairs(*pairs, &oracle),
                    "grouping epsilon=-?nan must be >= 0");
+    }
+  }
+}
+
+// max_ask_attempts = 0 is refused the same way: first, under every grouping
+// kind, with or without pairs.
+TEST(PowerFrameworkDeathTest, RejectsZeroAskAttemptsUnderEveryGroupingAndSize) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Table table = PaperExampleTable();
+  CrowdOracle oracle = PerfectOracle(table);
+  const std::vector<SimilarPair> no_pairs;
+  const std::vector<SimilarPair> small = PaperExamplePairs();
+  for (GroupingKind grouping :
+       {GroupingKind::kSplit, GroupingKind::kGreedy, GroupingKind::kNone}) {
+    SCOPED_TRACE(GroupingKindName(grouping));
+    for (const std::vector<SimilarPair>* pairs : {&no_pairs, &small}) {
+      SCOPED_TRACE(pairs->size());
+      PowerConfig config;
+      config.grouping = grouping;
+      config.max_ask_attempts = 0;
+      EXPECT_DEATH(PowerFramework(config).RunOnPairs(*pairs, &oracle),
+                   "power: max_ask_attempts=0 must be >= 1");
     }
   }
 }

@@ -1,0 +1,242 @@
+// Differential tests for the flat similarity table: every row that the
+// pooled ComputeSimilarityTable writes equals the single-pair
+// ComputePairSimilarity over the same feature cache, bit for bit, at 1, 2
+// and 8 threads; and the nested entry points that remain (the unpacked
+// ComputePairSimilarities, the packing RunOnPairs) give identical results.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "blocking/pair_generator.h"
+#include "core/power.h"
+#include "crowd/answer_cache.h"
+#include "crowd/pair_oracle.h"
+#include "data/generator.h"
+#include "sim/feature_cache.h"
+#include "sim/similarity_matrix.h"
+#include "util/parallel.h"
+
+namespace power {
+namespace {
+
+constexpr double kFloor = 0.2;
+constexpr size_t kPairGrain = 64;  // similarity_matrix.cc's chunk size
+
+Table ProfileTable(DatasetProfile profile, size_t records) {
+  const double ratio = static_cast<double>(profile.num_entities) /
+                       static_cast<double>(profile.num_records);
+  profile.num_records = records;
+  profile.num_entities = std::max<size_t>(
+      1, static_cast<size_t>(static_cast<double>(records) * ratio));
+  return DatasetGenerator(51).Generate(profile);
+}
+
+// ACMPub's shape: bigram Jaccard on every attribute.
+Table AcmPubShaped() { return ProfileTable(AcmPubProfile(1.0), 1500); }
+
+// Cora's shape with every other attribute on edit similarity, so the
+// batched Myers pass fills those columns.
+Table CoraShapedWithEditColumns(size_t records = 600) {
+  DatasetProfile profile = CoraProfile();
+  for (size_t k = 1; k < profile.attributes.size(); k += 2) {
+    profile.attributes[k].sim = SimilarityFunction::kEditSimilarity;
+  }
+  return ProfileTable(profile, records);
+}
+
+// True iff some run of pairs sharing a left record crosses a chunk
+// boundary, so the batched pass sees the run split.
+bool SomeRunStraddlesAChunk(
+    const std::vector<std::pair<int, int>>& candidates) {
+  for (size_t p = kPairGrain; p < candidates.size(); p += kPairGrain) {
+    if (candidates[p - 1].first == candidates[p].first) return true;
+  }
+  return false;
+}
+
+bool SameBits(std::span<const double> a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), b.size() * sizeof(double)) == 0;
+}
+
+void ExpectRowsMatchSinglePair(const Table& table, const std::string& label) {
+  FeatureCache features(table);
+  const std::vector<std::pair<int, int>> candidates =
+      AllPairsCandidates(features, PowerConfig().prune_tau);
+  ASSERT_FALSE(candidates.empty()) << label;
+  for (int threads : {1, 2, 8}) {
+    ScopedNumThreads scope(threads);
+    const SimilarityTable got =
+        ComputeSimilarityTable(features, candidates, kFloor);
+    ASSERT_EQ(got.size(), candidates.size()) << label;
+    ASSERT_EQ(got.m, table.schema().num_attributes()) << label;
+    ASSERT_EQ(got.values.size(), got.size() * got.m) << label;
+    size_t mismatches = 0;
+    for (size_t p = 0; p < got.size(); ++p) {
+      const auto [i, j] = candidates[p];
+      const SimilarPair want = ComputePairSimilarity(features, i, j, kFloor);
+      if (got.ids[p] != std::make_pair(want.i, want.j) ||
+          !SameBits(got.row(p), want.sims)) {
+        ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << label << " threads " << threads;
+  }
+}
+
+TEST(SimilarityTableDifferential, BigramRowsMatchSinglePairBitForBit) {
+  ExpectRowsMatchSinglePair(AcmPubShaped(), "ACMPub");
+}
+
+TEST(SimilarityTableDifferential, EditColumnsMatchSinglePairBitForBit) {
+  const Table table = CoraShapedWithEditColumns();
+  FeatureCache features(table);
+  ASSERT_TRUE(SomeRunStraddlesAChunk(
+      AllPairsCandidates(features, PowerConfig().prune_tau)));
+  ExpectRowsMatchSinglePair(table, "Cora with edit columns");
+}
+
+TEST(SimilarityTableDifferential, PairSimilaritiesEqualUnpackedTable) {
+  const Table table = CoraShapedWithEditColumns();
+  FeatureCache features(table);
+  const std::vector<std::pair<int, int>> candidates =
+      AllPairsCandidates(features, PowerConfig().prune_tau);
+  const SimilarityTable packed =
+      ComputeSimilarityTable(features, candidates, kFloor);
+  const std::vector<SimilarPair> pairs =
+      ComputePairSimilarities(features, candidates, kFloor);
+  ASSERT_EQ(pairs.size(), packed.size());
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    EXPECT_EQ(std::make_pair(pairs[p].i, pairs[p].j), packed.ids[p]);
+    EXPECT_TRUE(SameBits(packed.row(p), pairs[p].sims)) << "pair " << p;
+  }
+  const SimilarityTable repacked = PackSimilarPairs(pairs);
+  EXPECT_EQ(repacked.ids, packed.ids);
+  EXPECT_EQ(repacked.m, packed.m);
+  ASSERT_EQ(repacked.values.size(), packed.values.size());
+  EXPECT_EQ(std::memcmp(repacked.values.data(), packed.values.data(),
+                        packed.values.size() * sizeof(double)),
+            0);
+}
+
+// ---------------------------------------------------------------------------
+// Job level: the table entry and the packing vector<SimilarPair> entry of
+// the same pairs run the same job.
+// ---------------------------------------------------------------------------
+
+// Records every question posted, in order, then forwards to `inner`.
+class RecordingOracle : public PairOracle {
+ public:
+  explicit RecordingOracle(PairOracle* inner) : inner_(inner) {}
+  VoteResult Ask(int i, int j) override {
+    asked_.emplace_back(i, j);
+    return inner_->Ask(i, j);
+  }
+  std::vector<VoteResult> AskBatch(
+      const std::vector<std::pair<int, int>>& pairs) override {
+    asked_.insert(asked_.end(), pairs.begin(), pairs.end());
+    return inner_->AskBatch(pairs);
+  }
+  const std::vector<std::pair<int, int>>& asked() const { return asked_; }
+
+ private:
+  PairOracle* inner_;
+  std::vector<std::pair<int, int>> asked_;
+};
+
+void ExpectSameResult(const PowerResult& got, const PowerResult& want) {
+  EXPECT_EQ(got.matched_pairs, want.matched_pairs);
+  EXPECT_EQ(got.questions, want.questions);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.requeued_questions, want.requeued_questions);
+  EXPECT_EQ(got.degraded_questions, want.degraded_questions);
+  EXPECT_EQ(got.num_pairs, want.num_pairs);
+  EXPECT_EQ(got.num_groups, want.num_groups);
+  EXPECT_EQ(got.num_edges, want.num_edges);
+  EXPECT_EQ(got.num_blue_groups, want.num_blue_groups);
+  EXPECT_EQ(got.budget_exhausted, want.budget_exhausted);
+}
+
+TEST(SimilarityTableJob, RunMatchesRunOnPairsOverTheSamePairs) {
+  // Small enough for the NonGroup graph over every pair.
+  const Table table = CoraShapedWithEditColumns(200);
+  for (GroupingKind grouping :
+       {GroupingKind::kSplit, GroupingKind::kNone}) {
+    SCOPED_TRACE(GroupingKindName(grouping));
+    PowerConfig config;
+    config.grouping = grouping;
+    config.error_tolerant = true;
+    config.max_questions = 10;  // leave groups for the Power+ pass
+    config.num_threads = 2;
+
+    CrowdOracle crowd_a(&table, Band90(), WorkerModel::kExactAccuracy, 5, 3);
+    RecordingOracle oracle_a(&crowd_a);
+    const PowerResult run = PowerFramework(config).Run(table, &oracle_a);
+
+    FeatureCache features(table);
+    const std::vector<SimilarPair> pairs = ComputePairSimilarities(
+        features,
+        GenerateCandidates(features, config.prune_tau,
+                           config.candidate_method),
+        config.component_floor);
+    CrowdOracle crowd_b(&table, Band90(), WorkerModel::kExactAccuracy, 5, 3);
+    RecordingOracle oracle_b(&crowd_b);
+    const PowerResult on_pairs =
+        PowerFramework(config).RunOnPairs(pairs, &oracle_b);
+
+    ASSERT_GT(run.questions, 0u);
+    EXPECT_TRUE(run.budget_exhausted);
+    ExpectSameResult(run, on_pairs);
+    EXPECT_EQ(oracle_a.asked(), oracle_b.asked()) << "question trace";
+  }
+}
+
+TEST(SimilarityTableJob, TableAndPackedJobsTraceIdentically) {
+  const Table table = AcmPubShaped();
+  FeatureCache features(table);
+  const std::vector<std::pair<int, int>> candidates =
+      AllPairsCandidates(features, PowerConfig().prune_tau);
+  PowerConfig config;
+  config.max_questions = 60;
+
+  CrowdOracle crowd_a(&table, Band90(), WorkerModel::kExactAccuracy, 5, 9);
+  RunOnPairsJob from_table(
+      config, ComputeSimilarityTable(features, candidates, kFloor), &crowd_a);
+  while (from_table.Step()) {
+  }
+  CrowdOracle crowd_b(&table, Band90(), WorkerModel::kExactAccuracy, 5, 9);
+  RunOnPairsJob from_pairs(
+      config, ComputePairSimilarities(features, candidates, kFloor),
+      &crowd_b);
+  while (from_pairs.Step()) {
+  }
+  EXPECT_EQ(from_table.question_trace(), from_pairs.question_trace());
+  EXPECT_EQ(from_table.coloring().color_journal(),
+            from_pairs.coloring().color_journal());
+  ExpectSameResult(from_table.Finish(), from_pairs.Finish());
+}
+
+TEST(SimilarityTableJobDeathTest, FinishTwiceDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Table table = AcmPubShaped();
+  CrowdOracle oracle(&table, Band90(), WorkerModel::kExactAccuracy, 5, 1);
+  PowerConfig config;
+  config.num_threads = 1;
+  FeatureCache features(table);
+  RunOnPairsJob job(config,
+                    ComputeSimilarityTable(
+                        features, AllPairsCandidates(features, 0.5), kFloor),
+                    &oracle);
+  while (job.Step()) {
+  }
+  (void)job.Finish();
+  EXPECT_DEATH((void)job.Finish(), "Finish called twice");
+}
+
+}  // namespace
+}  // namespace power
