@@ -8,6 +8,7 @@
 
 #include "bench_util.h"
 #include "graph/builder.h"
+#include "group/group.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -31,13 +32,15 @@ const std::vector<std::vector<double>>& VectorPool() {
   return *pool;
 }
 
-std::vector<std::vector<double>> SampleVectors(size_t n) {
+PackedRows SampleVectors(size_t n) {
   // Sample each dimension independently from the pool's per-attribute
   // marginals. The raw pool's vectors are strongly correlated across
   // attributes (long chains, |E| ~ |V|^2/4), which makes edge
   // materialization dominate every builder equally; independent marginals
   // reproduce the paper's regime instead (70-84% of pairs incomparable,
   // Appendix E.1.1), which is where the index's pruning pays off.
+  // Packed once per benchmark, so the timed loop builds from rows and
+  // copies nothing.
   const auto& pool = VectorPool();
   const size_t m = pool[0].size();
   std::vector<std::vector<double>> out(n, std::vector<double>(m));
@@ -47,31 +50,31 @@ std::vector<std::vector<double>> SampleVectors(size_t n) {
       out[i][k] = pool[rng.UniformIndex(pool.size())][k];
     }
   }
-  return out;
+  return PackRows(out);
 }
 
 void BM_BruteForce(benchmark::State& state) {
-  auto sims = SampleVectors(static_cast<size_t>(state.range(0)));
+  const PackedRows sims = SampleVectors(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    PairGraph g = BruteForceBuilder().Build(sims);
+    PairGraph g = BruteForceBuilder().Build(sims.rows());
     benchmark::DoNotOptimize(g.num_edges());
   }
   state.SetComplexityN(state.range(0));
 }
 
 void BM_QuickSort(benchmark::State& state) {
-  auto sims = SampleVectors(static_cast<size_t>(state.range(0)));
+  const PackedRows sims = SampleVectors(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    PairGraph g = QuickSortBuilder(kBenchSeed).Build(sims);
+    PairGraph g = QuickSortBuilder(kBenchSeed).Build(sims.rows());
     benchmark::DoNotOptimize(g.num_edges());
   }
   state.SetComplexityN(state.range(0));
 }
 
 void BM_Index(benchmark::State& state) {
-  auto sims = SampleVectors(static_cast<size_t>(state.range(0)));
+  const PackedRows sims = SampleVectors(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    PairGraph g = RangeTreeBuilder().Build(sims);
+    PairGraph g = RangeTreeBuilder().Build(sims.rows());
     benchmark::DoNotOptimize(g.num_edges());
   }
   state.SetComplexityN(state.range(0));
@@ -97,10 +100,10 @@ BENCHMARK(BM_Index)->Arg(16000)->Iterations(1)
 // this sweep, so the speedup is free of result drift.
 template <typename Builder>
 void ThreadSweep(benchmark::State& state, const Builder& builder, size_t n) {
-  auto sims = SampleVectors(n);
+  const PackedRows sims = SampleVectors(n);
   ScopedNumThreads scope(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    PairGraph g = builder.Build(sims);
+    PairGraph g = builder.Build(sims.rows());
     benchmark::DoNotOptimize(g.num_edges());
   }
   state.counters["threads"] = static_cast<double>(state.range(0));
@@ -124,20 +127,6 @@ BENCHMARK(BM_QuickSortThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_IndexThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-// Ablation: the true m-dimensional range tree (no verification pass) vs the
-// paper's 2-indexed-attributes + verify heuristic. Its O(n log^{m-1} n)
-// construction makes it lose beyond small inputs - which is precisely why
-// the paper deploys the 2-d heuristic.
-void BM_IndexMd(benchmark::State& state) {
-  auto sims = SampleVectors(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    PairGraph g = RangeTreeMdBuilder().Build(sims);
-    benchmark::DoNotOptimize(g.num_edges());
-  }
-}
-BENCHMARK(BM_IndexMd)->Arg(1000)->Arg(2000)->Arg(4000)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace bench

@@ -148,7 +148,7 @@ void BM_PathCover(benchmark::State& state) {
     v[0] = rng.UniformIndex(11) / 10.0;
     v[1] = rng.UniformIndex(11) / 10.0;
   }
-  PairGraph graph = RangeTreeBuilder().Build(sims);
+  PairGraph graph = RangeTreeBuilder().Build(PackRows(sims).rows());
   for (auto _ : state) {
     benchmark::DoNotOptimize(MinimumPathCover(graph).size());
   }

@@ -12,6 +12,7 @@
 // BENCH_selection.json).
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 
 #include "graph/builder.h"
 #include "graph/coloring.h"
+#include "group/group.h"
 #include "select/selector.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -48,21 +50,20 @@ struct LoopResult {
   }
 };
 
-std::vector<std::vector<double>> RandomSims(size_t n, size_t m,
-                                            uint64_t seed) {
+PackedRows RandomSims(size_t n, size_t m, uint64_t seed) {
   Rng rng(seed);
   std::vector<std::vector<double>> sims(n, std::vector<double>(m));
   for (auto& row : sims) {
     for (double& x : row) x = rng.UniformDouble(0.0, 1.0);
   }
-  return sims;
+  return PackRows(sims);
 }
 
 // Deterministic monotone oracle: a vertex matches iff its mean similarity
 // clears the threshold. Monotone in the partial order, so the loop never
 // hits vote conflicts — every round's cost is the selector + propagation,
 // which is what this bench isolates (the trace tests cover conflicts).
-bool OracleMatch(const std::vector<double>& sims, double tau) {
+bool OracleMatch(std::span<const double> sims, double tau) {
   double sum = 0.0;
   for (double x : sims) sum += x;
   return sum >= tau * sims.size();
@@ -77,7 +78,8 @@ LoopResult RunLoop(SelectorKind kind, size_t n, size_t m, int threads,
   out.vertices = n;
 
   Stopwatch build_watch;
-  PairGraph graph = BruteForceBuilder().Build(RandomSims(n, m, seed));
+  const PackedRows sims = RandomSims(n, m, seed);
+  PairGraph graph = BruteForceBuilder().Build(sims.rows());
   out.build_seconds = build_watch.ElapsedSeconds();
   out.edges = graph.num_edges();
 
@@ -95,7 +97,7 @@ LoopResult RunLoop(SelectorKind kind, size_t n, size_t m, int threads,
       out.questions += batch.size();
       watch.Restart();
       for (int v : batch) {
-        state.ApplyAnswer(v, OracleMatch(graph.sims(v), 0.5));
+        state.ApplyAnswer(v, OracleMatch(sims.rows().row(v), 0.5));
       }
       out.apply_seconds += watch.ElapsedSeconds();
     }

@@ -57,12 +57,4 @@ std::vector<std::pair<int, Color>> ResolveBlueVertices(
   return out;
 }
 
-std::vector<std::pair<int, Color>> ResolveBlueVertices(
-    const GroupedGraph& grouped, const ColoringState& state,
-    const std::vector<std::vector<double>>& pair_sims,
-    const ErrorToleranceConfig& config) {
-  const PackedRows packed = PackRows(pair_sims);
-  return ResolveBlueVertices(grouped, state, packed.rows(), config);
-}
-
 }  // namespace power

@@ -10,7 +10,9 @@
 namespace power {
 
 struct ErrorToleranceConfig {
-  int num_histograms = 20;  // Appendix E.3 uses 20 histograms
+  /// Appendix E.3 uses 20 histograms. Must be >= 1; RunOnPairsJob aborts
+  /// with "power: tolerance.num_histograms=<value> must be >= 1" otherwise.
+  int num_histograms = 20;
   bool equi_depth = false;  // §6 mentions equi-depth; equi-width is default
 };
 
@@ -26,12 +28,6 @@ struct ErrorToleranceConfig {
 std::vector<std::pair<int, Color>> ResolveBlueVertices(
     const GroupedGraph& grouped, const ColoringState& state,
     SimilarityRows pair_sims, const ErrorToleranceConfig& config);
-
-/// Packing adapter for nested vectors: identical output to the row entry.
-std::vector<std::pair<int, Color>> ResolveBlueVertices(
-    const GroupedGraph& grouped, const ColoringState& state,
-    const std::vector<std::vector<double>>& pair_sims,
-    const ErrorToleranceConfig& config);
 
 }  // namespace power
 

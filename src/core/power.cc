@@ -39,8 +39,6 @@ const char* BuilderKindName(BuilderKind kind) {
       return "QuickSort";
     case BuilderKind::kRangeTree:
       return "Index";
-    case BuilderKind::kRangeTreeMd:
-      return "IndexMd";
   }
   return "?";
 }
@@ -82,8 +80,6 @@ std::unique_ptr<GraphBuilder> MakeBuilder(BuilderKind kind, uint64_t seed) {
       return std::make_unique<QuickSortBuilder>(seed);
     case BuilderKind::kRangeTree:
       return std::make_unique<RangeTreeBuilder>();
-    case BuilderKind::kRangeTreeMd:
-      return std::make_unique<RangeTreeMdBuilder>();
   }
   return nullptr;
 }
@@ -213,10 +209,11 @@ RunOnPairsJob::RunOnPairsJob(const PowerConfig& config, SimilarityTable pairs,
       oracle_(oracle),
       thread_scope_(config.num_threads),
       rng_(config.seed) {
-  // Checked before anything else, so a bad epsilon or attempt budget fails
-  // the same way under every grouping kind (NonGroup never reads epsilon)
-  // and at every table size (an empty pair list never reaches a grouper or
-  // the ask loop).
+  // Checked before anything else, so a bad epsilon, attempt budget or
+  // histogram count fails the same way under every grouping kind (NonGroup
+  // never reads epsilon) and at every table size (an empty pair list never
+  // reaches a grouper, the ask loop or Finish's histogram), before any
+  // question is paid for.
   if (!(config_.epsilon >= 0.0)) {
     std::fprintf(stderr, "power: grouping epsilon=%g must be >= 0\n",
                  config_.epsilon);
@@ -225,6 +222,11 @@ RunOnPairsJob::RunOnPairsJob(const PowerConfig& config, SimilarityTable pairs,
   if (config_.max_ask_attempts < 1) {
     std::fprintf(stderr, "power: max_ask_attempts=%zu must be >= 1\n",
                  config_.max_ask_attempts);
+    std::abort();
+  }
+  if (config_.tolerance.num_histograms < 1) {
+    std::fprintf(stderr, "power: tolerance.num_histograms=%d must be >= 1\n",
+                 config_.tolerance.num_histograms);
     std::abort();
   }
   POWER_CHECK(oracle != nullptr);
@@ -241,10 +243,8 @@ RunOnPairsJob::RunOnPairsJob(const PowerConfig& config, SimilarityTable pairs,
   if (config_.grouping == GroupingKind::kNone) {
     result_.grouping_seconds = 0.0;
     Stopwatch graph_watch;
-    // The graph builders own nested vectors, so the ungrouped graph gets
-    // an unpacked copy of the rows.
     grouped_ = BuildUngrouped(*MakeBuilder(config_.builder, rng_.Fork()),
-                              UnpackRows(pairs_.rows()));
+                              pairs_.rows());
     result_.graph_seconds = graph_watch.ElapsedSeconds();
   } else {
     std::unique_ptr<Grouper> grouper;

@@ -23,7 +23,7 @@
 namespace power {
 
 enum class GroupingKind { kNone, kSplit, kGreedy };
-enum class BuilderKind { kBruteForce, kQuickSort, kRangeTree, kRangeTreeMd };
+enum class BuilderKind { kBruteForce, kQuickSort, kRangeTree };
 
 const char* GroupingKindName(GroupingKind kind);
 const char* BuilderKindName(BuilderKind kind);

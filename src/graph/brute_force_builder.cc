@@ -2,6 +2,7 @@
 
 #include "graph/builder.h"
 #include "order/partial_order.h"
+#include "sim/similarity_matrix.h"
 #include "util/parallel.h"
 
 namespace power {
@@ -15,16 +16,12 @@ constexpr int64_t kRowGrain = 32;
 
 PairGraph BuildPairGraph(const GraphBuilder& builder,
                          const std::vector<SimilarPair>& pairs) {
-  std::vector<std::vector<double>> sims;
-  sims.reserve(pairs.size());
-  for (const auto& p : pairs) sims.push_back(p.sims);
-  return builder.Build(std::move(sims));
+  return builder.Build(PackSimilarPairs(pairs).rows());
 }
 
-PairGraph BruteForceBuilder::Build(std::vector<std::vector<double>> sims) const {
-  PairGraph graph{std::move(sims)};
-  const std::vector<std::vector<double>>& s = graph.all_sims();
-  const int n = static_cast<int>(s.size());
+PairGraph BruteForceBuilder::Build(SimilarityRows sims) const {
+  PairGraph graph(sims.n);
+  const int n = static_cast<int>(sims.n);
   // Row-sharded over the pool: chunk boundaries depend only on (n, grain),
   // and each chunk's edges land in its own buffer, appended in chunk order —
   // the graph is identical at any thread count.
@@ -35,7 +32,7 @@ PairGraph BruteForceBuilder::Build(std::vector<std::vector<double>> sims) const 
                        for (int a = static_cast<int>(row_begin);
                             a < static_cast<int>(row_end); ++a) {
                          for (int b = a + 1; b < n; ++b) {
-                           switch (CompareDominance(s[a], s[b])) {
+                           switch (CompareDominance(sims.row(a), sims.row(b))) {
                              case DomOrder::kDominates:
                                buf.emplace_back(a, b);
                                break;

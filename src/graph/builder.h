@@ -9,11 +9,9 @@
 namespace power {
 
 /// A graph-construction algorithm (§4.1). All builders produce the same
-/// graph: the full strict-dominance relation over the input similarity
-/// vectors (edges deduplicated, adjacency sorted).
-///
-/// `sims` is taken by value and moved into the returned PairGraph (the graph
-/// owns the vectors anyway); pass std::move(sims) to avoid the deep copy.
+/// graph: the full strict-dominance relation over the rows of `sims`, vertex
+/// v for row v (edges deduplicated, adjacency sorted). The rows are read
+/// only during Build; the graph keeps no similarity values.
 ///
 /// Builders shard their dominance loops over the ParallelFor pool
 /// (util/parallel.h). Sharding is by row with chunk boundaries independent
@@ -25,11 +23,11 @@ class GraphBuilder {
  public:
   virtual ~GraphBuilder() = default;
   virtual const char* name() const = 0;
-  virtual PairGraph Build(std::vector<std::vector<double>> sims) const = 0;
+  virtual PairGraph Build(SimilarityRows sims) const = 0;
 };
 
-/// Convenience: extracts the similarity vectors of `pairs` and builds with
-/// `builder`.
+/// Convenience: packs the similarity vectors of `pairs` into rows and builds
+/// with `builder`.
 PairGraph BuildPairGraph(const GraphBuilder& builder,
                          const std::vector<SimilarPair>& pairs);
 
@@ -37,7 +35,7 @@ PairGraph BuildPairGraph(const GraphBuilder& builder,
 class BruteForceBuilder : public GraphBuilder {
  public:
   const char* name() const override { return "BruteForce"; }
-  PairGraph Build(std::vector<std::vector<double>> sims) const override;
+  PairGraph Build(SimilarityRows sims) const override;
 };
 
 /// §4.1 "Quicksort-Based Method": picks a pivot, splits the rest into parent
@@ -50,7 +48,7 @@ class QuickSortBuilder : public GraphBuilder {
  public:
   explicit QuickSortBuilder(uint64_t seed = 42) : seed_(seed) {}
   const char* name() const override { return "QuickSort"; }
-  PairGraph Build(std::vector<std::vector<double>> sims) const override;
+  PairGraph Build(SimilarityRows sims) const override;
 
  private:
   uint64_t seed_;
@@ -67,23 +65,11 @@ class RangeTreeBuilder : public GraphBuilder {
   explicit RangeTreeBuilder(int dim1 = -1, int dim2 = -1)
       : dim1_(dim1), dim2_(dim2) {}
   const char* name() const override { return "Index"; }
-  PairGraph Build(std::vector<std::vector<double>> sims) const override;
+  PairGraph Build(SimilarityRows sims) const override;
 
  private:
   int dim1_;
   int dim2_;
-};
-
-/// Variant of the index-based method using a true m-dimensional range tree
-/// (graph/range_tree_md.h): every reported candidate already satisfies weak
-/// dominance on all attributes, so only strictness needs checking. Heavier
-/// to build (O(|V| log^{m-1} |V|) space) than the 2-d + verify heuristic the
-/// paper deploys, but with no false candidates; the ablation bench compares
-/// the two.
-class RangeTreeMdBuilder : public GraphBuilder {
- public:
-  const char* name() const override { return "IndexMd"; }
-  PairGraph Build(std::vector<std::vector<double>> sims) const override;
 };
 
 }  // namespace power

@@ -18,23 +18,15 @@ constexpr int64_t kVertexGrain = 32;
 
 }  // namespace
 
-PairGraph::PairGraph(std::vector<std::vector<double>> sims)
-    : sims_(std::move(sims)) {}
-
-const std::vector<double>& PairGraph::sims(int v) const {
-  POWER_CHECK(v >= 0 && static_cast<size_t>(v) < sims_.size());
-  return sims_[v];
-}
-
 void PairGraph::CheckFrozenVertex(int v) const {
   POWER_CHECK_MSG(frozen_, "adjacency requires a frozen graph (DedupEdges)");
-  POWER_CHECK(v >= 0 && static_cast<size_t>(v) < sims_.size());
+  POWER_CHECK(v >= 0 && static_cast<size_t>(v) < num_vertices_);
 }
 
 void PairGraph::AddEdge(int parent, int child) {
   POWER_CHECK_MSG(!frozen_, "PairGraph is frozen; no further edges");
-  POWER_CHECK(parent >= 0 && static_cast<size_t>(parent) < sims_.size());
-  POWER_CHECK(child >= 0 && static_cast<size_t>(child) < sims_.size());
+  POWER_CHECK(parent >= 0 && static_cast<size_t>(parent) < num_vertices_);
+  POWER_CHECK(child >= 0 && static_cast<size_t>(child) < num_vertices_);
   POWER_CHECK(parent != child);
   pending_.emplace_back(parent, child);
 }
@@ -50,7 +42,7 @@ void PairGraph::AddEdgeChunks(
     total += chunks[i].size();
   }
   pending_.resize(total);
-  const int n = static_cast<int>(sims_.size());
+  const int n = static_cast<int>(num_vertices_);
   ParallelFor(0, static_cast<int64_t>(chunks.size()), 1,
               [&](int64_t begin, int64_t end) {
                 for (int64_t i = begin; i < end; ++i) {
@@ -68,7 +60,7 @@ void PairGraph::AddEdgeChunks(
 void PairGraph::BuildCsrSide(bool keyed_by_parent,
                              std::vector<int64_t>* offsets,
                              std::vector<int>* edges) const {
-  const size_t n = sims_.size();
+  const size_t n = num_vertices_;
   const int64_t num_pending = static_cast<int64_t>(pending_.size());
 
   // Pass 1: per-vertex degree counts. Relaxed atomic increments — addition
@@ -168,21 +160,21 @@ std::vector<int> Reachable(size_t n, int start, AdjFn adj) {
 
 std::vector<int> PairGraph::Descendants(int v) const {
   CheckFrozenVertex(v);
-  return Reachable(sims_.size(), v, [this](int u) { return children(u); });
+  return Reachable(num_vertices_, v, [this](int u) { return children(u); });
 }
 
 std::vector<int> PairGraph::Ancestors(int v) const {
   CheckFrozenVertex(v);
-  return Reachable(sims_.size(), v, [this](int u) { return parents(u); });
+  return Reachable(num_vertices_, v, [this](int u) { return parents(u); });
 }
 
 std::vector<std::vector<int>> PairGraph::TopologicalLevels(
     const std::vector<bool>& active) const {
-  POWER_CHECK(active.size() == sims_.size());
-  POWER_CHECK_MSG(frozen_ || sims_.empty(), "freeze the graph first");
-  std::vector<int> indegree(sims_.size(), 0);
+  POWER_CHECK(active.size() == num_vertices_);
+  POWER_CHECK_MSG(frozen_ || num_vertices_ == 0, "freeze the graph first");
+  std::vector<int> indegree(num_vertices_, 0);
   std::vector<int> frontier;
-  for (size_t v = 0; v < sims_.size(); ++v) {
+  for (size_t v = 0; v < num_vertices_; ++v) {
     if (!active[v]) continue;
     for (int p : parents(static_cast<int>(v))) {
       if (active[p]) ++indegree[v];
@@ -205,11 +197,11 @@ std::vector<std::vector<int>> PairGraph::TopologicalLevels(
 }
 
 bool PairGraph::IsAcyclic() const {
-  std::vector<bool> active(sims_.size(), true);
+  std::vector<bool> active(num_vertices_, true);
   auto levels = TopologicalLevels(active);
   size_t covered = 0;
   for (const auto& level : levels) covered += level.size();
-  return covered == sims_.size();
+  return covered == num_vertices_;
 }
 
 }  // namespace power

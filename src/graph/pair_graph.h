@@ -10,8 +10,10 @@
 namespace power {
 
 /// The directed acyclic graph of the partial-order framework (Definition 2).
-/// Vertex v carries a similarity vector; an edge parent -> child means
-/// parent ≻ child (the parent pair dominates the child pair).
+/// Vertex v is a pair (or a group of pairs); an edge parent -> child means
+/// parent ≻ child (the parent pair dominates the child pair). The graph
+/// holds topology only: the builders read the similarity vectors to decide
+/// the edges, and the selectors and the coloring read only the edges.
 ///
 /// The graph builders emit the *full* dominance relation (an edge for every
 /// comparable vertex pair), i.e. the transitive closure. Question selection
@@ -39,15 +41,12 @@ namespace power {
 class PairGraph {
  public:
   PairGraph() = default;
-  explicit PairGraph(std::vector<std::vector<double>> sims);
+  explicit PairGraph(size_t num_vertices) : num_vertices_(num_vertices) {}
 
-  size_t num_vertices() const { return sims_.size(); }
+  size_t num_vertices() const { return num_vertices_; }
   /// Deduplicated edge count once frozen; the pending (possibly duplicated)
   /// edge count during build.
   size_t num_edges() const { return frozen_ ? num_edges_ : pending_.size(); }
-
-  const std::vector<double>& sims(int v) const;
-  const std::vector<std::vector<double>>& all_sims() const { return sims_; }
 
   /// Adds edge parent -> child to the pending build list. Duplicates are
   /// allowed; DedupEdges() removes them. Must not be called once frozen.
@@ -100,7 +99,7 @@ class PairGraph {
   void BuildCsrSide(bool keyed_by_parent, std::vector<int64_t>* offsets,
                     std::vector<int>* edges) const;
 
-  std::vector<std::vector<double>> sims_;
+  size_t num_vertices_ = 0;
   std::vector<std::pair<int, int>> pending_;  // build phase only
   bool frozen_ = false;
   // CSR adjacency, valid once frozen. offsets have num_vertices() + 1

@@ -18,19 +18,18 @@ constexpr int64_t kClassifyGrain = 1024;
 
 class QuickSortBuildState {
  public:
-  QuickSortBuildState(const std::vector<std::vector<double>>& sims,
-                      PairGraph* graph, uint64_t seed)
+  QuickSortBuildState(SimilarityRows sims, PairGraph* graph, uint64_t seed)
       : sims_(sims), graph_(graph), rng_(seed) {}
 
   void Run() {
-    std::vector<int> all(sims_.size());
-    for (size_t v = 0; v < sims_.size(); ++v) all[v] = static_cast<int>(v);
-    Recurse(all);
+    std::vector<int> all(sims_.n);
+    for (size_t v = 0; v < sims_.n; ++v) all[v] = static_cast<int>(v);
+    Recurse(std::move(all));
   }
 
  private:
   void Compare(int a, int b) {
-    switch (CompareDominance(sims_[a], sims_[b])) {
+    switch (CompareDominance(sims_.row(a), sims_.row(b))) {
       case DomOrder::kDominates:
         graph_->AddEdge(a, b);
         break;
@@ -96,7 +95,7 @@ class QuickSortBuildState {
           auto& buf = edges[chunk];
           for (int64_t i = begin; i < end; ++i) {
             for (int c : cols) {
-              switch (CompareDominance(sims_[rows[i]], sims_[c])) {
+              switch (CompareDominance(sims_.row(rows[i]), sims_.row(c))) {
                 case DomOrder::kDominates:
                   buf.emplace_back(rows[i], c);
                   break;
@@ -116,67 +115,74 @@ class QuickSortBuildState {
     graph_->AddEdgeChunks(std::move(edges));
   }
 
-  void Recurse(const std::vector<int>& set) {
-    if (set.size() <= 1) return;
-    if (set.size() == 2) {
-      Compare(set[0], set[1]);
-      return;
-    }
-    int pivot = set[rng_.UniformIndex(set.size())];
-    // Classify everything against the pivot. The pivot draw above happens
-    // before any parallel work and the partition below consumes `order` in
-    // input order, so the recursion structure — and with it the rng stream —
-    // is identical to the serial path at any thread count.
-    const int64_t k = static_cast<int64_t>(set.size());
-    std::vector<DomOrder> order(set.size());
-    ParallelFor(0, k, kClassifyGrain, [&](int64_t begin, int64_t end) {
-      for (int64_t i = begin; i < end; ++i) {
-        if (set[i] == pivot) continue;  // skipped by the partition loop
-        order[i] = CompareDominance(sims_[set[i]], sims_[pivot]);
+  // Splits `set` around a random pivot, recurses into the parents and then
+  // the children, and loops on the incomparable set (the last call), so an
+  // antichain costs one level of stack. `set` and the classification are
+  // freed before recursing: the live sets across the whole stack stay
+  // disjoint, O(|V|) memory on any input.
+  void Recurse(std::vector<int> set) {
+    while (set.size() > 2) {
+      const int pivot = set[rng_.UniformIndex(set.size())];
+      // Classify everything against the pivot. The pivot draw above happens
+      // before any parallel work and the partition below consumes `order` in
+      // input order, so the recursion structure — and with it the rng
+      // stream — is identical to the serial path at any thread count.
+      const int64_t k = static_cast<int64_t>(set.size());
+      std::vector<DomOrder> order(set.size());
+      ParallelFor(0, k, kClassifyGrain, [&](int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i) {
+          if (set[i] == pivot) continue;  // skipped by the partition loop
+          order[i] = CompareDominance(sims_.row(set[i]), sims_.row(pivot));
+        }
+      });
+      std::vector<int> parents;   // ≻ pivot
+      std::vector<int> children;  // pivot ≻
+      std::vector<int> incomparable;
+      for (size_t i = 0; i < set.size(); ++i) {
+        int v = set[i];
+        if (v == pivot) continue;
+        switch (order[i]) {
+          case DomOrder::kDominates:
+            parents.push_back(v);
+            graph_->AddEdge(v, pivot);
+            break;
+          case DomOrder::kDominatedBy:
+            children.push_back(v);
+            graph_->AddEdge(pivot, v);
+            break;
+          default:
+            incomparable.push_back(v);
+            break;
+        }
       }
-    });
-    std::vector<int> parents;   // ≻ pivot
-    std::vector<int> children;  // pivot ≻
-    std::vector<int> incomparable;
-    for (size_t i = 0; i < set.size(); ++i) {
-      int v = set[i];
-      if (v == pivot) continue;
-      switch (order[i]) {
-        case DomOrder::kDominates:
-          parents.push_back(v);
-          graph_->AddEdge(v, pivot);
-          break;
-        case DomOrder::kDominatedBy:
-          children.push_back(v);
-          graph_->AddEdge(pivot, v);
-          break;
-        default:
-          incomparable.push_back(v);
-          break;
-      }
+      // Freed before recursing (`= {}` would keep their capacity).
+      order = std::vector<DomOrder>();
+      set = std::vector<int>();
+      // The quicksort saving: every parent dominates every child via the
+      // pivot, so all |P| x |C| edges come without a vector comparison.
+      EmitCrossEdges(parents, children);
+      // Pairs straddling the incomparable set are undetermined by the pivot;
+      // resolve them directly (keeps the recursion duplicate-free; see
+      // header).
+      EmitComparedEdges(parents, incomparable);
+      EmitComparedEdges(children, incomparable);
+      Recurse(std::move(parents));
+      Recurse(std::move(children));
+      set = std::move(incomparable);
     }
-    // The quicksort saving: every parent dominates every child via the pivot,
-    // so all |P| x |C| edges come without a vector comparison.
-    EmitCrossEdges(parents, children);
-    // Pairs straddling the incomparable set are undetermined by the pivot;
-    // resolve them directly (keeps the recursion duplicate-free; see header).
-    EmitComparedEdges(parents, incomparable);
-    EmitComparedEdges(children, incomparable);
-    Recurse(parents);
-    Recurse(children);
-    Recurse(incomparable);
+    if (set.size() == 2) Compare(set[0], set[1]);
   }
 
-  const std::vector<std::vector<double>>& sims_;
+  SimilarityRows sims_;
   PairGraph* graph_;
   Rng rng_;
 };
 
 }  // namespace
 
-PairGraph QuickSortBuilder::Build(std::vector<std::vector<double>> sims) const {
-  PairGraph graph{std::move(sims)};
-  QuickSortBuildState state(graph.all_sims(), &graph, seed_);
+PairGraph QuickSortBuilder::Build(SimilarityRows sims) const {
+  PairGraph graph(sims.n);
+  QuickSortBuildState state(sims, &graph, seed_);
   state.Run();
   graph.DedupEdges();
   return graph;

@@ -18,15 +18,14 @@ constexpr int64_t kQueryGrain = 64;
 // Picks the two attributes with the most distinct values: the most selective
 // dimensions make the 2-d index filter hardest (fewest false candidates to
 // verify on the remaining attributes).
-std::pair<int, int> PickIndexDims(
-    const std::vector<std::vector<double>>& sims) {
-  size_t m = sims.empty() ? 0 : sims[0].size();
+std::pair<int, int> PickIndexDims(SimilarityRows sims) {
+  const size_t m = sims.m;
   POWER_CHECK(m >= 1);
   if (m == 1) return {0, 0};
   std::vector<std::pair<size_t, int>> distinct;  // (#distinct values, dim)
   for (size_t k = 0; k < m; ++k) {
     std::set<double> values;
-    for (const auto& s : sims) values.insert(s[k]);
+    for (size_t v = 0; v < sims.n; ++v) values.insert(sims.row(v)[k]);
     distinct.push_back({values.size(), static_cast<int>(k)});
   }
   std::sort(distinct.begin(), distinct.end(), [](const auto& a, const auto& b) {
@@ -38,16 +37,15 @@ std::pair<int, int> PickIndexDims(
 
 }  // namespace
 
-PairGraph RangeTreeBuilder::Build(std::vector<std::vector<double>> sims) const {
-  PairGraph graph{std::move(sims)};
-  const std::vector<std::vector<double>>& s = graph.all_sims();
-  if (s.empty()) return graph;
-  const size_t m = s[0].size();
+PairGraph RangeTreeBuilder::Build(SimilarityRows sims) const {
+  PairGraph graph(sims.n);
+  if (sims.n == 0) return graph;
+  const size_t m = sims.m;
 
   int d1 = dim1_;
   int d2 = dim2_;
   if (d1 < 0 || d2 < 0) {
-    auto dims = PickIndexDims(s);
+    auto dims = PickIndexDims(sims);
     d1 = dims.first;
     d2 = dims.second;
   }
@@ -56,10 +54,10 @@ PairGraph RangeTreeBuilder::Build(std::vector<std::vector<double>> sims) const {
 
   RangeTree2d tree;
   std::vector<RangeTree2d::Point> points;
-  points.reserve(s.size());
-  for (size_t v = 0; v < s.size(); ++v) {
-    points.push_back({s[v][static_cast<size_t>(d1)],
-                      s[v][static_cast<size_t>(d2)],
+  points.reserve(sims.n);
+  for (size_t v = 0; v < sims.n; ++v) {
+    points.push_back({sims.row(v)[static_cast<size_t>(d1)],
+                      sims.row(v)[static_cast<size_t>(d2)],
                       static_cast<int>(v)});
   }
   tree.Build(std::move(points));
@@ -68,7 +66,7 @@ PairGraph RangeTreeBuilder::Build(std::vector<std::vector<double>> sims) const {
   // indexed attributes, then verify strict dominance on the full vector.
   // Queries only read the tree, so the loop shards over the pool; per-chunk
   // edge buffers keep the result thread-count independent.
-  const int64_t n = static_cast<int64_t>(s.size());
+  const int64_t n = static_cast<int64_t>(sims.n);
   std::vector<std::vector<std::pair<int, int>>> edges(
       NumChunks(0, n, kQueryGrain));
   ParallelForChunked(
@@ -77,12 +75,12 @@ PairGraph RangeTreeBuilder::Build(std::vector<std::vector<double>> sims) const {
         std::vector<int> candidates;
         for (int64_t v = begin; v < end; ++v) {
           candidates.clear();
-          tree.QueryDominated(s[v][static_cast<size_t>(d1)],
-                              s[v][static_cast<size_t>(d2)], &candidates);
+          const std::span<const double> row = sims.row(v);
+          tree.QueryDominated(row[static_cast<size_t>(d1)],
+                              row[static_cast<size_t>(d2)], &candidates);
           for (int c : candidates) {
             if (c == static_cast<int>(v)) continue;
-            if (StrictlyDominates(s[static_cast<size_t>(v)],
-                                  s[static_cast<size_t>(c)])) {
+            if (StrictlyDominates(row, sims.row(c))) {
               buf.emplace_back(static_cast<int>(v), c);
             }
           }

@@ -41,32 +41,21 @@ PackedRows PackRows(const std::vector<std::vector<double>>& sims) {
   return packed;
 }
 
-std::vector<std::vector<double>> UnpackRows(SimilarityRows sims) {
-  std::vector<std::vector<double>> out;
-  out.reserve(sims.n);
-  for (size_t v = 0; v < sims.n; ++v) {
-    const std::span<const double> row = sims.row(v);
-    out.emplace_back(row.begin(), row.end());
-  }
-  return out;
-}
-
 std::vector<VertexGroup> Grouper::Group(
     const std::vector<std::vector<double>>& sims, double epsilon) const {
   const PackedRows packed = PackRows(sims);
   return Group(packed.rows(), epsilon);
 }
 
-bool IsValidGroup(const std::vector<std::vector<double>>& sims,
-                  const std::vector<int>& members, double epsilon) {
+bool IsValidGroup(SimilarityRows sims, const std::vector<int>& members,
+                  double epsilon) {
   if (members.empty()) return false;
-  const size_t m = sims[members[0]].size();
-  for (size_t k = 0; k < m; ++k) {
-    double lo = sims[members[0]][k];
+  for (size_t k = 0; k < sims.m; ++k) {
+    double lo = sims.row(members[0])[k];
     double hi = lo;
     for (int v : members) {
-      lo = std::min(lo, sims[v][k]);
-      hi = std::max(hi, sims[v][k]);
+      lo = std::min(lo, sims.row(v)[k]);
+      hi = std::max(hi, sims.row(v)[k]);
     }
     if (hi - lo > epsilon + 1e-12) return false;
   }
@@ -87,15 +76,15 @@ bool IsPartition(const std::vector<VertexGroup>& groups, size_t n) {
   return true;
 }
 
-std::vector<VertexGroup> SingletonGroups(
-    const std::vector<std::vector<double>>& sims) {
+std::vector<VertexGroup> SingletonGroups(SimilarityRows sims) {
   std::vector<VertexGroup> groups;
-  groups.reserve(sims.size());
-  for (size_t v = 0; v < sims.size(); ++v) {
+  groups.reserve(sims.n);
+  for (size_t v = 0; v < sims.n; ++v) {
+    const std::span<const double> row = sims.row(v);
     VertexGroup g;
     g.members = {static_cast<int>(v)};
-    g.lower = sims[v];
-    g.upper = sims[v];
+    g.lower.assign(row.begin(), row.end());
+    g.upper = g.lower;
     groups.push_back(std::move(g));
   }
   return groups;

@@ -29,15 +29,13 @@ struct PackedRows {
   SimilarityRows rows() const { return {values.data(), n, m}; }
 };
 
-/// Packs nested vectors and unpacks rows. The nested entry points pack
-/// through PackRows; the NonGroup path unpacks for the graph builders,
-/// which own nested vectors.
+/// Packs nested vectors into rows: the one way a nested entry point, a test
+/// or a bench reaches the row API.
 PackedRows PackRows(const std::vector<std::vector<double>>& sims);
-std::vector<std::vector<double>> UnpackRows(SimilarityRows sims);
 
 /// True iff the ε-constraint of Definition 3 holds for this member set.
-bool IsValidGroup(const std::vector<std::vector<double>>& sims,
-                  const std::vector<int>& members, double epsilon);
+bool IsValidGroup(SimilarityRows sims, const std::vector<int>& members,
+                  double epsilon);
 
 /// True iff the grouping is a partition of {0..n-1}: complete and disjoint
 /// (Definition 4).
@@ -45,8 +43,7 @@ bool IsPartition(const std::vector<VertexGroup>& groups, size_t n);
 
 /// One singleton group per vertex — the "no grouping" configuration expressed
 /// in the grouped representation so the rest of the pipeline is uniform.
-std::vector<VertexGroup> SingletonGroups(
-    const std::vector<std::vector<double>>& sims);
+std::vector<VertexGroup> SingletonGroups(SimilarityRows sims);
 
 /// A vertex-grouping algorithm (§4.2). Group aborts unless epsilon >= 0.
 class Grouper {

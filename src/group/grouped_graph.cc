@@ -9,17 +9,8 @@
 namespace power {
 
 GroupedGraph BuildGroupedGraph(std::vector<VertexGroup> groups) {
-  std::vector<std::vector<double>> midpoints;
-  midpoints.reserve(groups.size());
-  for (const auto& g : groups) {
-    std::vector<double> mid(g.lower.size());
-    for (size_t k = 0; k < mid.size(); ++k) {
-      mid[k] = (g.lower[k] + g.upper[k]) / 2.0;
-    }
-    midpoints.push_back(std::move(mid));
-  }
   GroupedGraph out;
-  out.graph = PairGraph(std::move(midpoints));
+  out.graph = PairGraph(groups.size());
   // All-pairs interval dominance, row-sharded over the pool with per-chunk
   // edge buffers — same deterministic scheme as the base builders.
   constexpr int64_t kRowGrain = 16;
@@ -46,11 +37,10 @@ GroupedGraph BuildGroupedGraph(std::vector<VertexGroup> groups) {
   return out;
 }
 
-GroupedGraph BuildUngrouped(const GraphBuilder& builder,
-                            std::vector<std::vector<double>> sims) {
+GroupedGraph BuildUngrouped(const GraphBuilder& builder, SimilarityRows sims) {
   GroupedGraph out;
   out.groups = SingletonGroups(sims);
-  out.graph = builder.Build(std::move(sims));
+  out.graph = builder.Build(sims);
   return out;
 }
 

@@ -13,7 +13,7 @@ namespace power {
 /// ungrouped one; singleton groups recover the ungrouped graph.
 struct GroupedGraph {
   std::vector<VertexGroup> groups;
-  PairGraph graph;  // vertex v == groups[v]; payload = group midpoints
+  PairGraph graph;  // vertex v == groups[v]
 };
 
 /// Builds the grouped graph by testing interval dominance between all group
@@ -23,9 +23,7 @@ GroupedGraph BuildGroupedGraph(std::vector<VertexGroup> groups);
 
 /// Builds a grouped graph of singleton groups using a base-graph builder —
 /// the "non-grouping" configuration sharing the same downstream machinery.
-/// `sims` is moved into the built graph; pass std::move to avoid the copy.
-GroupedGraph BuildUngrouped(const GraphBuilder& builder,
-                            std::vector<std::vector<double>> sims);
+GroupedGraph BuildUngrouped(const GraphBuilder& builder, SimilarityRows sims);
 
 }  // namespace power
 

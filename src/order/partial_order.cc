@@ -4,7 +4,7 @@
 
 namespace power {
 
-bool Dominates(const std::vector<double>& a, const std::vector<double>& b) {
+bool Dominates(std::span<const double> a, std::span<const double> b) {
   POWER_CHECK(a.size() == b.size());
   for (size_t k = 0; k < a.size(); ++k) {
     if (a[k] < b[k]) return false;
@@ -12,8 +12,7 @@ bool Dominates(const std::vector<double>& a, const std::vector<double>& b) {
   return true;
 }
 
-bool StrictlyDominates(const std::vector<double>& a,
-                       const std::vector<double>& b) {
+bool StrictlyDominates(std::span<const double> a, std::span<const double> b) {
   POWER_CHECK(a.size() == b.size());
   bool strict = false;
   for (size_t k = 0; k < a.size(); ++k) {
@@ -23,13 +22,13 @@ bool StrictlyDominates(const std::vector<double>& a,
   return strict;
 }
 
-bool Comparable(const std::vector<double>& a, const std::vector<double>& b) {
+bool Comparable(std::span<const double> a, std::span<const double> b) {
   DomOrder order = CompareDominance(a, b);
   return order == DomOrder::kDominates || order == DomOrder::kDominatedBy;
 }
 
-DomOrder CompareDominance(const std::vector<double>& a,
-                          const std::vector<double>& b) {
+DomOrder CompareDominance(std::span<const double> a,
+                          std::span<const double> b) {
   POWER_CHECK(a.size() == b.size());
   bool a_greater = false;
   bool b_greater = false;
@@ -47,8 +46,8 @@ DomOrder CompareDominance(const std::vector<double>& a,
   return DomOrder::kEqual;
 }
 
-bool GroupDominates(const std::vector<double>& lower_i,
-                    const std::vector<double>& upper_j) {
+bool GroupDominates(std::span<const double> lower_i,
+                    std::span<const double> upper_j) {
   POWER_CHECK(lower_i.size() == upper_j.size());
   for (size_t k = 0; k < lower_i.size(); ++k) {
     if (lower_i[k] < upper_j[k]) return false;
@@ -56,8 +55,8 @@ bool GroupDominates(const std::vector<double>& lower_i,
   return true;
 }
 
-bool GroupStrictlyDominates(const std::vector<double>& lower_i,
-                            const std::vector<double>& upper_j) {
+bool GroupStrictlyDominates(std::span<const double> lower_i,
+                            std::span<const double> upper_j) {
   POWER_CHECK(lower_i.size() == upper_j.size());
   bool strict = false;
   for (size_t k = 0; k < lower_i.size(); ++k) {

@@ -1,7 +1,7 @@
 #ifndef POWER_ORDER_PARTIAL_ORDER_H_
 #define POWER_ORDER_PARTIAL_ORDER_H_
 
-#include <vector>
+#include <span>
 
 namespace power {
 
@@ -9,16 +9,16 @@ namespace power {
 ///   a ⪰ b  iff  a_k >= b_k for every attribute k              (Dominates)
 ///   a ≻ b  iff  a ⪰ b and a_k > b_k for some k        (StrictlyDominates)
 ///
-/// Vectors must have equal length. Comparisons use exact doubles: the
-/// similarity pipeline produces the same bit pattern for equal inputs, and
-/// grouping (not fuzzy compares) is the paper's mechanism for "almost equal"
-/// vectors.
-bool Dominates(const std::vector<double>& a, const std::vector<double>& b);
-bool StrictlyDominates(const std::vector<double>& a,
-                       const std::vector<double>& b);
+/// Vectors must have equal length. They are spans, so a row of a
+/// SimilarityRows view and a VertexGroup bound go through one signature.
+/// Comparisons use exact doubles: the similarity pipeline produces the same
+/// bit pattern for equal inputs, and grouping (not fuzzy compares) is the
+/// paper's mechanism for "almost equal" vectors.
+bool Dominates(std::span<const double> a, std::span<const double> b);
+bool StrictlyDominates(std::span<const double> a, std::span<const double> b);
 
 /// True iff a ≻ b or b ≻ a (the vertices would be connected in the DAG).
-bool Comparable(const std::vector<double>& a, const std::vector<double>& b);
+bool Comparable(std::span<const double> a, std::span<const double> b);
 
 /// Three-way dominance relation, computed in one pass (the builders' hot
 /// path: two StrictlyDominates calls would scan the vectors twice).
@@ -28,16 +28,16 @@ enum class DomOrder {
   kEqual,        // a == b componentwise (⪰ both ways, ≻ neither)
   kIncomparable,
 };
-DomOrder CompareDominance(const std::vector<double>& a,
-                          const std::vector<double>& b);
+DomOrder CompareDominance(std::span<const double> a,
+                          std::span<const double> b);
 
 /// Partial order on groups via interval bounds (§4.2, Eqs. 5-6):
 /// g_i ⪰ g_j iff l_i^k >= u_j^k for all k; strict if additionally > on some
 /// k. `lower`/`upper` are the groups' per-attribute min/max similarity.
-bool GroupDominates(const std::vector<double>& lower_i,
-                    const std::vector<double>& upper_j);
-bool GroupStrictlyDominates(const std::vector<double>& lower_i,
-                            const std::vector<double>& upper_j);
+bool GroupDominates(std::span<const double> lower_i,
+                    std::span<const double> upper_j);
+bool GroupStrictlyDominates(std::span<const double> lower_i,
+                            std::span<const double> upper_j);
 
 }  // namespace power
 

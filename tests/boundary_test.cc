@@ -8,7 +8,7 @@ namespace power {
 namespace {
 
 PairGraph ClosedChain(int n) {
-  PairGraph g(std::vector<std::vector<double>>(n, {0.0}));
+  PairGraph g(n);
   for (int a = 0; a < n; ++a) {
     for (int b = a + 1; b < n; ++b) g.AddEdge(a, b);
   }
@@ -39,7 +39,7 @@ TEST(BoundaryTest, AllRedChainHasOneBoundary) {
 }
 
 TEST(BoundaryTest, AntichainIsAllBoundary) {
-  PairGraph g(std::vector<std::vector<double>>(4, {0.0}));
+  PairGraph g(4);
   g.DedupEdges();
   std::vector<bool> green = {true, false, true, false};
   EXPECT_EQ(CountBoundaryVertices(g, green), 4u);

@@ -1,13 +1,27 @@
 #include <algorithm>
+#include <fstream>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "data/paper_example.h"
 #include "graph/builder.h"
+#include "group/group.h"
 #include "order/partial_order.h"
+#include "util/parallel.h"
 #include "util/rng.h"
+
+// Sanitizer allocators keep freed memory in quarantine, so peak-RSS bounds
+// only hold in plain builds.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define POWER_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define POWER_TEST_SANITIZED 1
+#endif
+#endif
 
 namespace power {
 namespace {
@@ -22,8 +36,7 @@ std::set<std::pair<int, int>> EdgeSet(const PairGraph& g) {
   return edges;
 }
 
-std::vector<std::vector<double>> RandomSims(uint64_t seed, size_t n,
-                                            size_t m, int grid) {
+PackedRows RandomSims(uint64_t seed, size_t n, size_t m, int grid) {
   Rng rng(seed);
   std::vector<std::vector<double>> sims(n, std::vector<double>(m));
   for (auto& v : sims) {
@@ -31,7 +44,7 @@ std::vector<std::vector<double>> RandomSims(uint64_t seed, size_t n,
       x = static_cast<double>(rng.UniformIndex(grid + 1)) / grid;
     }
   }
-  return sims;
+  return PackRows(sims);
 }
 
 TEST(BruteForceBuilderTest, PaperExampleEdges) {
@@ -85,10 +98,10 @@ class BuilderEquivalence : public ::testing::TestWithParam<BuilderCase> {};
 
 TEST_P(BuilderEquivalence, QuickSortAndIndexMatchBruteForce) {
   const BuilderCase& c = GetParam();
-  auto sims = RandomSims(c.seed, c.n, c.m, c.grid);
-  PairGraph brute = BruteForceBuilder().Build(sims);
-  PairGraph quick = QuickSortBuilder(c.seed * 13 + 1).Build(sims);
-  PairGraph index = RangeTreeBuilder().Build(sims);
+  const PackedRows sims = RandomSims(c.seed, c.n, c.m, c.grid);
+  PairGraph brute = BruteForceBuilder().Build(sims.rows());
+  PairGraph quick = QuickSortBuilder(c.seed * 13 + 1).Build(sims.rows());
+  PairGraph index = RangeTreeBuilder().Build(sims.rows());
   auto expected = EdgeSet(brute);
   EXPECT_EQ(EdgeSet(quick), expected);
   EXPECT_EQ(EdgeSet(index), expected);
@@ -106,39 +119,44 @@ INSTANTIATE_TEST_SUITE_P(
                       BuilderCase{100, 3, 1, 10}));
 
 TEST(BuildersTest, EdgesAreExactlyTheStrictDominanceRelation) {
-  auto sims = RandomSims(99, 60, 3, 4);
+  const PackedRows packed = RandomSims(99, 60, 3, 4);
+  const SimilarityRows sims = packed.rows();
   PairGraph g = RangeTreeBuilder().Build(sims);
-  for (size_t a = 0; a < sims.size(); ++a) {
+  for (size_t a = 0; a < sims.n; ++a) {
     std::set<int> children(g.children(static_cast<int>(a)).begin(),
                            g.children(static_cast<int>(a)).end());
-    for (size_t b = 0; b < sims.size(); ++b) {
+    for (size_t b = 0; b < sims.n; ++b) {
       if (a == b) continue;
       EXPECT_EQ(children.count(static_cast<int>(b)) > 0,
-                StrictlyDominates(sims[a], sims[b]))
+                StrictlyDominates(sims.row(a), sims.row(b)))
           << "a=" << a << " b=" << b;
     }
   }
 }
 
 TEST(BuildersTest, EmptyInput) {
-  std::vector<std::vector<double>> empty;
+  const SimilarityRows empty;
   EXPECT_EQ(BruteForceBuilder().Build(empty).num_vertices(), 0u);
   EXPECT_EQ(QuickSortBuilder().Build(empty).num_vertices(), 0u);
   EXPECT_EQ(RangeTreeBuilder().Build(empty).num_vertices(), 0u);
 }
 
 TEST(BuildersTest, AllEqualVectorsYieldNoEdges) {
-  std::vector<std::vector<double>> sims(20, {0.5, 0.5});
+  const PackedRows packed =
+      PackRows(std::vector<std::vector<double>>(20, {0.5, 0.5}));
+  const SimilarityRows sims = packed.rows();
   EXPECT_EQ(BruteForceBuilder().Build(sims).num_edges(), 0u);
   EXPECT_EQ(QuickSortBuilder().Build(sims).num_edges(), 0u);
   EXPECT_EQ(RangeTreeBuilder().Build(sims).num_edges(), 0u);
 }
 
 TEST(BuildersTest, TotalOrderChainYieldsCompleteDag) {
-  std::vector<std::vector<double>> sims;
+  std::vector<std::vector<double>> chain;
   for (int i = 0; i < 10; ++i) {
-    sims.push_back({i / 10.0, i / 10.0});
+    chain.push_back({i / 10.0, i / 10.0});
   }
+  const PackedRows packed = PackRows(chain);
+  const SimilarityRows sims = packed.rows();
   PairGraph g = BruteForceBuilder().Build(sims);
   EXPECT_EQ(g.num_edges(), 45u);  // n*(n-1)/2 closure edges
   PairGraph q = QuickSortBuilder().Build(sims);
@@ -148,7 +166,8 @@ TEST(BuildersTest, TotalOrderChainYieldsCompleteDag) {
 }
 
 TEST(RangeTreeBuilderTest, ExplicitDimensionsStillCorrect) {
-  auto sims = RandomSims(123, 40, 4, 3);
+  const PackedRows packed = RandomSims(123, 40, 4, 3);
+  const SimilarityRows sims = packed.rows();
   auto expected = EdgeSet(BruteForceBuilder().Build(sims));
   for (int d1 = 0; d1 < 4; ++d1) {
     for (int d2 = 0; d2 < 4; ++d2) {
@@ -156,6 +175,42 @@ TEST(RangeTreeBuilderTest, ExplicitDimensionsStillCorrect) {
       EXPECT_EQ(EdgeSet(g), expected) << "d1=" << d1 << " d2=" << d2;
     }
   }
+}
+
+// This process's peak resident set (VmHWM) in bytes; 0 if unreadable.
+size_t PeakRssBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stoull(line.substr(6)) << 10;
+  }
+  return 0;
+}
+
+// On an antichain every pivot leaves all other vertices incomparable. The
+// builder must loop on that set instead of recursing into it while each
+// level's arrays stay alive: 8k (t, 1 - t) vectors used to pin ~275 MB.
+TEST(QuickSortBuilderTest, AntichainBuildsInLinearMemory) {
+#ifdef POWER_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer allocators keep freed memory";
+#endif
+  constexpr size_t kN = 8192;
+  std::vector<double> values;
+  values.reserve(2 * kN);
+  for (size_t v = 0; v < kN; ++v) {
+    const double t = (static_cast<double>(v) + 0.5) / kN;  // exact dyadic
+    values.push_back(t);
+    values.push_back(1.0 - t);
+  }
+  ScopedNumThreads one(1);
+  const size_t before = PeakRssBytes();
+  ASSERT_GT(before, 0u);
+  PairGraph g = QuickSortBuilder().Build({values.data(), kN, 2});
+  const size_t growth = PeakRssBytes() - before;
+  EXPECT_EQ(g.num_vertices(), kN);
+  EXPECT_EQ(g.num_edges(), 0u);
+  EXPECT_LT(growth, size_t{32} << 20) << "peak RSS grew by " << (growth >> 20)
+                                      << " MB";
 }
 
 }  // namespace

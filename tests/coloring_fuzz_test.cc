@@ -5,18 +5,19 @@
 
 #include "graph/builder.h"
 #include "graph/coloring.h"
+#include "group/group.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
 namespace power {
 namespace {
 
-std::vector<std::vector<double>> RandomSims(Rng& rng, size_t n, size_t m) {
+PackedRows RandomSims(Rng& rng, size_t n, size_t m) {
   std::vector<std::vector<double>> sims(n, std::vector<double>(m));
   for (auto& v : sims) {
     for (auto& x : v) x = rng.UniformIndex(5) / 4.0;
   }
-  return sims;
+  return PackRows(sims);
 }
 
 void CheckInvariants(const PairGraph& graph, const ColoringState& state,
@@ -76,7 +77,7 @@ TEST(ColoringFuzzTest, RandomAnswerSequencesKeepInvariants) {
   for (int trial = 0; trial < 40; ++trial) {
     size_t n = 5 + rng.UniformIndex(25);
     auto sims = RandomSims(rng, n, 2 + rng.UniformIndex(2));
-    PairGraph graph = BruteForceBuilder().Build(sims);
+    PairGraph graph = BruteForceBuilder().Build(sims.rows());
     ColoringState state(&graph);
 
     std::vector<int> asked_green;
@@ -140,13 +141,12 @@ TEST(ColoringFuzzTest, ParallelBuiltGraphsKeepPropagationInvariants) {
   const BruteForceBuilder brute;
   const QuickSortBuilder quick(17);
   const RangeTreeBuilder index;
-  const RangeTreeMdBuilder index_md;
-  const GraphBuilder* builders[] = {&brute, &quick, &index, &index_md};
+  const GraphBuilder* builders[] = {&brute, &quick, &index};
   for (int trial = 0; trial < 10; ++trial) {
     size_t n = 20 + rng.UniformIndex(40);
     auto sims = RandomSims(rng, n, 2 + rng.UniformIndex(3));
     for (const GraphBuilder* builder : builders) {
-      PairGraph graph = builder->Build(sims);
+      PairGraph graph = builder->Build(sims.rows());
       int v = static_cast<int>(rng.UniformIndex(n));
       bool yes = rng.Bernoulli(0.5);
       ColoringState state(&graph);
@@ -188,13 +188,12 @@ TEST(ColoringFuzzTest, RandomAnswersOnParallelBuiltGraphsKeepInvariants) {
   Rng rng(60601);
   const QuickSortBuilder quick(23);
   const RangeTreeBuilder index;
-  const RangeTreeMdBuilder index_md;
-  const GraphBuilder* builders[] = {&quick, &index, &index_md};
+  const GraphBuilder* builders[] = {&quick, &index};
   for (int trial = 0; trial < 12; ++trial) {
     size_t n = 10 + rng.UniformIndex(30);
     auto sims = RandomSims(rng, n, 2 + rng.UniformIndex(2));
     for (const GraphBuilder* builder : builders) {
-      PairGraph graph = builder->Build(sims);
+      PairGraph graph = builder->Build(sims.rows());
       ColoringState state(&graph);
       std::vector<int> asked_green;
       std::vector<int> asked_red;
@@ -215,7 +214,7 @@ TEST(ColoringFuzzTest, PropagationNeverTouchesIncomparableVertices) {
   for (int trial = 0; trial < 20; ++trial) {
     size_t n = 6 + rng.UniformIndex(14);
     auto sims = RandomSims(rng, n, 3);
-    PairGraph graph = BruteForceBuilder().Build(sims);
+    PairGraph graph = BruteForceBuilder().Build(sims.rows());
     int v = static_cast<int>(rng.UniformIndex(n));
     ColoringState state(&graph);
     state.ApplyAnswer(v, rng.Bernoulli(0.5));

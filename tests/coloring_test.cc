@@ -10,7 +10,7 @@ namespace {
 
 // Chain 0 -> 1 -> 2 -> 3 with full closure edges, like the builders emit.
 PairGraph Chain4() {
-  PairGraph g(std::vector<std::vector<double>>(4, {0.0}));
+  PairGraph g(4);
   for (int a = 0; a < 4; ++a) {
     for (int b = a + 1; b < 4; ++b) g.AddEdge(a, b);
   }
@@ -87,7 +87,7 @@ TEST(ColoringTest, ConflictMajorityWins) {
   // Two parents of one child: both say RED -> child RED even after one
   // GREEN deduction from below is impossible here, so build a W shape:
   // parents 0,1 -> child 2; child 2 -> descendant 3.
-  PairGraph g(std::vector<std::vector<double>>(4, {0.0}));
+  PairGraph g(4);
   g.AddEdge(0, 2);
   g.AddEdge(1, 2);
   g.AddEdge(2, 3);
@@ -186,7 +186,7 @@ TEST(ColoringTest, IncrementalCountersMatchScanUnderRandomAnswers) {
   Rng rng(2024);
   // Random layered DAG closed under transitivity (edges only go up in index,
   // so it is acyclic by construction).
-  PairGraph g(std::vector<std::vector<double>>(kN, {0.0}));
+  PairGraph g(kN);
   std::vector<std::vector<char>> reach(kN, std::vector<char>(kN, 0));
   for (int a = 0; a < kN; ++a) {
     for (int b = a + 1; b < kN; ++b) {

@@ -6,6 +6,7 @@
 #include "data/paper_example.h"
 #include "group/grouped_graph.h"
 #include "group/split_grouper.h"
+#include "sim/similarity_matrix.h"
 
 namespace power {
 namespace {
@@ -15,8 +16,8 @@ namespace {
 // answers (BLUE). The histogram pass must color p12 GREEN and p24/p25 RED.
 TEST(ErrorToleranceTest, PaperAppendixCScenario) {
   auto pairs = PaperExamplePairs();
-  std::vector<std::vector<double>> sims;
-  for (const auto& p : pairs) sims.push_back(p.sims);
+  const SimilarityTable packed = PackSimilarPairs(pairs);
+  const SimilarityRows sims = packed.rows();
   Table table = PaperExampleTable();
 
   auto groups = SplitGrouper().Group(sims, 0.1);
@@ -63,8 +64,8 @@ TEST(ErrorToleranceTest, PaperAppendixCScenario) {
 
 TEST(ErrorToleranceTest, TwentyHistogramsAlsoResolveCorrectly) {
   auto pairs = PaperExamplePairs();
-  std::vector<std::vector<double>> sims;
-  for (const auto& p : pairs) sims.push_back(p.sims);
+  const SimilarityTable packed = PackSimilarPairs(pairs);
+  const SimilarityRows sims = packed.rows();
   Table table = PaperExampleTable();
 
   GroupedGraph gg = BuildGroupedGraph(SplitGrouper().Group(sims, 0.1));
@@ -95,8 +96,8 @@ TEST(ErrorToleranceTest, TwentyHistogramsAlsoResolveCorrectly) {
 
 TEST(ErrorToleranceTest, EquiDepthVariantResolves) {
   auto pairs = PaperExamplePairs();
-  std::vector<std::vector<double>> sims;
-  for (const auto& p : pairs) sims.push_back(p.sims);
+  const SimilarityTable packed = PackSimilarPairs(pairs);
+  const SimilarityRows sims = packed.rows();
   Table table = PaperExampleTable();
 
   GroupedGraph gg = BuildGroupedGraph(SplitGrouper().Group(sims, 0.1));
@@ -125,40 +126,52 @@ TEST(ErrorToleranceTest, EquiDepthVariantResolves) {
   EXPECT_EQ(resolution[0].second, Color::kGreen);
 }
 
-TEST(ErrorToleranceTest, RowEntryMatchesNested) {
-  std::vector<std::vector<double>> sims;
+// Exactly the members of BLUE and uncolored groups are resolved, once each
+// and in group order, under both histogram kinds.
+TEST(ErrorToleranceTest, ResolvesExactlyTheBlueAndUncoloredMembers) {
+  std::vector<std::vector<double>> nested;
   for (int v = 0; v < 90; ++v) {
-    sims.push_back({(v % 10) / 9.0, (v * 7 % 11) / 10.0, (v % 4) / 3.0});
+    nested.push_back({(v % 10) / 9.0, (v * 7 % 11) / 10.0, (v % 4) / 3.0});
   }
-  GroupedGraph gg = BuildGroupedGraph(SplitGrouper().Group(sims, 0.2));
+  const PackedRows packed = PackRows(nested);
+  GroupedGraph gg =
+      BuildGroupedGraph(SplitGrouper().Group(packed.rows(), 0.2));
   ColoringState state(&gg.graph);
   // GREEN, RED and BLUE groups in turn; the rest stay uncolored.
+  std::vector<int> unresolved;
   for (size_t g = 0; g < gg.groups.size(); ++g) {
     const int v = static_cast<int>(g);
     switch (g % 4) {
       case 0:
         state.ApplyAnswer(v, true, /*propagate=*/false);
-        break;
+        continue;
       case 1:
         state.ApplyAnswer(v, false, /*propagate=*/false);
-        break;
+        continue;
       case 2:
         state.MarkBlue(v);
         break;
     }
+    const std::vector<int>& members = gg.groups[g].members;
+    unresolved.insert(unresolved.end(), members.begin(), members.end());
   }
-  const PackedRows packed = PackRows(sims);
+  ASSERT_FALSE(unresolved.empty());
   for (bool equi_depth : {false, true}) {
     ErrorToleranceConfig config;
     config.equi_depth = equi_depth;
-    const auto want = ResolveBlueVertices(gg, state, sims, config);
-    EXPECT_FALSE(want.empty());
-    EXPECT_EQ(ResolveBlueVertices(gg, state, packed.rows(), config), want);
+    std::vector<int> resolved;
+    for (const auto& [v, c] :
+         ResolveBlueVertices(gg, state, packed.rows(), config)) {
+      resolved.push_back(v);
+      EXPECT_TRUE(c == Color::kGreen || c == Color::kRed);
+    }
+    EXPECT_EQ(resolved, unresolved) << "equi_depth=" << equi_depth;
   }
 }
 
 TEST(ErrorToleranceTest, NoBlueGroupsYieldsEmptyResolution) {
-  std::vector<std::vector<double>> sims = {{0.9, 0.9}, {0.1, 0.1}};
+  const PackedRows packed = PackRows({{0.9, 0.9}, {0.1, 0.1}});
+  const SimilarityRows sims = packed.rows();
   GroupedGraph gg = BuildGroupedGraph(SingletonGroups(sims));
   ColoringState state(&gg.graph);
   state.ApplyAnswer(0, true);
@@ -168,7 +181,8 @@ TEST(ErrorToleranceTest, NoBlueGroupsYieldsEmptyResolution) {
 
 TEST(ErrorToleranceTest, AllBlueFallsBackToPrior) {
   // With zero labeled evidence the prior Pr(s) = s decides.
-  std::vector<std::vector<double>> sims = {{0.9, 0.9}, {0.1, 0.1}};
+  const PackedRows packed = PackRows({{0.9, 0.9}, {0.1, 0.1}});
+  const SimilarityRows sims = packed.rows();
   GroupedGraph gg = BuildGroupedGraph(SingletonGroups(sims));
   ColoringState state(&gg.graph);
   state.MarkBlue(0);

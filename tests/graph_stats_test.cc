@@ -10,7 +10,7 @@ namespace power {
 namespace {
 
 PairGraph ClosedChain(int n) {
-  PairGraph g(std::vector<std::vector<double>>(n, {0.0}));
+  PairGraph g(n);
   for (int a = 0; a < n; ++a) {
     for (int b = a + 1; b < n; ++b) g.AddEdge(a, b);
   }
@@ -31,7 +31,7 @@ TEST(GraphStatsTest, ChainStatistics) {
 }
 
 TEST(GraphStatsTest, AntichainStatistics) {
-  PairGraph g(std::vector<std::vector<double>>(4, {0.0}));
+  PairGraph g(4);
   g.DedupEdges();
   GraphStats s = ComputeGraphStats(g);
   EXPECT_EQ(s.edges, 0u);
@@ -59,7 +59,7 @@ TEST(TransitiveReductionTest, ChainReducesToSuccessorEdges) {
 }
 
 TEST(TransitiveReductionTest, DiamondKeepsFourEdges) {
-  PairGraph g(std::vector<std::vector<double>>(4, {0.0}));
+  PairGraph g(4);
   g.AddEdge(0, 1);
   g.AddEdge(0, 2);
   g.AddEdge(1, 3);
@@ -102,7 +102,7 @@ TEST(GraphStatsTest, PaperExampleComparability) {
 }
 
 TEST(ToDotTest, RendersLabelsAndEdges) {
-  PairGraph g(std::vector<std::vector<double>>(2, {0.0}));
+  PairGraph g(2);
   g.AddEdge(0, 1);
   g.DedupEdges();
   std::string dot = ToDot(g, {"p12", "p34"});

@@ -7,21 +7,22 @@
 #include "group/grouped_graph.h"
 #include "group/split_grouper.h"
 #include "order/partial_order.h"
+#include "sim/similarity_matrix.h"
 
 namespace power {
 namespace {
 
-std::vector<std::vector<double>> PaperSims() {
-  std::vector<std::vector<double>> sims;
-  for (const auto& p : PaperExamplePairs()) sims.push_back(p.sims);
-  return sims;
+// The paper example's 18 similarity vectors as rows.
+SimilarityRows PaperSims() {
+  static const SimilarityTable table = PackSimilarPairs(PaperExamplePairs());
+  return table.rows();
 }
 
 TEST(GroupedGraphTest, SingletonGroupsRecoverBaseGraph) {
   auto sims = PaperSims();
   GroupedGraph gg = BuildUngrouped(BruteForceBuilder(), sims);
-  ASSERT_EQ(gg.groups.size(), sims.size());
-  for (size_t v = 0; v < sims.size(); ++v) {
+  ASSERT_EQ(gg.groups.size(), sims.n);
+  for (size_t v = 0; v < sims.n; ++v) {
     EXPECT_EQ(gg.groups[v].members, (std::vector<int>{static_cast<int>(v)}));
   }
   PairGraph direct = BruteForceBuilder().Build(sims);
@@ -52,7 +53,7 @@ TEST(GroupedGraphTest, GroupDominanceImpliesAllMemberPairsDominate) {
     for (int b : gg.graph.children(static_cast<int>(a))) {
       for (int va : gg.groups[a].members) {
         for (int vb : gg.groups[b].members) {
-          EXPECT_TRUE(StrictlyDominates(sims[va], sims[vb]))
+          EXPECT_TRUE(StrictlyDominates(sims.row(va), sims.row(vb)))
               << "group " << a << " member " << va << " vs group " << b
               << " member " << vb;
         }

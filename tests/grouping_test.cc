@@ -54,7 +54,8 @@ TEST(GroupTest, MakeGroupComputesBounds) {
 }
 
 TEST(GroupTest, IsValidGroupRespectsEpsilon) {
-  std::vector<std::vector<double>> sims = {{0.1, 0.9}, {0.3, 0.8}};
+  const PackedRows packed = PackRows({{0.1, 0.9}, {0.3, 0.8}});
+  const SimilarityRows sims = packed.rows();
   EXPECT_TRUE(IsValidGroup(sims, {0, 1}, 0.2));
   EXPECT_FALSE(IsValidGroup(sims, {0, 1}, 0.1));
   EXPECT_TRUE(IsValidGroup(sims, {0}, 0.0));
@@ -62,10 +63,9 @@ TEST(GroupTest, IsValidGroupRespectsEpsilon) {
 }
 
 TEST(GroupTest, IsPartition) {
-  std::vector<std::vector<double>> sims = {{0.0}, {0.5}, {1.0}};
-  auto singletons = SingletonGroups(sims);
+  const PackedRows packed = PackRows({{0.0}, {0.5}, {1.0}});
+  auto singletons = SingletonGroups(packed.rows());
   EXPECT_TRUE(IsPartition(singletons, 3));
-  const PackedRows packed = PackRows(sims);
   // Overlapping groups are not a partition.
   std::vector<VertexGroup> overlap = {MakeGroup(packed.rows(), {0, 1}),
                                       MakeGroup(packed.rows(), {1, 2})};
@@ -82,7 +82,7 @@ TEST(SplitGrouperTest, PaperExampleYieldsNineGroups) {
   EXPECT_EQ(groups.size(), 9u);
   EXPECT_TRUE(IsPartition(groups, sims.size()));
   for (const auto& g : groups) {
-    EXPECT_TRUE(IsValidGroup(sims, g.members, 0.1));
+    EXPECT_TRUE(IsValidGroup(PackRows(sims).rows(), g.members, 0.1));
   }
   auto sets = AsSets(groups);
   auto idx = [](int a, int b) { return PaperExamplePairIndex(a, b); };
@@ -102,7 +102,7 @@ TEST(GreedyGrouperTest, PaperExampleValidAndSmall) {
   auto groups = GreedyGrouper().Group(sims, 0.1);
   EXPECT_TRUE(IsPartition(groups, sims.size()));
   for (const auto& g : groups) {
-    EXPECT_TRUE(IsValidGroup(sims, g.members, 0.1));
+    EXPECT_TRUE(IsValidGroup(PackRows(sims).rows(), g.members, 0.1));
   }
   // The paper's greedy walkthrough ends with 10 groups; allow the exact
   // count to vary with tie-breaking but stay in a tight range.
@@ -158,7 +158,7 @@ TEST_P(GrouperProperty, BothGroupersProduceValidPartitions) {
     auto groups = grouper->Group(sims, c.epsilon);
     EXPECT_TRUE(IsPartition(groups, c.n)) << grouper->name();
     for (const auto& g : groups) {
-      EXPECT_TRUE(IsValidGroup(sims, g.members, c.epsilon))
+      EXPECT_TRUE(IsValidGroup(packed.rows(), g.members, c.epsilon))
           << grouper->name();
       // Bounds are consistent with members.
       VertexGroup recomputed = MakeGroup(packed.rows(), g.members);
@@ -398,7 +398,7 @@ TEST(SplitGrouperTest, SeventyWideAttributesSplit) {
   auto groups = SplitGrouper().Group(sims, 0.1);
   EXPECT_TRUE(IsPartition(groups, sims.size()));
   for (const auto& g : groups) {
-    EXPECT_TRUE(IsValidGroup(sims, g.members, 0.1));
+    EXPECT_TRUE(IsValidGroup(PackRows(sims).rows(), g.members, 0.1));
   }
   ExpectSameGroups(groups, ReferenceSplit(sims, 0.1), "70 attributes");
 }

@@ -86,7 +86,7 @@ INSTANTIATE_TEST_SUITE_P(
                   SelectorKind::kTopoSort, false},
         SweepCase{GroupingKind::kNone, BuilderKind::kQuickSort,
                   SelectorKind::kSinglePath, false},
-        SweepCase{GroupingKind::kNone, BuilderKind::kRangeTreeMd,
+        SweepCase{GroupingKind::kNone, BuilderKind::kRangeTree,
                   SelectorKind::kTopoSort, false},
         SweepCase{GroupingKind::kNone, BuilderKind::kRangeTree,
                   SelectorKind::kRandom, true}),
@@ -104,7 +104,7 @@ TEST(PipelineEquivalence, BuildersInterchangeableEndToEnd) {
   bool first = true;
   for (BuilderKind builder :
        {BuilderKind::kBruteForce, BuilderKind::kQuickSort,
-        BuilderKind::kRangeTree, BuilderKind::kRangeTreeMd}) {
+        BuilderKind::kRangeTree}) {
     CrowdOracle oracle(&table, Band80(), WorkerModel::kExactAccuracy, 5, 5);
     PowerConfig config;
     config.grouping = GroupingKind::kNone;

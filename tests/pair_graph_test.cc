@@ -11,7 +11,7 @@ std::vector<int> ToVec(std::span<const int> s) {
 
 // A small diamond: 0 -> {1, 2} -> 3, plus closure edge 0 -> 3.
 PairGraph Diamond() {
-  PairGraph g(std::vector<std::vector<double>>(4, {0.0}));
+  PairGraph g(4);
   g.AddEdge(0, 1);
   g.AddEdge(0, 2);
   g.AddEdge(1, 3);
@@ -32,7 +32,7 @@ TEST(PairGraphTest, EdgeAccounting) {
 }
 
 TEST(PairGraphTest, DedupRemovesDuplicates) {
-  PairGraph g(std::vector<std::vector<double>>(2, {0.0}));
+  PairGraph g(2);
   g.AddEdge(0, 1);
   g.AddEdge(0, 1);
   EXPECT_EQ(g.num_edges(), 2u);
@@ -52,7 +52,7 @@ TEST(PairGraphTest, DescendantsAndAncestors) {
 }
 
 TEST(PairGraphTest, DescendantsFollowTransitiveChains) {
-  PairGraph g(std::vector<std::vector<double>>(4, {0.0}));
+  PairGraph g(4);
   // Chain with only Hasse edges (no closure): reachability must still work.
   g.AddEdge(0, 1);
   g.AddEdge(1, 2);
@@ -87,7 +87,7 @@ TEST(PairGraphTest, TopologicalLevelsEmptyActiveSet) {
 
 TEST(PairGraphTest, IsAcyclic) {
   EXPECT_TRUE(Diamond().IsAcyclic());
-  PairGraph cyclic(std::vector<std::vector<double>>(3, {0.0}));
+  PairGraph cyclic(3);
   cyclic.AddEdge(0, 1);
   cyclic.AddEdge(1, 2);
   cyclic.AddEdge(2, 0);
@@ -96,7 +96,7 @@ TEST(PairGraphTest, IsAcyclic) {
 }
 
 TEST(PairGraphTest, IsolatedVerticesFormOneLevel) {
-  PairGraph g(std::vector<std::vector<double>>(3, {0.0}));
+  PairGraph g(3);
   g.DedupEdges();
   auto levels = g.TopologicalLevels(std::vector<bool>(3, true));
   ASSERT_EQ(levels.size(), 1u);

@@ -128,7 +128,7 @@ INSTANTIATE_TEST_SUITE_P(
         PipelineCase{"quicksort_greedy_multipath", BuilderKind::kQuickSort,
                      GroupingKind::kGreedy, SelectorKind::kMultiPath, false,
                      false, 0, 1.0},
-        PipelineCase{"indexmd_nongroup_topo", BuilderKind::kRangeTreeMd,
+        PipelineCase{"index_nongroup_topo", BuilderKind::kRangeTree,
                      GroupingKind::kNone, SelectorKind::kTopoSort, false,
                      false, 0, 1.0},
         PipelineCase{"power_plus_noisy", BuilderKind::kRangeTree,

@@ -1,6 +1,6 @@
 // Differential harness for the parallel hot paths: on randomized instances,
 // every parallelized stage — candidate generation (the all-pairs scan and
-// the prefix join), similarity vectors, all four graph builders and the
+// the prefix join), similarity vectors, all three graph builders and the
 // grouped graph — must produce output identical to the serial path
 // (num_threads == 1) at every thread count. Edge sets are compared exactly;
 // similarity values bit-for-bit (the partial order of §3.1 uses exact double
@@ -20,6 +20,7 @@
 #include "graph/builder.h"
 #include "group/grouped_graph.h"
 #include "group/split_grouper.h"
+#include "sim/feature_cache.h"
 #include "sim/simd_kernels.h"
 #include "sim/similarity_matrix.h"
 #include "util/parallel.h"
@@ -40,8 +41,7 @@ std::set<std::pair<int, int>> EdgeSet(const PairGraph& g) {
   return edges;
 }
 
-std::vector<std::vector<double>> RandomSims(uint64_t seed, size_t n, size_t m,
-                                            int grid) {
+PackedRows RandomSims(uint64_t seed, size_t n, size_t m, int grid) {
   Rng rng(seed);
   std::vector<std::vector<double>> sims(n, std::vector<double>(m));
   for (auto& v : sims) {
@@ -49,7 +49,22 @@ std::vector<std::vector<double>> RandomSims(uint64_t seed, size_t n, size_t m,
       x = static_cast<double>(rng.UniformIndex(grid + 1)) / grid;
     }
   }
-  return sims;
+  return PackRows(sims);
+}
+
+// Two frozen graphs have the same CSR adjacency, vertex for vertex.
+void ExpectSameCsr(const PairGraph& got, const PairGraph& want) {
+  ASSERT_TRUE(got.frozen());
+  ASSERT_EQ(got.num_vertices(), want.num_vertices());
+  ASSERT_EQ(got.num_edges(), want.num_edges());
+  for (int v = 0; v < static_cast<int>(got.num_vertices()); ++v) {
+    auto gc = got.children(v), wc = want.children(v);
+    ASSERT_TRUE(std::equal(gc.begin(), gc.end(), wc.begin(), wc.end()))
+        << "children diverge at vertex " << v;
+    auto gp = got.parents(v), wp = want.parents(v);
+    ASSERT_TRUE(std::equal(gp.begin(), gp.end(), wp.begin(), wp.end()))
+        << "parents diverge at vertex " << v;
+  }
 }
 
 struct Instance {
@@ -64,13 +79,13 @@ class ParallelBuilderDifferential : public ::testing::TestWithParam<Instance> {
 
 TEST_P(ParallelBuilderDifferential, AllBuildersMatchSerialAtEveryThreadCount) {
   const Instance& inst = GetParam();
-  auto sims = RandomSims(inst.seed, inst.n, inst.m, inst.grid);
+  const PackedRows packed = RandomSims(inst.seed, inst.n, inst.m, inst.grid);
+  const SimilarityRows sims = packed.rows();
 
   const BruteForceBuilder brute;
   const QuickSortBuilder quick(inst.seed * 31 + 5);
   const RangeTreeBuilder index;
-  const RangeTreeMdBuilder index_md;
-  const GraphBuilder* builders[] = {&brute, &quick, &index, &index_md};
+  const GraphBuilder* builders[] = {&brute, &quick, &index};
 
   for (const GraphBuilder* builder : builders) {
     std::set<std::pair<int, int>> serial_edges;
@@ -105,22 +120,23 @@ INSTANTIATE_TEST_SUITE_P(
                       // Large enough that every parallel branch engages.
                       Instance{400, 3, 6, 29}));
 
-// The four builder kinds must also agree with *each other* on the parallel
+// The three builder kinds must also agree with *each other* on the parallel
 // path, not just each with its own serial run.
 TEST(ParallelBuilderDifferential, BuilderKindsAgreePairwiseWhenParallel) {
-  auto sims = RandomSims(77, 180, 4, 4);
+  const PackedRows packed = RandomSims(77, 180, 4, 4);
+  const SimilarityRows sims = packed.rows();
   ScopedNumThreads scope(8);
   auto expected = EdgeSet(BruteForceBuilder().Build(sims));
   EXPECT_EQ(EdgeSet(QuickSortBuilder(123).Build(sims)), expected);
   EXPECT_EQ(EdgeSet(RangeTreeBuilder().Build(sims)), expected);
-  EXPECT_EQ(EdgeSet(RangeTreeMdBuilder().Build(sims)), expected);
 }
 
 // The grouped graph (Definition 5) must freeze to the same CSR adjacency,
 // vertex for vertex, at every thread count — not just the same edge set.
 TEST(ParallelGroupedGraphDifferential, CsrIdenticalAtEveryThreadCount) {
-  auto sims = RandomSims(29, 400, 3, 50);
-  const std::vector<VertexGroup> groups = SplitGrouper().Group(sims, 0.1);
+  const PackedRows sims = RandomSims(29, 400, 3, 50);
+  const std::vector<VertexGroup> groups =
+      SplitGrouper().Group(sims.rows(), 0.1);
   ASSERT_GT(groups.size(), 64u);  // several 16-row chunks of the edge scan
   GroupedGraph serial;
   {
@@ -132,18 +148,50 @@ TEST(ParallelGroupedGraphDifferential, CsrIdenticalAtEveryThreadCount) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ScopedNumThreads scope(threads);
     GroupedGraph g = BuildGroupedGraph(groups);
-    ASSERT_TRUE(g.graph.frozen());
     ASSERT_EQ(g.groups.size(), serial.groups.size());
-    ASSERT_EQ(g.graph.num_vertices(), serial.graph.num_vertices());
-    ASSERT_EQ(g.graph.num_edges(), serial.graph.num_edges());
-    EXPECT_EQ(g.graph.all_sims(), serial.graph.all_sims());
-    for (int v = 0; v < static_cast<int>(g.graph.num_vertices()); ++v) {
-      auto gc = g.graph.children(v), sc = serial.graph.children(v);
-      ASSERT_TRUE(std::equal(gc.begin(), gc.end(), sc.begin(), sc.end()))
-          << "children diverge at vertex " << v;
-      auto gp = g.graph.parents(v), sp = serial.graph.parents(v);
-      ASSERT_TRUE(std::equal(gp.begin(), gp.end(), sp.begin(), sp.end()))
-          << "parents diverge at vertex " << v;
+    ExpectSameCsr(g.graph, serial.graph);
+  }
+}
+
+// The NonGroup path builds its singleton groups' graph with a base builder,
+// the grouped path with the interval-dominance loop of Definition 5. For
+// singleton groups interval dominance is strict dominance, so both must
+// freeze to the same CSR on real similarity rows, duplicate vectors
+// included, for every builder at every thread count.
+TEST(ParallelUngroupedGraphDifferential, BuildersMatchGroupedEdgeLoop) {
+  // About a thousand pairs and a few hundred thousand closure edges each.
+  DatasetProfile cora = CoraProfile();
+  cora.num_records = 100;
+  cora.num_entities = 20;
+  const Table tables[] = {DatasetGenerator(51).Generate(AcmPubProfile(0.001)),
+                          DatasetGenerator(52).Generate(cora)};
+  const BruteForceBuilder brute;
+  const QuickSortBuilder quick(17);
+  const RangeTreeBuilder index;
+  const GraphBuilder* builders[] = {&brute, &quick, &index};
+  for (const Table& table : tables) {
+    const FeatureCache features(table);
+    const SimilarityTable pairs = ComputeSimilarityTable(
+        features, GenerateCandidates(features, 0.3, CandidateMethod::kAuto),
+        0.2);
+    const SimilarityRows rows = pairs.rows();
+    std::set<std::vector<double>> distinct;
+    for (size_t v = 0; v < rows.n; ++v) {
+      distinct.emplace(rows.row(v).begin(), rows.row(v).end());
+    }
+    ASSERT_LT(distinct.size(), rows.n) << "no duplicate vectors";
+    for (int threads : kThreadCounts) {
+      ScopedNumThreads scope(threads);
+      const GroupedGraph want = BuildGroupedGraph(SingletonGroups(rows));
+      ASSERT_GT(want.graph.num_edges(), 0u);
+      for (const GraphBuilder* builder : builders) {
+        SCOPED_TRACE(std::string(builder->name()) + " on " +
+                     std::to_string(rows.n) + " pairs, threads=" +
+                     std::to_string(threads));
+        const GroupedGraph got = BuildUngrouped(*builder, rows);
+        ASSERT_EQ(got.groups.size(), rows.n);
+        ExpectSameCsr(got.graph, want.graph);
+      }
     }
   }
 }

@@ -1,3 +1,5 @@
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "data/paper_example.h"
@@ -6,6 +8,9 @@
 
 namespace power {
 namespace {
+
+// Braced vectors for the span parameters (a span has no list constructor).
+using V = std::vector<double>;
 
 std::vector<double> RandomVector(Rng& rng, size_t m) {
   std::vector<double> v(m);
@@ -22,9 +27,9 @@ TEST(PartialOrderTest, DominatesIsReflexive) {
 }
 
 TEST(PartialOrderTest, StrictRequiresOneStrictCoordinate) {
-  EXPECT_TRUE(StrictlyDominates({0.5, 0.8}, {0.5, 0.7}));
-  EXPECT_FALSE(StrictlyDominates({0.5, 0.7}, {0.5, 0.8}));
-  EXPECT_FALSE(StrictlyDominates({0.9, 0.1}, {0.1, 0.9}));  // incomparable
+  EXPECT_TRUE(StrictlyDominates(V{0.5, 0.8}, V{0.5, 0.7}));
+  EXPECT_FALSE(StrictlyDominates(V{0.5, 0.7}, V{0.5, 0.8}));
+  EXPECT_FALSE(StrictlyDominates(V{0.9, 0.1}, V{0.1, 0.9}));  // incomparable
 }
 
 TEST(PartialOrderTest, PaperExampleRelations) {
@@ -80,11 +85,11 @@ TEST(PartialOrderProperty, StrictImpliesWeak) {
 }
 
 TEST(CompareDominanceTest, AllFourOutcomes) {
-  EXPECT_EQ(CompareDominance({0.5, 0.8}, {0.5, 0.7}), DomOrder::kDominates);
-  EXPECT_EQ(CompareDominance({0.5, 0.7}, {0.5, 0.8}),
+  EXPECT_EQ(CompareDominance(V{0.5, 0.8}, V{0.5, 0.7}), DomOrder::kDominates);
+  EXPECT_EQ(CompareDominance(V{0.5, 0.7}, V{0.5, 0.8}),
             DomOrder::kDominatedBy);
-  EXPECT_EQ(CompareDominance({0.5, 0.7}, {0.5, 0.7}), DomOrder::kEqual);
-  EXPECT_EQ(CompareDominance({0.9, 0.1}, {0.1, 0.9}),
+  EXPECT_EQ(CompareDominance(V{0.5, 0.7}, V{0.5, 0.7}), DomOrder::kEqual);
+  EXPECT_EQ(CompareDominance(V{0.9, 0.1}, V{0.1, 0.9}),
             DomOrder::kIncomparable);
 }
 
@@ -106,8 +111,8 @@ TEST(GroupOrderTest, UsesBounds) {
   std::vector<double> upper_j = {0.6, 0.7};
   EXPECT_TRUE(GroupDominates(lower_i, upper_j));
   EXPECT_FALSE(GroupStrictlyDominates(lower_i, upper_j));
-  EXPECT_TRUE(GroupStrictlyDominates({0.65, 0.7}, upper_j));
-  EXPECT_FALSE(GroupDominates({0.5, 0.9}, upper_j));
+  EXPECT_TRUE(GroupStrictlyDominates(V{0.65, 0.7}, upper_j));
+  EXPECT_FALSE(GroupDominates(V{0.5, 0.9}, upper_j));
 }
 
 TEST(GroupOrderProperty, GroupDominanceImpliesMemberDominance) {

@@ -5,6 +5,7 @@
 
 #include "data/paper_example.h"
 #include "graph/builder.h"
+#include "group/group.h"
 #include "select/path_cover.h"
 #include "util/rng.h"
 
@@ -40,7 +41,7 @@ void CheckCover(const PairGraph& graph, const std::vector<bool>& active,
 }
 
 PairGraph ClosedChain(int n) {
-  PairGraph g(std::vector<std::vector<double>>(n, {0.0}));
+  PairGraph g(n);
   for (int a = 0; a < n; ++a) {
     for (int b = a + 1; b < n; ++b) g.AddEdge(a, b);
   }
@@ -57,7 +58,7 @@ TEST(PathCoverTest, ChainIsOnePath) {
 }
 
 TEST(PathCoverTest, AntichainIsAllSingletons) {
-  PairGraph g(std::vector<std::vector<double>>(5, {0.0}));
+  PairGraph g(5);
   g.DedupEdges();
   auto paths = MinimumPathCover(g);
   EXPECT_EQ(paths.size(), 5u);
@@ -66,7 +67,7 @@ TEST(PathCoverTest, AntichainIsAllSingletons) {
 
 TEST(PathCoverTest, TwoChains) {
   // Chains {0,1,2} and {3,4}, fully closed, no cross edges.
-  PairGraph g(std::vector<std::vector<double>>(5, {0.0}));
+  PairGraph g(5);
   g.AddEdge(0, 1);
   g.AddEdge(1, 2);
   g.AddEdge(0, 2);
@@ -114,7 +115,7 @@ TEST(PathCoverProperty, CoverSizeEqualsDilworthWidthOnRandomPosets) {
       v[0] = rng.UniformIndex(6) / 5.0;
       v[1] = rng.UniformIndex(6) / 5.0;
     }
-    PairGraph g = BruteForceBuilder().Build(sims);
+    PairGraph g = BruteForceBuilder().Build(PackRows(sims).rows());
     auto paths = MinimumPathCover(g);
     CheckCover(g, std::vector<bool>(n, true), paths);
 

@@ -1,4 +1,5 @@
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -220,6 +221,35 @@ TEST(PowerFrameworkDeathTest, RejectsZeroAskAttemptsUnderEveryGroupingAndSize) {
       config.max_ask_attempts = 0;
       EXPECT_DEATH(PowerFramework(config).RunOnPairs(*pairs, &oracle),
                    "power: max_ask_attempts=0 must be >= 1");
+    }
+  }
+}
+
+// A histogram count below 1 is refused the same way: first, under every
+// grouping kind, with or without pairs. With a one-question budget the
+// paper example would otherwise reach Finish's histogram after paying for
+// its question.
+TEST(PowerFrameworkDeathTest,
+     RejectsNonPositiveHistogramCountUnderEveryGroupingAndSize) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Table table = PaperExampleTable();
+  CrowdOracle oracle = PerfectOracle(table);
+  const std::vector<SimilarPair> no_pairs;
+  const std::vector<SimilarPair> small = PaperExamplePairs();
+  for (GroupingKind grouping :
+       {GroupingKind::kSplit, GroupingKind::kGreedy, GroupingKind::kNone}) {
+    SCOPED_TRACE(GroupingKindName(grouping));
+    for (const std::vector<SimilarPair>* pairs : {&no_pairs, &small}) {
+      SCOPED_TRACE(pairs->size());
+      for (int histograms : {0, -1}) {
+        PowerConfig config;
+        config.grouping = grouping;
+        config.max_questions = 1;
+        config.tolerance.num_histograms = histograms;
+        EXPECT_DEATH(PowerFramework(config).RunOnPairs(*pairs, &oracle),
+                     "power: tolerance.num_histograms=" +
+                         std::to_string(histograms) + " must be >= 1");
+      }
     }
   }
 }

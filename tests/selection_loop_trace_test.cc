@@ -5,6 +5,7 @@
 #include <map>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "data/paper_example.h"
 #include "graph/builder.h"
 #include "graph/coloring.h"
+#include "group/group.h"
 #include "select/selector.h"
 #include "sim/pair.h"
 #include "util/parallel.h"
@@ -290,24 +292,24 @@ constexpr int kMaxRounds = 10000;
 // Deterministic oracle: a pair matches iff its mean similarity clears tau.
 // Monotone under dominance, so the coloring never sees vote conflicts from
 // the oracle itself (conflicts still happen transiently within a round).
-bool OracleMatch(const std::vector<double>& sims, double tau) {
+bool OracleMatch(std::span<const double> sims, double tau) {
   double sum = 0.0;
   for (double s : sims) sum += s;
   return sum / static_cast<double>(sims.size()) >= tau;
 }
 
-std::vector<std::vector<double>> RandomSims(int n, int attrs, uint64_t seed) {
+PackedRows RandomSims(int n, int attrs, uint64_t seed) {
   Rng rng(seed);
   std::vector<std::vector<double>> sims(n);
   for (auto& row : sims) {
     row.resize(attrs);
     for (double& s : row) s = rng.UniformDouble(0.0, 1.0);
   }
-  return sims;
+  return PackRows(sims);
 }
 
-void RunLegacyLoop(const PairGraph& graph, SelectorKind kind, double tau,
-                   LoopTrace* trace) {
+void RunLegacyLoop(const PairGraph& graph, SimilarityRows sims,
+                   SelectorKind kind, double tau, LoopTrace* trace) {
   LegacyColoringState state(&graph);
   LegacySelector selector(kind, kSelectorSeed);
   int rounds = 0;
@@ -318,7 +320,7 @@ void RunLegacyLoop(const PairGraph& graph, SelectorKind kind, double tau,
     // Whole batch is one crowd round: gather all answers, then apply in
     // batch order (mirrors PowerFramework::RunOnPairs).
     std::vector<bool> answers;
-    for (int v : batch) answers.push_back(OracleMatch(graph.sims(v), tau));
+    for (int v : batch) answers.push_back(OracleMatch(sims.row(v), tau));
     for (size_t b = 0; b < batch.size(); ++b) {
       state.ApplyAnswer(batch[b], answers[b]);
     }
@@ -329,8 +331,8 @@ void RunLegacyLoop(const PairGraph& graph, SelectorKind kind, double tau,
   }
 }
 
-void RunIncrementalLoop(const PairGraph& graph, SelectorKind kind, double tau,
-                        LoopTrace* trace) {
+void RunIncrementalLoop(const PairGraph& graph, SimilarityRows sims,
+                        SelectorKind kind, double tau, LoopTrace* trace) {
   ColoringState state(&graph);
   std::unique_ptr<QuestionSelector> selector =
       MakeSelector(kind, kSelectorSeed);
@@ -340,7 +342,7 @@ void RunIncrementalLoop(const PairGraph& graph, SelectorKind kind, double tau,
     std::vector<int> batch = selector->NextBatch(state);
     ASSERT_FALSE(batch.empty());
     std::vector<bool> answers;
-    for (int v : batch) answers.push_back(OracleMatch(graph.sims(v), tau));
+    for (int v : batch) answers.push_back(OracleMatch(sims.row(v), tau));
     for (size_t b = 0; b < batch.size(); ++b) {
       state.ApplyAnswer(batch[b], answers[b]);
     }
@@ -359,8 +361,6 @@ std::unique_ptr<GraphBuilder> MakeBuilder(BuilderKind kind) {
       return std::make_unique<QuickSortBuilder>(31);
     case BuilderKind::kRangeTree:
       return std::make_unique<RangeTreeBuilder>();
-    case BuilderKind::kRangeTreeMd:
-      return std::make_unique<RangeTreeMdBuilder>();
   }
   return nullptr;
 }
@@ -383,14 +383,15 @@ TEST_P(SelectionLoopTrace, IncrementalMatchesLegacyAtEveryThreadCount) {
   constexpr int kAttrs = 2;
   constexpr double kTau = 0.5;
   for (uint64_t seed : {11u, 97u}) {
-    auto sims = RandomSims(kVertices, kAttrs, seed);
+    const PackedRows packed = RandomSims(kVertices, kAttrs, seed);
+    const SimilarityRows sims = packed.rows();
 
     // Legacy reference trace, serial, on a serially built graph.
     LoopTrace legacy;
     {
       ScopedNumThreads scope(1);
       PairGraph graph = MakeBuilder(builder)->Build(sims);
-      RunLegacyLoop(graph, selector, kTau, &legacy);
+      RunLegacyLoop(graph, sims, selector, kTau, &legacy);
       if (testing::Test::HasFatalFailure()) return;
     }
     ASSERT_FALSE(legacy.rounds.empty());
@@ -402,7 +403,7 @@ TEST_P(SelectionLoopTrace, IncrementalMatchesLegacyAtEveryThreadCount) {
       PairGraph graph = MakeBuilder(builder)->Build(sims);
       ASSERT_EQ(graph.num_vertices(), static_cast<size_t>(kVertices));
       LoopTrace incremental;
-      RunIncrementalLoop(graph, selector, kTau, &incremental);
+      RunIncrementalLoop(graph, sims, selector, kTau, &incremental);
       if (testing::Test::HasFatalFailure()) return;
       EXPECT_EQ(incremental.rounds, legacy.rounds)
           << "question sequence diverged at " << threads
@@ -518,10 +519,6 @@ INSTANTIATE_TEST_SUITE_P(
         {SelectorKind::kSinglePath, BuilderKind::kRangeTree},
         {SelectorKind::kMultiPath, BuilderKind::kRangeTree},
         {SelectorKind::kTopoSort, BuilderKind::kRangeTree},
-        {SelectorKind::kRandom, BuilderKind::kRangeTreeMd},
-        {SelectorKind::kSinglePath, BuilderKind::kRangeTreeMd},
-        {SelectorKind::kMultiPath, BuilderKind::kRangeTreeMd},
-        {SelectorKind::kTopoSort, BuilderKind::kRangeTreeMd},
     }),
     TraceCaseName);
 

@@ -8,6 +8,7 @@
 
 #include "eval/boundary.h"
 #include "graph/builder.h"
+#include "group/group.h"
 #include "select/path_cover.h"
 #include "select/selector.h"
 #include "util/rng.h"
@@ -31,7 +32,7 @@ RandomPoset MakePoset(uint64_t seed, size_t n, size_t m) {
   for (auto& v : poset.sims) {
     for (auto& x : v) x = rng.UniformIndex(6) / 5.0;
   }
-  poset.graph = BruteForceBuilder().Build(poset.sims);
+  poset.graph = BruteForceBuilder().Build(PackRows(poset.sims).rows());
   double threshold = rng.UniformDouble(0.5, 1.5);
   poset.green.resize(n);
   for (size_t v = 0; v < n; ++v) {

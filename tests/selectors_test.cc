@@ -5,6 +5,7 @@
 
 #include "data/paper_example.h"
 #include "graph/builder.h"
+#include "group/group.h"
 #include "select/selector.h"
 #include "util/rng.h"
 
@@ -37,7 +38,7 @@ LoopResult RunLoop(QuestionSelector* selector,
 }
 
 PairGraph ClosedChain(int n) {
-  PairGraph g(std::vector<std::vector<double>>(n, {0.0}));
+  PairGraph g(n);
   for (int a = 0; a < n; ++a) {
     for (int b = a + 1; b < n; ++b) g.AddEdge(a, b);
   }
@@ -92,7 +93,7 @@ TEST_P(AllSelectors, ColorsPaperExampleCorrectly) {
 }
 
 TEST_P(AllSelectors, HandlesAntichain) {
-  PairGraph g(std::vector<std::vector<double>>(7, {0.0}));
+  PairGraph g(7);
   g.DedupEdges();
   ColoringState state(&g);
   auto selector = MakeSelector(GetParam(), 13);
@@ -160,7 +161,7 @@ TEST(MultiPathTest, ParallelismBeatsSinglePathIterations) {
   // iteration, SinglePath must walk chains one at a time.
   const int kChains = 6;
   const int kLen = 16;
-  PairGraph g(std::vector<std::vector<double>>(kChains * kLen, {0.0}));
+  PairGraph g(kChains * kLen);
   for (int c = 0; c < kChains; ++c) {
     for (int a = 0; a < kLen; ++a) {
       for (int b = a + 1; b < kLen; ++b) {
@@ -199,7 +200,7 @@ TEST(MultiPathTest, HandlesComparableMidVerticesAcrossPaths) {
       sims.push_back({x / 5.0, y / 5.0});
     }
   }
-  PairGraph g = BruteForceBuilder().Build(sims);
+  PairGraph g = BruteForceBuilder().Build(PackRows(sims).rows());
   // Up-closed truth: a pair matches iff its coordinates are large enough.
   auto truth = [&](int v) { return sims[v][0] + sims[v][1] >= 1.2; };
   ColoringState state(&g);
