@@ -31,8 +31,6 @@ void ConfidenceThresholdAblation(BenchDataset& ds) {
               "#BlueGroups");
   PrintRule();
   auto truth = TrueMatchPairs(ds.table);
-  std::vector<SimilarPair> pairs =
-      ComputePairSimilarities(ds.table, ds.candidates, 0.2);
   for (double threshold : {0.6, 0.7, 0.8, 0.9, 1.0}) {
     PowerConfig config;
     config.error_tolerant = true;
@@ -40,7 +38,7 @@ void ConfidenceThresholdAblation(BenchDataset& ds) {
     config.seed = kBenchSeed;
     CrowdOracle oracle(&ds.table, Band80(), WorkerModel::kTaskDifficulty, 5,
                        kBenchSeed, ds.human_hardness);
-    PowerResult r = PowerFramework(config).RunOnPairs(pairs, &oracle);
+    PowerResult r = PowerFramework(config).RunOnPairs(ds.pairs, &oracle);
     std::printf("%-10.1f %9.3f %12zu %12zu\n", threshold,
                 ComputePrf(r.matched_pairs, truth).f1, r.questions,
                 r.num_blue_groups);
@@ -53,8 +51,6 @@ void HistogramAblation(BenchDataset& ds) {
   std::printf("%-8s %-10s %9s\n", "#bins", "kind", "F1");
   PrintRule();
   auto truth = TrueMatchPairs(ds.table);
-  std::vector<SimilarPair> pairs =
-      ComputePairSimilarities(ds.table, ds.candidates, 0.2);
   for (int bins : {5, 10, 20, 40}) {
     for (bool equi_depth : {false, true}) {
       PowerConfig config;
@@ -64,7 +60,7 @@ void HistogramAblation(BenchDataset& ds) {
       config.tolerance.equi_depth = equi_depth;
       CrowdOracle oracle(&ds.table, Band80(), WorkerModel::kTaskDifficulty,
                          5, kBenchSeed, ds.human_hardness);
-      PowerResult r = PowerFramework(config).RunOnPairs(pairs, &oracle);
+      PowerResult r = PowerFramework(config).RunOnPairs(ds.pairs, &oracle);
       std::printf("%-8d %-10s %9.3f\n", bins,
                   equi_depth ? "equi-depth" : "equi-width",
                   ComputePrf(r.matched_pairs, truth).f1);
@@ -78,8 +74,7 @@ void LevelPolicyAblation(BenchDataset& ds) {
   std::printf("%-8s %9s %12s %7s\n", "level", "F1", "#Questions", "#Iter");
   PrintRule();
   auto truth = TrueMatchPairs(ds.table);
-  std::vector<SimilarPair> pairs =
-      ComputePairSimilarities(ds.table, ds.candidates, 0.2);
+  const std::vector<SimilarPair>& pairs = ds.pairs;
   std::vector<std::vector<double>> sims;
   for (const auto& p : pairs) sims.push_back(p.sims);
 

@@ -12,9 +12,9 @@ namespace {
 
 void Run() {
   PrintTitle("Table 3: datasets (synthetic profiles calibrated to the paper)");
-  std::printf("%-12s %9s %9s %7s %10s %12s %14s %10s\n", "Dataset",
+  std::printf("%-12s %9s %9s %7s %10s %12s %14s %14s\n", "Dataset",
               "#Records", "#Entities", "#Attr", "#Pairs",
-              "#TruePairs", "#Workers/Pair", "gen+join s");
+              "#TruePairs", "#Workers/Pair", "gen+join+sim s");
   PrintRule();
   struct Spec {
     DatasetProfile profile;
@@ -27,7 +27,7 @@ void Run() {
     Stopwatch watch;
     BenchDataset ds = MakeDataset(spec.profile);
     double seconds = watch.ElapsedSeconds();
-    std::printf("%-12s %9zu %9zu %7zu %10zu %12zu %14d %9.2fs\n",
+    std::printf("%-12s %9zu %9zu %7zu %10zu %12zu %14d %13.2fs\n",
                 ds.name.c_str(), ds.table.num_records(),
                 ds.table.CountEntities(),
                 ds.table.schema().num_attributes(), ds.candidates.size(),

@@ -26,8 +26,6 @@ void Run() {
                 "#Questions", "#Iter", "#BlueGroups");
     PrintRule();
     auto truth = TrueMatchPairs(ds.table);
-    std::vector<SimilarPair> pairs =
-        ComputePairSimilarities(ds.table, ds.candidates, 0.2);
     for (double eps : kEpsilons) {
       for (bool tolerant : {false, true}) {
         PowerConfig config;
@@ -38,7 +36,7 @@ void Run() {
                            WorkerModel::kTaskDifficulty, 5, kBenchSeed,
                            ds.human_hardness);
         PowerResult result =
-            PowerFramework(config).RunOnPairs(pairs, &oracle);
+            PowerFramework(config).RunOnPairs(ds.pairs, &oracle);
         PrecisionRecallF prf = ComputePrf(result.matched_pairs, truth);
         std::printf("%-6.2f %-8s %9.3f %12zu %7zu %12zu\n", eps,
                     tolerant ? "Power+" : "Power", prf.f1, result.questions,

@@ -22,11 +22,9 @@ namespace {
 const std::vector<std::vector<double>>& VectorPool() {
   static const std::vector<std::vector<double>>* pool = [] {
     BenchDataset ds = MakeDataset(AcmPubProfile(0.05));
-    auto pairs =
-        ComputePairSimilarities(ds.table, ds.candidates, 0.2);
     auto* vectors = new std::vector<std::vector<double>>();
-    vectors->reserve(pairs.size());
-    for (auto& p : pairs) vectors->push_back(std::move(p.sims));
+    vectors->reserve(ds.pairs.size());
+    for (auto& p : ds.pairs) vectors->push_back(std::move(p.sims));
     return vectors;
   }();
   return *pool;

@@ -16,10 +16,9 @@ void Run() {
   const double kEpsilons[] = {0.05, 0.1, 0.15, 0.2};
 
   for (BenchDataset& ds : AllDatasets()) {
-    auto pairs = ComputePairSimilarities(ds.table, ds.candidates, 0.2);
     std::vector<std::vector<double>> sims;
-    sims.reserve(pairs.size());
-    for (auto& p : pairs) sims.push_back(std::move(p.sims));
+    sims.reserve(ds.pairs.size());
+    for (auto& p : ds.pairs) sims.push_back(std::move(p.sims));
 
     PrintTitle("Fig 21-22 — " + ds.name + " (" +
                std::to_string(sims.size()) + " pairs)");

@@ -52,9 +52,7 @@ void Run() {
       CrowdOracle oracle(&ds.table, Band90(), WorkerModel::kExactAccuracy, 5,
                          kBenchSeed);
       PowerFramework framework(config);
-      std::vector<SimilarPair> pairs =
-          ComputePairSimilarities(ds.table, ds.candidates, 0.2);
-      PowerResult result = framework.RunOnPairs(pairs, &oracle);
+      PowerResult result = framework.RunOnPairs(ds.pairs, &oracle);
       PrecisionRecallF prf = ComputePrf(result.matched_pairs, truth);
       return std::pair<double, size_t>(prf.f1, result.questions);
     };

@@ -57,8 +57,11 @@ void BM_PrefixFilterJoin(benchmark::State& state) {
   profile.num_records = static_cast<size_t>(state.range(0));
   profile.num_entities = profile.num_records * 7 / 8;
   Table table = DatasetGenerator(kBenchSeed).Generate(profile);
+  // The rows time the feature-cache build with the stage it feeds, here and
+  // in the two thread sweeps below.
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PrefixFilterJoin(table, 0.3).size());
+    const FeatureCache features(table);
+    benchmark::DoNotOptimize(PrefixFilterJoin(features, 0.3).size());
   }
   state.SetComplexityN(state.range(0));
 }
@@ -74,7 +77,8 @@ void BM_PairSimilaritiesThreads(benchmark::State& state) {
       MakeDataset(AcmPubProfile(AcmPubScale())));
   ScopedNumThreads scope(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    auto pairs = ComputePairSimilarities(ds.table, ds.candidates, 0.2);
+    const FeatureCache features(ds.table);
+    auto pairs = ComputePairSimilarities(features, ds.candidates, 0.2);
     benchmark::DoNotOptimize(pairs.size());
   }
   state.counters["threads"] = static_cast<double>(state.range(0));
@@ -93,8 +97,9 @@ void BM_AllPairsCandidatesThreads(benchmark::State& state) {
   }());
   ScopedNumThreads scope(static_cast<int>(state.range(0)));
   for (auto _ : state) {
+    const FeatureCache features(table);
     auto candidates =
-        GenerateCandidates(table, 0.3, CandidateMethod::kAllPairs);
+        GenerateCandidates(features, 0.3, CandidateMethod::kAllPairs);
     benchmark::DoNotOptimize(candidates.size());
   }
   state.counters["threads"] = static_cast<double>(state.range(0));

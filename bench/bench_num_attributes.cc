@@ -27,8 +27,9 @@ void Run() {
     config.seed = kBenchSeed;
     CrowdOracle oracle(&table, Band90(), WorkerModel::kExactAccuracy, 5,
                        kBenchSeed);
+    const FeatureCache features(table);
     std::vector<SimilarPair> pairs =
-        ComputePairSimilarities(table, ds.candidates, 0.2);
+        ComputePairSimilarities(features, ds.candidates, 0.2);
     PowerResult result = PowerFramework(config).RunOnPairs(pairs, &oracle);
     PrecisionRecallF prf = ComputePrf(result.matched_pairs, truth);
     std::printf("%-6zu %9.3f %12zu %7zu %10zu %10zu\n", m, prf.f1,

@@ -23,8 +23,6 @@ void Run() {
                 "#Iter", "AssignTime(s)");
     PrintRule();
     auto truth = TrueMatchPairs(ds.table);
-    std::vector<SimilarPair> pairs =
-        ComputePairSimilarities(ds.table, ds.candidates, 0.2);
     for (SelectorKind kind :
          {SelectorKind::kSinglePath, SelectorKind::kMultiPath,
           SelectorKind::kTopoSort}) {
@@ -34,7 +32,7 @@ void Run() {
       CrowdOracle oracle(&ds.table, Band90(), WorkerModel::kExactAccuracy, 5,
                          kBenchSeed);
       PowerResult result =
-          PowerFramework(config).RunOnPairs(pairs, &oracle);
+          PowerFramework(config).RunOnPairs(ds.pairs, &oracle);
       PrecisionRecallF prf = ComputePrf(result.matched_pairs, truth);
       std::printf("%-12s %9.3f %12zu %7zu %14.4f\n", SelectorKindName(kind),
                   prf.f1, result.questions, result.iterations,

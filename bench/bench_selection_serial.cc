@@ -44,10 +44,8 @@ void Run() {
       config.seed = kBenchSeed;
       CrowdOracle oracle(&ds.table, Band90(), WorkerModel::kExactAccuracy, 5,
                          kBenchSeed);
-      std::vector<SimilarPair> pairs =
-          ComputePairSimilarities(ds.table, ds.candidates, 0.2);
       PowerResult result =
-          PowerFramework(config).RunOnPairs(pairs, &oracle);
+          PowerFramework(config).RunOnPairs(ds.pairs, &oracle);
       PrecisionRecallF prf = ComputePrf(result.matched_pairs, truth);
       std::printf("%-12s %9.3f %12zu %7zu\n", SelectorKindName(kind),
                   prf.f1, result.questions, result.iterations);

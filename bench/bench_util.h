@@ -11,6 +11,7 @@
 #include "blocking/pair_generator.h"
 #include "data/generator.h"
 #include "data/table.h"
+#include "sim/feature_cache.h"
 #include "sim/similarity_matrix.h"
 #include "util/env.h"
 
@@ -36,17 +37,23 @@ struct BenchDataset {
   std::string name;
   Table table;
   std::vector<std::pair<int, int>> candidates;
+  /// The similarity vectors of `candidates`, component floor 0.2.
+  std::vector<SimilarPair> pairs;
   double human_hardness = 0.5;
 };
 
+/// Generates the table and runs the front end on one feature cache, as
+/// PowerFramework::Run does: the join at `tau`, then the similarity vectors.
 inline BenchDataset MakeDataset(const DatasetProfile& profile,
                                 double tau = 0.3) {
   BenchDataset ds;
   ds.name = profile.name;
   ds.human_hardness = profile.human_hardness;
   ds.table = DatasetGenerator(kBenchSeed).Generate(profile);
+  const FeatureCache features(ds.table);
   ds.candidates =
-      GenerateCandidates(ds.table, tau, CandidateMethod::kPrefixJoin);
+      GenerateCandidates(features, tau, CandidateMethod::kPrefixJoin);
+  ds.pairs = ComputePairSimilarities(features, ds.candidates, 0.2);
   return ds;
 }
 

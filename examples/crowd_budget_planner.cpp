@@ -14,6 +14,7 @@
 #include "data/generator.h"
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
+#include "sim/feature_cache.h"
 #include "sim/similarity_matrix.h"
 
 int main() {
@@ -21,10 +22,11 @@ int main() {
 
   // Pilot slice: a 2,000-record cut of the publication catalog.
   Table pilot = DatasetGenerator(/*seed=*/3).Generate(AcmPubProfile(0.03));
-  std::vector<std::pair<int, int>> candidates =
-      GenerateCandidates(pilot, 0.3, CandidateMethod::kPrefixJoin);
-  std::vector<SimilarPair> pairs =
-      ComputePairSimilarities(pilot, candidates, 0.2);
+  // One feature cache feeds both the pruning join and the similarity table.
+  FeatureCache features(pilot);
+  const SimilarityTable pairs = ComputeSimilarityTable(
+      features, GenerateCandidates(features, 0.3, CandidateMethod::kPrefixJoin),
+      0.2);
   auto truth = TrueMatchPairs(pilot);
   std::printf("pilot: %zu records, %zu candidate pairs\n\n",
               pilot.num_records(), pairs.size());

@@ -14,6 +14,7 @@
 #include "data/generator.h"
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
+#include "sim/feature_cache.h"
 #include "sim/similarity_matrix.h"
 
 int main() {
@@ -23,10 +24,11 @@ int main() {
   std::printf("bibliography: %zu records, %zu distinct publications\n",
               bibliography.num_records(), bibliography.CountEntities());
 
-  std::vector<std::pair<int, int>> candidates = GenerateCandidates(
-      bibliography, 0.3, CandidateMethod::kPrefixJoin);
-  std::vector<SimilarPair> pairs =
-      ComputePairSimilarities(bibliography, candidates, 0.2);
+  // One feature cache feeds both the pruning join and the similarity table.
+  FeatureCache features(bibliography);
+  const SimilarityTable pairs = ComputeSimilarityTable(
+      features,
+      GenerateCandidates(features, 0.3, CandidateMethod::kPrefixJoin), 0.2);
   std::printf("candidate pairs: %zu\n\n", pairs.size());
 
   auto truth = TrueMatchPairs(bibliography);

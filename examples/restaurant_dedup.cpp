@@ -10,7 +10,6 @@
 #include <map>
 #include <vector>
 
-#include "blocking/pair_generator.h"
 #include "core/power.h"
 #include "crowd/answer_cache.h"
 #include "crowd/cost_model.h"
@@ -30,22 +29,19 @@ int main(int argc, char** argv) {
   std::printf("catalog: %zu listings, %zu true restaurants\n",
               catalog.num_records(), catalog.CountEntities());
 
-  // Prune with the similarity join (no quadratic pair enumeration).
-  std::vector<std::pair<int, int>> candidates =
-      GenerateCandidates(catalog, /*tau=*/0.3, CandidateMethod::kPrefixJoin);
-  std::printf("candidate pairs after pruning: %zu (of %zu raw pairs)\n",
-              candidates.size(),
-              catalog.num_records() * (catalog.num_records() - 1) / 2);
-
   CrowdOracle crowd(&catalog, Band80(), WorkerModel::kTaskDifficulty, 5, 7,
                     profile.human_hardness);
   PowerConfig config;
   config.error_tolerant = true;  // Power+
   PowerResult result = PowerFramework(config).Run(catalog, &crowd);
+  // Run prunes with record-level Jaccard >= prune_tau (0.3) before asking.
+  std::printf("candidate pairs after pruning: %zu (of %zu raw pairs)\n",
+              result.num_pairs,
+              catalog.num_records() * (catalog.num_records() - 1) / 2);
 
   CostModel cost;
   double power_cost = cost.Dollars(result.questions);
-  double brute_cost = cost.Dollars(candidates.size());
+  double brute_cost = cost.Dollars(result.num_pairs);
   auto prf = ComputePrf(result.matched_pairs, TrueMatchPairs(catalog));
   std::printf("\nPower+ asked %zu questions in %zu crowd rounds\n",
               result.questions, result.iterations);

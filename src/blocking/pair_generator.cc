@@ -87,12 +87,6 @@ std::vector<std::pair<int, int>> AllPairsCandidates(
   return out;
 }
 
-std::vector<std::pair<int, int>> AllPairsCandidates(const Table& table,
-                                                    double tau) {
-  FeatureCache features(table);
-  return AllPairsCandidates(features, tau);
-}
-
 const char* CandidateMethodName(CandidateMethod method) {
   switch (method) {
     case CandidateMethod::kAllPairs:
@@ -159,13 +153,6 @@ std::vector<std::pair<int, int>> GenerateCandidates(
   }
   if (stats != nullptr) *stats = counted;
   return out;
-}
-
-std::vector<std::pair<int, int>> GenerateCandidates(const Table& table,
-                                                    double tau,
-                                                    CandidateMethod method) {
-  FeatureCache features(table);
-  return GenerateCandidates(features, tau, method);
 }
 
 }  // namespace power

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "data/table.h"
 #include "sim/feature_cache.h"
 
 namespace power {
@@ -65,10 +64,6 @@ std::vector<std::pair<int, int>> AllPairsCandidates(
     const FeatureCache& features, double tau,
     CandidateStats* stats = nullptr);
 
-/// Convenience wrapper: builds a FeatureCache and runs the cached scan.
-std::vector<std::pair<int, int>> AllPairsCandidates(const Table& table,
-                                                    double tau);
-
 /// kAuto's rule, from the two counted works: the join when
 /// 2 × join_work < scan_work, else the scan.
 CandidateMethod AutoCandidateMethod(uint64_t scan_work, uint64_t join_work);
@@ -82,11 +77,6 @@ CandidateMethod AutoCandidateMethod(uint64_t scan_work, uint64_t join_work);
 std::vector<std::pair<int, int>> GenerateCandidates(
     const FeatureCache& features, double tau, CandidateMethod method,
     const CandidateOptions& options = {}, CandidateStats* stats = nullptr);
-
-/// Convenience wrapper: builds a FeatureCache and dispatches.
-std::vector<std::pair<int, int>> GenerateCandidates(const Table& table,
-                                                    double tau,
-                                                    CandidateMethod method);
 
 }  // namespace power
 

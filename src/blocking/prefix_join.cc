@@ -273,10 +273,4 @@ std::vector<std::pair<int, int>> PrefixFilterJoin(const FeatureCache& features,
   return PrefixFilterJoin(features, PlanPrefixJoin(features, tau), stats);
 }
 
-std::vector<std::pair<int, int>> PrefixFilterJoin(const Table& table,
-                                                  double tau) {
-  FeatureCache features(table);
-  return PrefixFilterJoin(features, tau);
-}
-
 }  // namespace power

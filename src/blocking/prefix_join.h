@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "blocking/pair_generator.h"
-#include "data/table.h"
 #include "sim/feature_cache.h"
 
 namespace power {
@@ -78,10 +77,6 @@ std::vector<std::pair<int, int>> PrefixFilterJoin(const FeatureCache& features,
 std::vector<std::pair<int, int>> PrefixFilterJoin(
     const FeatureCache& features, double tau,
     CandidateStats* stats = nullptr);
-
-/// Convenience wrapper: builds a FeatureCache and joins.
-std::vector<std::pair<int, int>> PrefixFilterJoin(const Table& table,
-                                                  double tau);
 
 }  // namespace power
 

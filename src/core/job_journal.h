@@ -28,10 +28,11 @@ namespace power {
 
 /// "POWERJOB" as a little-endian u64 — the snapshot-file type tag.
 inline constexpr uint64_t kJobSnapshotMagic = 0x424F4A5245574F50ULL;
-/// Version 2 fingerprints the similarity table one 8-byte word at a time
-/// (version 1 hashed it bytewise). A version-1 file is refused by version,
-/// with a warning, and the job starts clean.
-inline constexpr uint32_t kJobSnapshotVersion = 2;
+/// Version 3 drops the per-vertex forced flags from the coloring blob;
+/// version 2 fingerprinted the similarity table one 8-byte word at a time
+/// (version 1 hashed it bytewise). An older file is refused by version, with
+/// a warning, and the job starts clean.
+inline constexpr uint32_t kJobSnapshotVersion = 3;
 
 struct JobCheckpoint {
   /// FNV-1a over the loop-relevant PowerConfig fields and the similarity
@@ -53,7 +54,7 @@ struct JobCheckpoint {
 
   /// Loop rng engine (util/rng.h SaveState text).
   std::string rng_state;
-  /// ColoringState::SaveState blob (colors, flags, votes, journal).
+  /// ColoringState::SaveState blob (colors, asked flags, votes, journal).
   std::string coloring_state;
   /// QuestionSelector::SaveState blob (empty for the stateless selectors).
   std::string selector_state;

@@ -180,23 +180,6 @@ PowerResult PowerFramework::RunOnPairs(const std::vector<SimilarPair>& pairs,
   return RunOnPairs(PackSimilarPairs(pairs), oracle);
 }
 
-PowerResult PowerFramework::ResumeFromCheckpoint(
-    const std::vector<SimilarPair>& pairs, PairOracle* oracle) const {
-  POWER_CHECK_MSG(!ResolveCheckpointPath(config_).empty(),
-                  "ResumeFromCheckpoint requires a checkpoint path "
-                  "(PowerConfig::checkpoint_path or POWER_CHECKPOINT)");
-  RunOnPairsJob job(config_, pairs, oracle);
-  if (!job.resumed() && !job.done()) {
-    std::fprintf(stderr,
-                 "power: ResumeFromCheckpoint found no usable checkpoint at "
-                 "%s; running from a clean start\n",
-                 ResolveCheckpointPath(config_).c_str());
-  }
-  while (job.Step()) {
-  }
-  return job.Finish();
-}
-
 RunOnPairsJob::RunOnPairsJob(const PowerConfig& config,
                              const std::vector<SimilarPair>& pairs,
                              PairOracle* oracle)

@@ -255,12 +255,6 @@ class PowerFramework {
   PowerResult RunOnPairs(const std::vector<SimilarPair>& pairs,
                          PairOracle* oracle) const;
 
-  /// RunOnPairs with explicit resume intent: requires a checkpoint path
-  /// (config or POWER_CHECKPOINT) and warns when there was nothing to
-  /// resume (the job then runs from a clean start — never a wrong answer).
-  PowerResult ResumeFromCheckpoint(const std::vector<SimilarPair>& pairs,
-                                   PairOracle* oracle) const;
-
  private:
   PowerConfig config_;
 };

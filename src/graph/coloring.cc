@@ -37,7 +37,6 @@ ColoringState::ColoringState(const PairGraph* graph)
       state_id_(g_next_state_id.fetch_add(1, std::memory_order_relaxed)),
       color_(graph->num_vertices(), Color::kUncolored),
       asked_(graph->num_vertices(), false),
-      forced_(graph->num_vertices(), false),
       green_votes_(graph->num_vertices(), 0),
       red_votes_(graph->num_vertices(), 0),
       uncolored_((graph->num_vertices() + 63) / 64, ~uint64_t{0}),
@@ -109,9 +108,9 @@ void ColoringState::SetColor(int v, Color c) {
 }
 
 void ColoringState::Recompute(int v) {
-  // Asked / forced vertices keep their color; only deduced colors float with
-  // the vote balance.
-  if (asked_[v] || forced_[v]) return;
+  // Asked vertices keep their color; only deduced colors float with the vote
+  // balance.
+  if (asked_[v]) return;
   if (green_votes_[v] > red_votes_[v]) {
     SetColor(v, Color::kGreen);
   } else if (red_votes_[v] > green_votes_[v]) {
@@ -158,12 +157,6 @@ void ColoringState::MarkBlue(int v) {
   SetColor(v, Color::kBlue);
 }
 
-void ColoringState::ForceColor(int v, Color c) {
-  POWER_CHECK(v >= 0 && static_cast<size_t>(v) < color_.size());
-  SetColor(v, c);
-  forced_[v] = true;
-}
-
 void ColoringState::SaveState(SnapshotWriter* w) const {
   const size_t n = color_.size();
   w->U64(n);
@@ -173,8 +166,6 @@ void ColoringState::SaveState(SnapshotWriter* w) const {
   }
   w->VecU8(bytes);
   for (size_t v = 0; v < n; ++v) bytes[v] = asked_[v] ? 1 : 0;
-  w->VecU8(bytes);
-  for (size_t v = 0; v < n; ++v) bytes[v] = forced_[v] ? 1 : 0;
   w->VecU8(bytes);
   w->VecI32(green_votes_);
   w->VecI32(red_votes_);
@@ -186,12 +177,11 @@ bool ColoringState::RestoreState(SnapshotReader* r) {
   if (r->U64() != n) return false;
   std::vector<uint8_t> colors = r->VecU8();
   std::vector<uint8_t> asked = r->VecU8();
-  std::vector<uint8_t> forced = r->VecU8();
   std::vector<int> green = r->VecI32();
   std::vector<int> red = r->VecI32();
   std::vector<int> journal = r->VecI32();
   if (!r->ok() || colors.size() != n || asked.size() != n ||
-      forced.size() != n || green.size() != n || red.size() != n) {
+      green.size() != n || red.size() != n) {
     return false;
   }
   for (uint8_t c : colors) {
@@ -203,7 +193,6 @@ bool ColoringState::RestoreState(SnapshotReader* r) {
   for (size_t v = 0; v < n; ++v) {
     color_[v] = static_cast<Color>(colors[v]);
     asked_[v] = asked[v] != 0;
-    forced_[v] = forced[v] != 0;
   }
   green_votes_ = std::move(green);
   red_votes_ = std::move(red);
@@ -218,14 +207,6 @@ bool ColoringState::RestoreState(SnapshotReader* r) {
     }
   }
   return true;
-}
-
-std::vector<int> ColoringState::VerticesWithColor(Color c) const {
-  std::vector<int> out;
-  for (size_t v = 0; v < color_.size(); ++v) {
-    if (color_[v] == c) out.push_back(static_cast<int>(v));
-  }
-  return out;
 }
 
 }  // namespace power

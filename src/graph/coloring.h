@@ -74,16 +74,9 @@ class ColoringState {
   /// Marks an unconfident asked vertex BLUE (no propagation).
   void MarkBlue(int v);
 
-  /// Overrides the color of a BLUE or UNCOLORED vertex (the Power+ histogram
-  /// pass). Does not propagate.
-  void ForceColor(int v, Color c);
-
   size_t num_green() const { return counts_[ColorIndex(Color::kGreen)]; }
   size_t num_red() const { return counts_[ColorIndex(Color::kRed)]; }
   size_t num_blue() const { return counts_[ColorIndex(Color::kBlue)]; }
-
-  /// Vertices with the given current color, ascending.
-  std::vector<int> VerticesWithColor(Color c) const;
 
   const PairGraph& graph() const { return *graph_; }
 
@@ -98,7 +91,7 @@ class ColoringState {
   /// the start of each round.
   const std::vector<int>& color_journal() const { return journal_; }
 
-  /// Serializes the durable coloring state — colors, asked/forced flags,
+  /// Serializes the durable coloring state — colors, asked flags,
   /// deduction votes, and the full journal — for the job checkpoint layer
   /// (core/job_journal.h). Derived structures (per-color counters, the
   /// uncolored bitset, BFS scratch) are rebuilt on restore, not stored.
@@ -127,7 +120,6 @@ class ColoringState {
   uint64_t state_id_;
   std::vector<Color> color_;
   std::vector<bool> asked_;
-  std::vector<bool> forced_;
   std::vector<int> green_votes_;
   std::vector<int> red_votes_;
 

@@ -127,7 +127,9 @@ void PairGraph::DedupEdges() {
   BuildCsrSide(/*keyed_by_parent=*/false, &parent_off_, &parent_edges_);
   POWER_CHECK(child_edges_.size() == parent_edges_.size());
   num_edges_ = child_edges_.size();
-  pending_ = {};
+  // `pending_ = {}` would pick operator=(initializer_list), which keeps the
+  // capacity; a moved-in empty vector frees the buffer.
+  pending_ = std::vector<std::pair<int, int>>();
   frozen_ = true;
 }
 

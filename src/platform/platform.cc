@@ -8,18 +8,6 @@
 
 namespace power {
 
-const char* QuestionStatusName(QuestionStatus s) {
-  switch (s) {
-    case QuestionStatus::kAnswered:
-      return "answered";
-    case QuestionStatus::kNoQuorum:
-      return "no-quorum";
-    case QuestionStatus::kExpired:
-      return "expired";
-  }
-  return "?";
-}
-
 CrowdPlatform::CrowdPlatform(const Table* table,
                              const PlatformConfig& config)
     : table_(table),

@@ -47,8 +47,6 @@ enum class QuestionStatus {
   kExpired,
 };
 
-const char* QuestionStatusName(QuestionStatus s);
-
 /// An AMT-like marketplace simulation: packs pair questions into HITs,
 /// assigns each HIT to qualified workers, simulates their answers (the same
 /// task-difficulty model as CrowdSimulator), per-assignment latencies, and

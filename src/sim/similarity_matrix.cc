@@ -77,25 +77,6 @@ SimilarPair ComputePairSimilarity(const Table& table, int i, int j,
   return p;
 }
 
-SimilarPair ComputePairSimilarity(const FeatureCache& features, int i, int j,
-                                  double component_floor) {
-  POWER_CHECK(i != j);
-  if (i > j) std::swap(i, j);
-  SimilarPair p;
-  p.i = i;
-  p.j = j;
-  const Schema& schema = features.table().schema();
-  p.sims.reserve(schema.num_attributes());
-  for (size_t k = 0; k < schema.num_attributes(); ++k) {
-    double s = ComputeSimilarity(features, schema.attribute(k).sim,
-                                 static_cast<size_t>(i),
-                                 static_cast<size_t>(j), k);
-    if (s < component_floor) s = 0.0;
-    p.sims.push_back(s);
-  }
-  return p;
-}
-
 SimilarityTable ComputeSimilarityTable(
     const FeatureCache& features,
     const std::vector<std::pair<int, int>>& candidates,
@@ -181,13 +162,6 @@ std::vector<SimilarPair> ComputePairSimilarities(
     pairs[p].sims.assign(row.begin(), row.end());
   }
   return pairs;
-}
-
-std::vector<SimilarPair> ComputePairSimilarities(
-    const Table& table, const std::vector<std::pair<int, int>>& candidates,
-    double component_floor) {
-  FeatureCache features(table);
-  return ComputePairSimilarities(features, candidates, component_floor);
 }
 
 SimilarityTable PackSimilarPairs(const std::vector<SimilarPair>& pairs) {

@@ -131,7 +131,7 @@ TEST(BaselineGeneratedTest, QuestionOrderingMatchesPaperShape) {
   profile.num_records = 150;
   profile.num_entities = 110;
   Table table = DatasetGenerator(41).Generate(profile);
-  auto candidates = AllPairsCandidates(table, 0.3);
+  auto candidates = AllPairsCandidates(FeatureCache(table), 0.3);
   ASSERT_GT(candidates.size(), 20u);
 
   CrowdOracle o1 = PerfectOracle(table);
@@ -151,7 +151,7 @@ TEST(BaselineNoisyTest, AcdToleratesNoiseBetterThanTrans) {
   profile.num_records = 120;
   profile.num_entities = 24;
   Table table = DatasetGenerator(43).Generate(profile);
-  auto candidates = AllPairsCandidates(table, 0.3);
+  auto candidates = AllPairsCandidates(FeatureCache(table), 0.3);
   auto truth = TrueMatchPairs(table);
 
   double f_trans = 0.0;

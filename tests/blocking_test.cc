@@ -13,15 +13,16 @@ namespace {
 
 TEST(AllPairsTest, ThresholdOneKeepsOnlyIdenticalTokenSets) {
   Table t = PaperExampleTable();
-  auto pairs = AllPairsCandidates(t, 1.0);
+  auto pairs = AllPairsCandidates(FeatureCache(t), 1.0);
   // No two records of the running example share an identical token set.
   EXPECT_TRUE(pairs.empty());
 }
 
 TEST(AllPairsTest, ThresholdMonotonicity) {
   Table t = PaperExampleTable();
-  auto loose = AllPairsCandidates(t, 0.1);
-  auto tight = AllPairsCandidates(t, 0.4);
+  const FeatureCache features(t);
+  auto loose = AllPairsCandidates(features, 0.1);
+  auto tight = AllPairsCandidates(features, 0.4);
   EXPECT_GE(loose.size(), tight.size());
   // Every tight pair is also a loose pair.
   for (const auto& p : tight) {
@@ -31,7 +32,8 @@ TEST(AllPairsTest, ThresholdMonotonicity) {
 
 TEST(AllPairsTest, PairsAreOrderedAndDistinct) {
   Table t = PaperExampleTable();
-  auto pairs = AllPairsCandidates(t, 0.2);
+  const FeatureCache features(t);
+  auto pairs = AllPairsCandidates(features, 0.2);
   for (const auto& [i, j] : pairs) {
     EXPECT_LT(i, j);
   }
@@ -46,8 +48,9 @@ class PrefixJoinEquivalence : public ::testing::TestWithParam<double> {};
 TEST_P(PrefixJoinEquivalence, MatchesAllPairsOnPaperExample) {
   double tau = GetParam();
   Table t = PaperExampleTable();
-  auto brute = AllPairsCandidates(t, tau);
-  auto joined = PrefixFilterJoin(t, tau);
+  const FeatureCache features(t);
+  auto brute = AllPairsCandidates(features, tau);
+  auto joined = PrefixFilterJoin(features, tau);
   std::sort(brute.begin(), brute.end());
   EXPECT_EQ(joined, brute);
 }
@@ -58,8 +61,9 @@ TEST_P(PrefixJoinEquivalence, MatchesAllPairsOnGeneratedData) {
   p.num_records = 150;
   p.num_entities = 90;
   Table t = DatasetGenerator(77).Generate(p);
-  auto brute = AllPairsCandidates(t, tau);
-  auto joined = PrefixFilterJoin(t, tau);
+  const FeatureCache features(t);
+  auto brute = AllPairsCandidates(features, tau);
+  auto joined = PrefixFilterJoin(features, tau);
   std::sort(brute.begin(), brute.end());
   EXPECT_EQ(joined, brute) << "tau=" << tau;
 }
@@ -73,7 +77,7 @@ TEST(PrefixJoinTest, HandlesDuplicateRecords) {
   t.Add({-1, 0, {"alpha beta"}});
   t.Add({-1, 0, {"alpha beta"}});
   t.Add({-1, 1, {"gamma delta"}});
-  auto pairs = PrefixFilterJoin(t, 0.5);
+  auto pairs = PrefixFilterJoin(FeatureCache(t), 0.5);
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_EQ(pairs[0], (std::pair<int, int>{0, 1}));
 }
@@ -81,16 +85,17 @@ TEST(PrefixJoinTest, HandlesDuplicateRecords) {
 TEST(PrefixJoinTest, EmptyAndSingletonTables) {
   Schema schema({{"a", SimilarityFunction::kJaccard}});
   Table empty(schema);
-  EXPECT_TRUE(PrefixFilterJoin(empty, 0.3).empty());
+  EXPECT_TRUE(PrefixFilterJoin(FeatureCache(empty), 0.3).empty());
   Table one(schema);
   one.Add({-1, 0, {"solo"}});
-  EXPECT_TRUE(PrefixFilterJoin(one, 0.3).empty());
+  EXPECT_TRUE(PrefixFilterJoin(FeatureCache(one), 0.3).empty());
 }
 
 TEST(GenerateCandidatesTest, DispatchAgrees) {
   Table t = PaperExampleTable();
-  auto a = GenerateCandidates(t, 0.3, CandidateMethod::kAllPairs);
-  auto b = GenerateCandidates(t, 0.3, CandidateMethod::kPrefixJoin);
+  const FeatureCache features(t);
+  auto a = GenerateCandidates(features, 0.3, CandidateMethod::kAllPairs);
+  auto b = GenerateCandidates(features, 0.3, CandidateMethod::kPrefixJoin);
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   EXPECT_EQ(a, b);

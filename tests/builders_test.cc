@@ -94,6 +94,12 @@ struct BuilderCase {
   uint64_t seed;
 };
 
+// The discovered ctest name carries the printed parameter: print the
+// fields, not gtest's dump of the struct's bytes.
+void PrintTo(const BuilderCase& c, std::ostream* os) {
+  *os << "n" << c.n << "_m" << c.m << "_grid" << c.grid << "_seed" << c.seed;
+}
+
 class BuilderEquivalence : public ::testing::TestWithParam<BuilderCase> {};
 
 TEST_P(BuilderEquivalence, QuickSortAndIndexMatchBruteForce) {

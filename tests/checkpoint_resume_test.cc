@@ -287,15 +287,16 @@ TEST(CheckpointResumeTest, FingerprintMismatchStartsClean) {
   EXPECT_GT(r.questions, 0u);
 }
 
-TEST(CheckpointResumeTest, VersionOneCheckpointIsRefusedAndRunStartsClean) {
-  // A file of the previous checkpoint format (version 1, whose fingerprint
-  // hashed the pairs bytewise) is refused by its version with a warning,
-  // even when its payload is a checkpoint of this very job; the job starts
-  // clean and completes byte-identical to an uninterrupted run.
+// A file of an older checkpoint format is refused by its version with a
+// warning, even when its payload is a checkpoint of this very job; the job
+// starts clean and completes byte-identical to an uninterrupted run.
+void ExpectOldVersionRefusedAndRunStartsClean(uint32_t version) {
+  ASSERT_LT(version, kJobSnapshotVersion);
   Table table = PaperExampleTable();
   const std::vector<SimilarPair> pairs = PaperExamplePairs();
+  const std::string tag = "v" + std::to_string(version);
 
-  const std::string ref_path = CheckpointPath("v1_ref");
+  const std::string ref_path = CheckpointPath(tag + "_ref");
   CheckpointStore(ref_path).Clear();
   CrowdPlatform ref_platform(&table, FaultyPlatformConfig());
   PlatformOracle ref_oracle(&ref_platform, TestRetryPolicy());
@@ -305,7 +306,7 @@ TEST(CheckpointResumeTest, VersionOneCheckpointIsRefusedAndRunStartsClean) {
   }
   const RunTrace want = TraceOf(ref_job, ref_job.Finish(), ref_platform);
 
-  const std::string path = CheckpointPath("v1");
+  const std::string path = CheckpointPath(tag);
   CheckpointStore(path).Clear();
   const PowerConfig config = JobConfig(SelectorKind::kTopoSort, 1, path);
   {
@@ -318,7 +319,7 @@ TEST(CheckpointResumeTest, VersionOneCheckpointIsRefusedAndRunStartsClean) {
   JobCheckpoint cp;
   ASSERT_TRUE(CheckpointStore(path).Load(&cp));
   CheckpointStore(path).Clear();
-  ASSERT_EQ(CommitSnapshotWithRotation(path, kJobSnapshotMagic, 1,
+  ASSERT_EQ(CommitSnapshotWithRotation(path, kJobSnapshotMagic, version,
                                        EncodeJobCheckpoint(cp)),
             SnapshotStatus::kOk);
 
@@ -336,7 +337,18 @@ TEST(CheckpointResumeTest, VersionOneCheckpointIsRefusedAndRunStartsClean) {
   ExpectTracesEqual(TraceOf(job, result, platform), want);
 }
 
-TEST(CheckpointResumeTest, ResumeFromCheckpointEntryPoint) {
+// Version 1 hashed the pairs bytewise into the fingerprint.
+TEST(CheckpointResumeTest, VersionOneCheckpointIsRefusedAndRunStartsClean) {
+  ExpectOldVersionRefusedAndRunStartsClean(1);
+}
+
+// Version 2 stored a forced flag per vertex in the coloring blob.
+TEST(CheckpointResumeTest, VersionTwoCheckpointIsRefusedAndRunStartsClean) {
+  ExpectOldVersionRefusedAndRunStartsClean(2);
+}
+
+// RunOnPairs with a checkpoint path picks up where a crashed run stopped.
+TEST(CheckpointResumeTest, RunOnPairsResumesAfterACrash) {
   Table table = PaperExampleTable();
   const std::vector<SimilarPair> pairs = PaperExamplePairs();
   std::string path = CheckpointPath("entrypoint");
@@ -359,7 +371,7 @@ TEST(CheckpointResumeTest, ResumeFromCheckpointEntryPoint) {
     for (int s = 0; s < 5; ++s) ASSERT_TRUE(job.Step());
     job.SimulateCrashForTest();
   }
-  PowerResult got = PowerFramework(config).ResumeFromCheckpoint(pairs, &oracle);
+  PowerResult got = PowerFramework(config).RunOnPairs(pairs, &oracle);
   EXPECT_EQ(got.resumed, 1u);
   EXPECT_EQ(got.questions, want.questions);
   EXPECT_EQ(got.iterations, want.iterations);

@@ -1,6 +1,6 @@
 // Randomized invariant checking of the coloring engine: on random dominance
-// graphs, under random interleavings of answers / blue-marks / forced
-// colors, the documented invariants must hold at every step.
+// graphs, under random interleavings of answers and blue-marks, the
+// documented invariants must hold at every step.
 #include <gtest/gtest.h>
 
 #include "graph/builder.h"
@@ -23,23 +23,16 @@ PackedRows RandomSims(Rng& rng, size_t n, size_t m) {
 void CheckInvariants(const PairGraph& graph, const ColoringState& state,
                      const std::vector<int>& asked_green,
                      const std::vector<int>& asked_red,
-                     const std::vector<int>& marked_blue,
-                     const std::vector<int>& forced) {
-  // 1. Directly asked vertices keep their answers (unless forced later).
+                     const std::vector<int>& marked_blue) {
+  // 1. Directly asked vertices keep their answers.
   for (int v : asked_green) {
-    if (std::find(forced.begin(), forced.end(), v) == forced.end()) {
-      EXPECT_EQ(state.color(v), Color::kGreen) << "asked-green " << v;
-    }
+    EXPECT_EQ(state.color(v), Color::kGreen) << "asked-green " << v;
   }
   for (int v : asked_red) {
-    if (std::find(forced.begin(), forced.end(), v) == forced.end()) {
-      EXPECT_EQ(state.color(v), Color::kRed) << "asked-red " << v;
-    }
+    EXPECT_EQ(state.color(v), Color::kRed) << "asked-red " << v;
   }
   for (int v : marked_blue) {
-    if (std::find(forced.begin(), forced.end(), v) == forced.end()) {
-      EXPECT_EQ(state.color(v), Color::kBlue) << "blue " << v;
-    }
+    EXPECT_EQ(state.color(v), Color::kBlue) << "blue " << v;
   }
   // 2. Deduction sanity: a vertex colored GREEN purely by deduction must
   //    have some asked-GREEN descendant; RED-by-deduction some asked-RED
@@ -47,9 +40,6 @@ void CheckInvariants(const PairGraph& graph, const ColoringState& state,
   for (size_t v = 0; v < graph.num_vertices(); ++v) {
     int vi = static_cast<int>(v);
     if (state.asked(vi)) continue;
-    if (std::find(forced.begin(), forced.end(), vi) != forced.end()) {
-      continue;
-    }
     if (state.color(vi) == Color::kGreen) {
       bool witness = false;
       for (int d : graph.Descendants(vi)) {
@@ -83,7 +73,6 @@ TEST(ColoringFuzzTest, RandomAnswerSequencesKeepInvariants) {
     std::vector<int> asked_green;
     std::vector<int> asked_red;
     std::vector<int> marked_blue;
-    std::vector<int> forced;
 
     size_t ops = 2 * n;
     for (size_t op = 0; op < ops; ++op) {
@@ -95,14 +84,6 @@ TEST(ColoringFuzzTest, RandomAnswerSequencesKeepInvariants) {
             marked_blue.push_back(v);
           }
           break;
-        case 1:
-          if (state.color(v) == Color::kBlue ||
-              state.color(v) == Color::kUncolored) {
-            Color c = rng.Bernoulli(0.5) ? Color::kGreen : Color::kRed;
-            state.ForceColor(v, c);
-            forced.push_back(v);
-          }
-          break;
         default: {
           if (state.asked(v)) break;
           bool match = rng.Bernoulli(0.5);
@@ -111,8 +92,7 @@ TEST(ColoringFuzzTest, RandomAnswerSequencesKeepInvariants) {
           break;
         }
       }
-      CheckInvariants(graph, state, asked_green, asked_red, marked_blue,
-                      forced);
+      CheckInvariants(graph, state, asked_green, asked_red, marked_blue);
     }
 
     // Asking every remaining uncolored vertex must terminate the coloring.
@@ -203,7 +183,7 @@ TEST(ColoringFuzzTest, RandomAnswersOnParallelBuiltGraphsKeepInvariants) {
         bool match = rng.Bernoulli(0.5);
         state.ApplyAnswer(v, match);
         (match ? asked_green : asked_red).push_back(v);
-        CheckInvariants(graph, state, asked_green, asked_red, {}, {});
+        CheckInvariants(graph, state, asked_green, asked_red, {});
       }
     }
   }

@@ -116,17 +116,6 @@ TEST(ColoringTest, BlueNeverPropagates) {
   EXPECT_EQ(state.num_uncolored(), 3u);
 }
 
-TEST(ColoringTest, ForceColorSticks) {
-  PairGraph g = Chain4();
-  ColoringState state(&g);
-  state.MarkBlue(1);
-  state.ForceColor(1, Color::kGreen);
-  EXPECT_EQ(state.color(1), Color::kGreen);
-  // Later deductions cannot move a forced vertex.
-  state.ApplyAnswer(0, false);
-  EXPECT_EQ(state.color(1), Color::kGreen);
-}
-
 TEST(ColoringTest, UncoloredVerticesList) {
   PairGraph g = Chain4();
   ColoringState state(&g);
@@ -137,16 +126,6 @@ TEST(ColoringTest, UncoloredVerticesList) {
   state.ApplyAnswer(0, false);
   EXPECT_TRUE(state.UncoloredVertices().empty());
   EXPECT_TRUE(state.AllColored());
-}
-
-TEST(ColoringTest, VerticesWithColor) {
-  PairGraph g = Chain4();
-  ColoringState state(&g);
-  state.ApplyAnswer(1, true);
-  EXPECT_EQ(state.VerticesWithColor(Color::kGreen),
-            (std::vector<int>{0, 1}));
-  EXPECT_EQ(state.VerticesWithColor(Color::kUncolored),
-            (std::vector<int>{2, 3}));
 }
 
 TEST(ColoringTest, PaperWalkthroughFigure1) {
@@ -242,10 +221,8 @@ TEST(ColoringTest, IncrementalCountersMatchScanUnderRandomAnswers) {
     if (action < 8) {
       // Alternating YES/NO on random vertices produces vote conflicts.
       state.ApplyAnswer(v, rng.Bernoulli(0.5));
-    } else if (action == 8) {
-      state.MarkBlue(v);
     } else {
-      state.ForceColor(v, rng.Bernoulli(0.5) ? Color::kGreen : Color::kRed);
+      state.MarkBlue(v);
     }
     check_against_scan();
     for (int u = 0; u < kN; ++u) {

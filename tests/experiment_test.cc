@@ -14,7 +14,7 @@ class ExperimentFixture : public ::testing::Test {
     profile.num_records = 140;
     profile.num_entities = 100;
     table_ = DatasetGenerator(51).Generate(profile);
-    candidates_ = AllPairsCandidates(table_, 0.3);
+    candidates_ = AllPairsCandidates(FeatureCache(table_), 0.3);
     ASSERT_GT(candidates_.size(), 10u);
   }
   Table table_;

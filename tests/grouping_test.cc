@@ -146,6 +146,12 @@ struct GroupCase {
   uint64_t seed;
 };
 
+// The discovered ctest name carries the printed parameter: print the
+// fields, not gtest's dump of the struct's bytes.
+void PrintTo(const GroupCase& c, std::ostream* os) {
+  *os << "n" << c.n << "_m" << c.m << "_eps" << c.epsilon << "_seed" << c.seed;
+}
+
 class GrouperProperty : public ::testing::TestWithParam<GroupCase> {};
 
 TEST_P(GrouperProperty, BothGroupersProduceValidPartitions) {

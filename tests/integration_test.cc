@@ -20,6 +20,14 @@ struct SweepCase {
   bool tolerant;
 };
 
+// The discovered ctest name carries the printed parameter: print the
+// fields, not gtest's dump of the struct's bytes.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << GroupingKindName(c.grouping) << "_" << BuilderKindName(c.builder)
+      << "_" << SelectorKindName(c.selector)
+      << (c.tolerant ? "_tolerant" : "");
+}
+
 std::string CaseName(const ::testing::TestParamInfo<SweepCase>& info) {
   const SweepCase& c = info.param;
   return std::string(GroupingKindName(c.grouping)) +
@@ -133,7 +141,8 @@ TEST(PipelineConsistency, MatchedPairsComeFromCandidates) {
   PowerConfig config;
   config.error_tolerant = true;
   std::vector<std::pair<int, int>> candidates =
-      GenerateCandidates(table, config.prune_tau, config.candidate_method);
+      GenerateCandidates(FeatureCache(table), config.prune_tau,
+                         config.candidate_method);
   std::unordered_set<uint64_t> candidate_keys;
   for (const auto& [i, j] : candidates) candidate_keys.insert(PairKey(i, j));
   PowerResult r = PowerFramework(config).Run(table, &oracle);

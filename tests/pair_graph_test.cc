@@ -1,6 +1,26 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "graph/pair_graph.h"
+#include "util/parallel.h"
+
+// Sanitizer allocators keep freed memory in quarantine, so RSS bounds only
+// hold in plain builds.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define POWER_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define POWER_TEST_SANITIZED 1
+#endif
+#endif
 
 namespace power {
 namespace {
@@ -39,6 +59,42 @@ TEST(PairGraphTest, DedupRemovesDuplicates) {
   g.DedupEdges();
   EXPECT_EQ(g.num_edges(), 1u);
   EXPECT_EQ(ToVec(g.children(0)), (std::vector<int>{1}));
+}
+
+// This process's resident set (VmRSS) in bytes; 0 if unreadable.
+size_t ResidentBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoull(line.substr(6)) << 10;
+  }
+  return 0;
+}
+
+// A frozen graph must not keep its pending edge list: 6M copies of one edge
+// are one 48 MB block, above glibc's 32 MB mmap ceiling, so freeing it
+// returns the pages at once and shows in VmRSS.
+TEST(PairGraphTest, FreezeReleasesThePendingEdgeList) {
+#ifdef POWER_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer allocators keep freed memory";
+#endif
+  ScopedNumThreads one(1);
+  constexpr size_t kEdges = size_t{6} << 20;
+  const size_t before = ResidentBytes();
+  ASSERT_GT(before, 0u);
+  PairGraph g(2);
+  std::vector<std::vector<std::pair<int, int>>> chunks(1);
+  chunks[0].assign(kEdges, {0, 1});
+  g.AddEdgeChunks(std::move(chunks));
+  EXPECT_EQ(g.num_edges(), kEdges);
+  g.DedupEdges();
+#if defined(__GLIBC__)
+  malloc_trim(0);  // hand back freed heap pages, so only live blocks count
+#endif
+  const size_t after = ResidentBytes();
+  EXPECT_EQ(g.num_edges(), 1u);
+  EXPECT_LT(after, before + (size_t{16} << 20))
+      << "VmRSS grew by " << ((after - before) >> 20) << " MB";
 }
 
 TEST(PairGraphTest, DescendantsAndAncestors) {

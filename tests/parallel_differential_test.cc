@@ -74,6 +74,12 @@ struct Instance {
   uint64_t seed;
 };
 
+// The discovered ctest name carries the printed parameter: print the
+// fields, not gtest's dump of the struct's bytes.
+void PrintTo(const Instance& c, std::ostream* os) {
+  *os << "n" << c.n << "_m" << c.m << "_grid" << c.grid << "_seed" << c.seed;
+}
+
 class ParallelBuilderDifferential : public ::testing::TestWithParam<Instance> {
 };
 
@@ -421,18 +427,20 @@ TEST(ParallelSimilarityDifferential, CandidatesAndVectorsMatchSerial) {
     std::vector<SimilarPair> serial_pairs;
     {
       ScopedNumThreads scope(1);
-      serial_candidates = AllPairsCandidates(table, 0.3);
-      serial_pairs = ComputePairSimilarities(table, serial_candidates, 0.2);
+      const FeatureCache features(table);
+      serial_candidates = AllPairsCandidates(features, 0.3);
+      serial_pairs = ComputePairSimilarities(features, serial_candidates, 0.2);
     }
     ASSERT_FALSE(serial_candidates.empty()) << c.profile.name;
 
     for (int threads : kThreadCounts) {
       ScopedNumThreads scope(threads);
+      const FeatureCache features(table);
       // Candidate generation: byte-identical, including order.
-      EXPECT_EQ(AllPairsCandidates(table, 0.3), serial_candidates)
+      EXPECT_EQ(AllPairsCandidates(features, 0.3), serial_candidates)
           << c.profile.name << " threads=" << threads;
       // Similarity vectors: positionally identical, doubles bit-for-bit.
-      auto pairs = ComputePairSimilarities(table, serial_candidates, 0.2);
+      auto pairs = ComputePairSimilarities(features, serial_candidates, 0.2);
       ASSERT_EQ(pairs.size(), serial_pairs.size());
       for (size_t p = 0; p < pairs.size(); ++p) {
         EXPECT_EQ(pairs[p].i, serial_pairs[p].i);
@@ -459,14 +467,16 @@ TEST(ParallelSimilarityDifferential, GraphFromParallelPipelineMatchesSerial) {
   std::set<std::pair<int, int>> serial_edges;
   {
     ScopedNumThreads scope(1);
-    auto candidates = AllPairsCandidates(table, 0.3);
-    auto pairs = ComputePairSimilarities(table, candidates, 0.2);
+    const FeatureCache features(table);
+    auto candidates = AllPairsCandidates(features, 0.3);
+    auto pairs = ComputePairSimilarities(features, candidates, 0.2);
     serial_edges = EdgeSet(BuildPairGraph(BruteForceBuilder(), pairs));
   }
   for (int threads : kThreadCounts) {
     ScopedNumThreads scope(threads);
-    auto candidates = AllPairsCandidates(table, 0.3);
-    auto pairs = ComputePairSimilarities(table, candidates, 0.2);
+    const FeatureCache features(table);
+    auto candidates = AllPairsCandidates(features, 0.3);
+    auto pairs = ComputePairSimilarities(features, candidates, 0.2);
     EXPECT_EQ(EdgeSet(BuildPairGraph(BruteForceBuilder(), pairs)),
               serial_edges)
         << "threads=" << threads;

@@ -25,6 +25,13 @@ struct PipelineCase {
   BuilderKind builder;
 };
 
+// The discovered ctest name carries the printed parameter: print the
+// fields, not gtest's dump of the struct's bytes.
+void PrintTo(const PipelineCase& c, std::ostream* os) {
+  *os << GroupingKindName(c.grouping) << "_" << SelectorKindName(c.selector)
+      << "_" << BuilderKindName(c.builder);
+}
+
 class PowerPipeline : public ::testing::TestWithParam<PipelineCase> {};
 
 TEST_P(PowerPipeline, PerfectWorkersResolvePaperExampleExactly) {

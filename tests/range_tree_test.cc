@@ -60,6 +60,12 @@ struct TreeCase {
   uint64_t seed;
 };
 
+// The discovered ctest name carries the printed parameter: print the
+// fields, not gtest's dump of the struct's bytes.
+void PrintTo(const TreeCase& c, std::ostream* os) {
+  *os << "n" << c.n << "_grid" << c.grid << "_seed" << c.seed;
+}
+
 class RangeTreeEquivalence : public ::testing::TestWithParam<TreeCase> {};
 
 TEST_P(RangeTreeEquivalence, MatchesNaiveScanOnAllQueries) {

@@ -370,6 +370,12 @@ struct TraceCase {
   BuilderKind builder;
 };
 
+// The discovered ctest name carries the printed parameter: print the
+// fields, not gtest's dump of the struct's bytes.
+void PrintTo(const TraceCase& c, std::ostream* os) {
+  *os << SelectorKindName(c.selector) << "_" << BuilderKindName(c.builder);
+}
+
 std::string TraceCaseName(const testing::TestParamInfo<TraceCase>& info) {
   return std::string(SelectorKindName(info.param.selector)) + "_" +
          BuilderKindName(info.param.builder);

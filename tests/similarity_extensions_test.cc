@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "eval/report.h"
+#include <cmath>
+
 #include "sim/similarity.h"
 
 namespace power {
@@ -73,43 +74,6 @@ TEST(SimilarityFunctionNameTest, ExtensionsNamed) {
                "overlap");
   EXPECT_STREQ(SimilarityFunctionName(SimilarityFunction::kNumeric),
                "numeric");
-}
-
-TEST(ReportTest, CsvRoundTripsThroughParser) {
-  ExperimentRow row;
-  row.method = Method::kPowerPlus;
-  row.quality = {0.9, 0.8, 0.847};
-  row.questions = 42;
-  row.iterations = 5;
-  row.dollars = 2.5;
-  std::string csv = ExperimentRowsToCsv({{"Cora,70%", row}});
-  // Header + one data row; the comma inside the label must be quoted.
-  EXPECT_NE(csv.find("label,method,f1"), std::string::npos);
-  EXPECT_NE(csv.find("\"Cora,70%\""), std::string::npos);
-  EXPECT_NE(csv.find("Power+"), std::string::npos);
-  EXPECT_NE(csv.find("42"), std::string::npos);
-}
-
-TEST(ReportTest, MarkdownTableShape) {
-  ExperimentRow row;
-  row.method = Method::kTrans;
-  row.questions = 7;
-  std::string md = ExperimentRowsToMarkdown({{"x", row}, {"y", row}});
-  // Header, separator, two data rows.
-  int lines = 0;
-  for (char c : md) {
-    if (c == '\n') ++lines;
-  }
-  EXPECT_EQ(lines, 4);
-  EXPECT_NE(md.find("| label |"), std::string::npos);
-  EXPECT_NE(md.find("| Trans |"), std::string::npos);
-}
-
-TEST(ReportTest, EmptyRows) {
-  std::string csv = ExperimentRowsToCsv({});
-  EXPECT_NE(csv.find("label"), std::string::npos);
-  std::string md = ExperimentRowsToMarkdown({});
-  EXPECT_NE(md.find("---"), std::string::npos);
 }
 
 }  // namespace

@@ -43,7 +43,8 @@ TEST(SimilarityMatrixTest, ComponentFloorZeroesSmallSims) {
 TEST(SimilarityMatrixTest, BatchMatchesSingle) {
   Table t = PaperExampleTable();
   std::vector<std::pair<int, int>> candidates = {{0, 1}, {0, 2}, {7, 8}};
-  auto batch = ComputePairSimilarities(t, candidates, 0.2);
+  FeatureCache features(t);
+  auto batch = ComputePairSimilarities(features, candidates, 0.2);
   ASSERT_EQ(batch.size(), 3u);
   for (size_t idx = 0; idx < candidates.size(); ++idx) {
     SimilarPair single = ComputePairSimilarity(

@@ -1,8 +1,9 @@
 // Differential tests for the flat similarity table: every row that the
-// pooled ComputeSimilarityTable writes equals the single-pair
-// ComputePairSimilarity over the same feature cache, bit for bit, at 1, 2
-// and 8 threads; and the nested entry points that remain (the unpacked
-// ComputePairSimilarities, the packing RunOnPairs) give identical results.
+// pooled ComputeSimilarityTable writes equals the single-pair string path
+// ComputePairSimilarity(const Table&, ...), which shares no code with the
+// feature cache, bit for bit, at 1, 2 and 8 threads; and the nested entry
+// points that remain (the unpacked ComputePairSimilarities, the packing
+// RunOnPairs) give identical results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -69,6 +70,11 @@ void ExpectRowsMatchSinglePair(const Table& table, const std::string& label) {
   const std::vector<std::pair<int, int>> candidates =
       AllPairsCandidates(features, PowerConfig().prune_tau);
   ASSERT_FALSE(candidates.empty()) << label;
+  std::vector<SimilarPair> want;
+  want.reserve(candidates.size());
+  for (const auto& [i, j] : candidates) {
+    want.push_back(ComputePairSimilarity(table, i, j, kFloor));
+  }
   for (int threads : {1, 2, 8}) {
     ScopedNumThreads scope(threads);
     const SimilarityTable got =
@@ -78,10 +84,8 @@ void ExpectRowsMatchSinglePair(const Table& table, const std::string& label) {
     ASSERT_EQ(got.values.size(), got.size() * got.m) << label;
     size_t mismatches = 0;
     for (size_t p = 0; p < got.size(); ++p) {
-      const auto [i, j] = candidates[p];
-      const SimilarPair want = ComputePairSimilarity(features, i, j, kFloor);
-      if (got.ids[p] != std::make_pair(want.i, want.j) ||
-          !SameBits(got.row(p), want.sims)) {
+      if (got.ids[p] != std::make_pair(want[p].i, want[p].j) ||
+          !SameBits(got.row(p), want[p].sims)) {
         ++mismatches;
       }
     }
