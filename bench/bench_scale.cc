@@ -223,10 +223,9 @@ int Run(size_t num_records, const char* json_path) {
   PrintResult(join);
   const CandidateMethod automatic =
       AutoCandidateMethod(join.stats.scan_work, join.stats.join_work);
-  std::printf("kAuto resolves to  %12s (2 x join work %llu vs scan work "
-              "%llu)\n",
+  std::printf("kAuto resolves to  %12s (join work %llu, scan work %llu)\n",
               CandidateMethodName(automatic),
-              static_cast<unsigned long long>(2 * join.stats.join_work),
+              static_cast<unsigned long long>(join.stats.join_work),
               static_cast<unsigned long long>(join.stats.scan_work));
 
   if (json_path != nullptr) {

@@ -14,8 +14,8 @@
 // (sim/simd_kernels.h) against their scalar references on the three hot
 // integer loops — the record-level Jaccard prune (sorted token-id span
 // intersection over every record pair), the batched Myers edit distance
-// (8 texts per call against a shared reference string) and the signature
-// distances of the candidate paths' filter. Engine outputs are
+// (8 texts per call against a shared reference string) and the gathered
+// signature distances of the prefix join's filter. Engine outputs are
 // checksummed and asserted equal before any speedup is reported, and the
 // AVX2 rows carry an 8-lane roofline (8x the scalar element throughput) so
 // the achieved fraction is visible next to the speedup.
@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 #include <span>
 #include <string>
 #include <string_view>
@@ -369,9 +370,9 @@ KernelResult BenchBatchMyersKernel(const FeatureCache& features,
   return r;
 }
 
-// The signature filter's kernel in the all-pairs scan's shape: each
-// record's signature against the run of records after it. The checksum
-// folds every distance.
+// The prefix join's signature-filter kernel, gathering each record's
+// signature against the ascending index run of the records after it. The
+// checksum folds every distance.
 KernelResult BenchSignatureKernel(const FeatureCache& features,
                                   SimdLevel level, int reps) {
   OverrideSimdLevel(level);
@@ -380,13 +381,15 @@ KernelResult BenchSignatureKernel(const FeatureCache& features,
   r.engine = SimdLevelName(level);
   const std::span<const TokenSignature> sigs = features.RecordSignatures();
   const size_t n = sigs.size();
+  std::vector<int> ids(n);
+  std::iota(ids.begin(), ids.end(), 0);
   std::vector<uint16_t> distances(n);
   Stopwatch watch;
   for (int rep = 0; rep < reps; ++rep) {
     for (size_t i = 0; i + 1 < n; ++i) {
       const size_t count = n - i - 1;
-      SignatureDistances(sigs[i], sigs.data() + i + 1, count,
-                         distances.data());
+      GatherSignatureDistances(sigs[i], sigs.data(), ids.data() + i + 1,
+                               count, distances.data());
       for (size_t t = 0; t < count; ++t) r.checksum += distances[t];
       r.pairs += count;
     }

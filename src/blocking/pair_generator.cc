@@ -1,6 +1,7 @@
 #include "blocking/pair_generator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -16,67 +17,164 @@
 
 namespace power {
 
+namespace {
+
+// The records in scan order, (token count, id) ascending, cut into buckets
+// of one token count, and the buckets into steps of up to 256 positions.
+struct ScanLayout {
+  struct Bucket {
+    size_t size;  // token count of every member
+    int begin;    // positions [begin, end)
+    int end;
+    size_t first_step;
+  };
+  std::vector<int> order;  // position -> record id
+  std::vector<Bucket> buckets;
+  SignatureSteps steps;
+};
+
+ScanLayout LayOut(const FeatureCache& features) {
+  const std::span<const TokenSignature> sigs = features.RecordSignatures();
+  int max_popcount = 0;
+  for (const TokenSignature& sig : sigs) {
+    max_popcount = std::max(max_popcount, SignatureBits(sig).count);
+  }
+  ScanLayout layout{OrderByTokenCount(features), {},
+                    SignatureSteps(max_popcount)};
+  const int n = static_cast<int>(layout.order.size());
+  const int lanes = static_cast<int>(SignatureSteps::kLanes);
+  auto size = [&](int p) {
+    return features.RecordTokenIds(
+        static_cast<size_t>(layout.order[static_cast<size_t>(p)])).size();
+  };
+  for (int begin = 0, end = 0; begin < n; begin = end) {
+    while (end < n && size(end) == size(begin)) ++end;
+    layout.buckets.push_back({size(begin), begin, end, layout.steps.size()});
+    for (int p = begin; p < end; p += lanes) {
+      layout.steps.Add(sigs, std::span<const int>(layout.order)
+                                 .subspan(static_cast<size_t>(p),
+                                          static_cast<size_t>(
+                                              std::min(lanes, end - p))));
+    }
+  }
+  return layout;
+}
+
+// Stable counting sort of the pairs of `runs`, taken in order, by key(pair)
+// in [0, n). Frees each run once it is placed.
+template <typename Key>
+std::vector<std::pair<int, int>> CountingSort(
+    int n, std::span<std::vector<std::pair<int, int>>> runs, Key key) {
+  std::vector<size_t> next(static_cast<size_t>(n) + 1, 0);
+  for (const auto& run : runs) {
+    for (const auto& pair : run) ++next[static_cast<size_t>(key(pair)) + 1];
+  }
+  for (size_t k = 1; k < next.size(); ++k) next[k] += next[k - 1];
+  std::vector<std::pair<int, int>> out(next.back());
+  for (auto& run : runs) {
+    for (const auto& pair : run) {
+      out[next[static_cast<size_t>(key(pair))]++] = pair;
+    }
+    std::vector<std::pair<int, int>>().swap(run);
+  }
+  return out;
+}
+
+}  // namespace
+
 std::vector<std::pair<int, int>> AllPairsCandidates(
     const FeatureCache& features, double tau, CandidateStats* stats) {
-  // Row-sharded over the pool. Chunks cover ascending i-ranges and their
-  // buffers are concatenated in chunk order, so the output ordering is
-  // exactly the serial loop's ((i asc, j asc)) at any thread count.
+  // The scan walks the triangle in scan order (ScanLayout): the record at
+  // position r meets the rest of its own bucket, then every later bucket,
+  // up to the first whose token count no record of r's can reach (the
+  // signature table's -1). Each pair is decided once, and every step but a
+  // row's first is whole. A step's 256 decisions are one SignatureSteps
+  // call, which passes exactly the pairs SignatureLimits passes (the filter
+  // is symmetric in the two records). The survivors are verified by the
+  // dispatched intersection kernel and the shared RecordJaccardAtLeast
+  // predicate, i.e. exactly RecordLevelJaccard(features, i, j) >= tau.
   //
-  // Each row's signature distances to the records after it come from the
-  // dispatched kernel, a block at a time. A pair goes on only if the
-  // signature filter (SignatureLimits, i.e. SignatureMayReach) passes; then
-  // the intersection count comes from the dispatched kernel (scalar or
-  // AVX2 — identical integers), and the threshold decision is the shared
-  // RecordJaccardAtLeast predicate, i.e. exactly
-  // RecordLevelJaccard(features, i, j) >= tau.
+  // Positions are row-sharded over the pool; each chunk keeps its pairs as
+  // (min id, max id). The output is a function of the pair set alone, sorted
+  // as the serial loop's (i asc, j asc) at any thread count.
   constexpr int64_t kRowGrain = 16;
-  // Distances per kernel call; the block lives on the stack.
-  constexpr int kBlock = 256;
   const int n = static_cast<int>(features.num_records());
   const std::span<const TokenSignature> sigs = features.RecordSignatures();
-  size_t max_size = 0;
-  for (int i = 0; i < n; ++i) {
-    max_size = std::max(max_size,
-                        features.RecordTokenIds(static_cast<size_t>(i)).size());
-  }
   const size_t chunks = NumChunks(0, n, kRowGrain);
   std::vector<std::vector<std::pair<int, int>>> found(chunks);
   std::vector<uint64_t> verified(chunks, 0);
-  ParallelForChunked(
-      0, n, kRowGrain, [&](size_t chunk, int64_t row_begin, int64_t row_end) {
-        auto& buf = found[chunk];
-        SignatureLimits limits(max_size, tau);
-        uint16_t distances[kBlock];
-        uint64_t verifications = 0;
-        for (int i = static_cast<int>(row_begin);
-             i < static_cast<int>(row_end); ++i) {
-          const std::span<const int32_t> ri =
-              features.RecordTokenIds(static_cast<size_t>(i));
-          limits.Reset(ri.size());
-          for (int block = i + 1; block < n; block += kBlock) {
-            const int count = std::min(kBlock, n - block);
-            SignatureDistances(sigs[static_cast<size_t>(i)],
-                               &sigs[static_cast<size_t>(block)],
-                               static_cast<size_t>(count), distances);
-            for (int t = 0; t < count; ++t) {
-              const int j = block + t;
-              const std::span<const int32_t> rj =
-                  features.RecordTokenIds(static_cast<size_t>(j));
-              if (!limits.MayPass(rj.size(), distances[t])) continue;
-              ++verifications;
-              const size_t inter = SortedIntersectionSizeKernel(ri, rj);
-              if (RecordJaccardAtLeast(inter, ri.size(), rj.size(), tau)) {
-                buf.emplace_back(i, j);
+  {
+    const ScanLayout layout = LayOut(features);
+    const std::vector<ScanLayout::Bucket>& buckets = layout.buckets;
+    const size_t max_size = buckets.empty() ? 0 : buckets.back().size;
+    const int lanes = static_cast<int>(SignatureSteps::kLanes);
+    ParallelForChunked(
+        0, n, kRowGrain,
+        [&](size_t chunk, int64_t row_begin, int64_t row_end) {
+          auto& buf = found[chunk];
+          SignatureLimits limits(max_size, tau);
+          uint64_t verifications = 0;
+          // The bucket of the chunk's first position.
+          size_t own = static_cast<size_t>(
+              std::partition_point(buckets.begin(), buckets.end(),
+                                   [&](const ScanLayout::Bucket& bucket) {
+                                     return bucket.end <= row_begin;
+                                   }) -
+              buckets.begin());
+          limits.Reset(buckets[own].size);
+          for (int r = static_cast<int>(row_begin);
+               r < static_cast<int>(row_end); ++r) {
+            if (r == buckets[own].end) limits.Reset(buckets[++own].size);
+            const int x = layout.order[static_cast<size_t>(r)];
+            const std::span<const int32_t> rx =
+                features.RecordTokenIds(static_cast<size_t>(x));
+            const SignatureBits bits(sigs[static_cast<size_t>(x)]);
+            for (size_t g = own; g < buckets.size(); ++g) {
+              const ScanLayout::Bucket& bucket = buckets[g];
+              const int32_t limit = limits.Limit(bucket.size);
+              // L(a, a) >= 0, and past the first b > a with L(a, b) = -1
+              // every larger b is -1 too (SignatureLimits::Reset).
+              if (limit < 0) break;
+              const int from = g == own ? r + 1 : bucket.begin;
+              if (from == bucket.end) continue;
+              // The bucket's steps from the one holding `from`; p is a
+              // step's first position.
+              for (int s = (from - bucket.begin) / lanes;
+                   bucket.begin + s * lanes < bucket.end; ++s) {
+                const int p = bucket.begin + s * lanes;
+                const LaneMask pass = layout.steps.MayPass(
+                    bucket.first_step + static_cast<size_t>(s), bits, limit,
+                    LaneRange(static_cast<size_t>(std::max(from - p, 0)),
+                              static_cast<size_t>(
+                                  std::min(lanes, bucket.end - p))));
+                for (size_t w = 0; w < 4; ++w) {
+                  for (uint64_t m = pass.words[w]; m != 0; m &= m - 1) {
+                    const int y = layout.order[static_cast<size_t>(
+                        p + static_cast<int>(64 * w) + std::countr_zero(m))];
+                    const std::span<const int32_t> ry =
+                        features.RecordTokenIds(static_cast<size_t>(y));
+                    ++verifications;
+                    const size_t inter = SortedIntersectionSizeKernel(rx, ry);
+                    if (RecordJaccardAtLeast(inter, rx.size(), ry.size(),
+                                             tau)) {
+                      buf.emplace_back(std::min(x, y), std::max(x, y));
+                    }
+                  }
+                }
               }
             }
           }
-        }
-        verified[chunk] = verifications;
-      });
-  std::vector<std::pair<int, int>> out;
-  for (auto& buf : found) {
-    out.insert(out.end(), buf.begin(), buf.end());
+          verified[chunk] = verifications;
+        });
   }
+  // Two stable counting sorts, by j and then by i, give (i asc, j asc).
+  // Each frees its input as it goes, so the stage never holds more than
+  // two copies of the pairs.
+  std::vector<std::pair<int, int>> by_j =
+      CountingSort(n, found, [](const auto& pair) { return pair.second; });
+  std::vector<std::pair<int, int>> out =
+      CountingSort(n, std::span(&by_j, 1),
+                   [](const auto& pair) { return pair.first; });
   if (stats != nullptr) {
     const uint64_t records = static_cast<uint64_t>(n);
     stats->signature_checks = records * (records - 1) / 2;
@@ -100,8 +198,8 @@ const char* CandidateMethodName(CandidateMethod method) {
 }
 
 CandidateMethod AutoCandidateMethod(uint64_t scan_work, uint64_t join_work) {
-  return 2 * join_work < scan_work ? CandidateMethod::kPrefixJoin
-                                   : CandidateMethod::kAllPairs;
+  return 16 * join_work < scan_work ? CandidateMethod::kPrefixJoin
+                                    : CandidateMethod::kAllPairs;
 }
 
 std::vector<std::pair<int, int>> GenerateCandidates(

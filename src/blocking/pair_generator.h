@@ -15,10 +15,11 @@ enum class CandidateMethod {
   kPrefixJoin,
   /// Dispatch by counted work: plan the join (rank the tokens, count the
   /// prefix posting lists) and take it only when
-  /// 2 × join_work < scan_work (see CandidateStats and
-  /// AutoCandidateMethod), else scan. The factor
-  /// is one measured cost ratio: a posting visit, index build included,
-  /// costs about 1.4–3.5 signature checks (DESIGN.md §14). Safe as a
+  /// 16 × join_work < scan_work (see CandidateStats and
+  /// AutoCandidateMethod), else scan. The factor is fitted on six measured
+  /// tables (DESIGN.md §14): the bit-sliced scan decides 256 pairs per step
+  /// and skips the token counts the length filter rules out, so a posting
+  /// visit, index build included, costs 3–38 of the scan's pairs. Safe as a
   /// blanket default because the two methods return the *same sorted pair
   /// vector* (the differential tests prove it), so the dispatch only ever
   /// changes wall time, never results.
@@ -55,9 +56,9 @@ struct CandidateStats {
 /// similarity reaches `tau` are kept as graph vertices; everything below is
 /// assumed non-matching without asking the crowd.
 ///
-/// Scans all n*(n-1)/2 pairs over the cached record-level token-id spans.
-/// Every pair's signature distance goes through the signature filter
-/// (SignatureMayReach) first, so only the pairs that may pass reach the
+/// Decides all n*(n-1)/2 pairs over the cached record-level token-id spans,
+/// 256 at a time: the signature filter (SignatureMayReach, bit-sliced in
+/// SignatureSteps) runs first, so only the pairs that may pass reach the
 /// exact intersection. Fills the signature_checks and verifications counts
 /// of `stats` when given.
 std::vector<std::pair<int, int>> AllPairsCandidates(
@@ -65,7 +66,7 @@ std::vector<std::pair<int, int>> AllPairsCandidates(
     CandidateStats* stats = nullptr);
 
 /// kAuto's rule, from the two counted works: the join when
-/// 2 × join_work < scan_work, else the scan.
+/// 16 × join_work < scan_work, else the scan.
 CandidateMethod AutoCandidateMethod(uint64_t scan_work, uint64_t join_work);
 
 /// Dispatches to AllPairsCandidates or PrefixFilterJoin by `method` (see

@@ -149,6 +149,23 @@ void AppendEmptyRecordPairs(const PrefixJoinPlan& plan,
 
 }  // namespace
 
+std::vector<int> OrderByTokenCount(const FeatureCache& features) {
+  // A counting sort: ids ascend within a count.
+  const size_t n = features.num_records();
+  size_t max_size = 0;
+  for (size_t i = 0; i < n; ++i) {
+    max_size = std::max(max_size, features.RecordTokenIds(i).size());
+  }
+  std::vector<size_t> next(max_size + 2, 0);
+  for (size_t i = 0; i < n; ++i) ++next[features.RecordTokenIds(i).size() + 1];
+  for (size_t b = 1; b < next.size(); ++b) next[b] += next[b - 1];
+  std::vector<int> order(n);
+  for (size_t i = 0; i < n; ++i) {
+    order[next[features.RecordTokenIds(i).size()]++] = static_cast<int>(i);
+  }
+  return order;
+}
+
 PrefixJoinPlan PlanPrefixJoin(const FeatureCache& features, double tau) {
   POWER_CHECK(tau > 0.0 && tau <= 1.0);
   PrefixJoinPlan plan;
@@ -182,16 +199,9 @@ PrefixJoinPlan PlanPrefixJoin(const FeatureCache& features, double tau) {
     rank[static_cast<size_t>(used[r])] = static_cast<int32_t>(r);
   }
 
-  // 3. Processing order: increasing token count, ties by id. Interning and
-  //    ranking are bijections, so a span's size is its rank-space size.
-  plan.order.resize(n);
-  for (size_t i = 0; i < n; ++i) plan.order[i] = static_cast<int>(i);
-  std::sort(plan.order.begin(), plan.order.end(), [&](int a, int b) {
-    const size_t la = features.RecordTokenIds(static_cast<size_t>(a)).size();
-    const size_t lb = features.RecordTokenIds(static_cast<size_t>(b)).size();
-    if (la != lb) return la < lb;
-    return a < b;
-  });
+  // 3. Processing order. Interning and ranking are bijections, so a span's
+  //    size is its rank-space size.
+  plan.order = OrderByTokenCount(features);
 
   // 4. Rank-space tokens and prefix lengths, laid out in processing order.
   plan.token_begin.resize(n + 1, 0);

@@ -45,6 +45,10 @@ struct PrefixJoinPlan {
   }
 };
 
+/// The record ids by increasing token count, ties by id: the join's
+/// processing order, and the all-pairs scan's order too.
+std::vector<int> OrderByTokenCount(const FeatureCache& features);
+
 /// Ranks the tokens and counts the prefix posting lists. Requires tau in
 /// (0, 1].
 PrefixJoinPlan PlanPrefixJoin(const FeatureCache& features, double tau);

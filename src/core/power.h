@@ -37,10 +37,10 @@ struct PowerConfig {
   double prune_tau = 0.3;
   double component_floor = 0.2;
   /// kAuto picks by counted work (see CandidateMethod::kAuto): the prefix
-  /// join only when twice its posting visits are fewer than the scan's
-  /// pairs; the explicit methods pin one path. All three settings produce
-  /// the identical sorted candidate vector — the knob is purely a
-  /// performance choice.
+  /// join only when its posting visits are few against the scan's pairs
+  /// (AutoCandidateMethod); the explicit methods pin one path. All three
+  /// settings produce the identical sorted candidate vector — the knob is
+  /// purely a performance choice.
   CandidateMethod candidate_method = CandidateMethod::kAuto;
 
   GroupingKind grouping = GroupingKind::kSplit;

@@ -39,13 +39,15 @@ namespace power {
 /// output lands in its own slot, and token ids are assigned in a serial
 /// first-occurrence pass over cells in ascending order.
 ///
-/// The cache borrows the table; it must not outlive it. Cost: one build is
-/// O(total value bytes) — it amortizes as soon as a record participates in
-/// more than a handful of pair comparisons, i.e. for any candidate
-/// generation or batch similarity pass (see DESIGN.md §10).
+/// The cache borrows the table; it must not outlive it, so a temporary table
+/// does not compile. Cost: one build is O(total value bytes) — it amortizes
+/// as soon as a record participates in more than a handful of pair
+/// comparisons, i.e. for any candidate generation or batch similarity pass
+/// (see DESIGN.md §10).
 class FeatureCache {
  public:
   explicit FeatureCache(const Table& table);
+  explicit FeatureCache(Table&&) = delete;
 
   const Table& table() const { return *table_; }
   size_t num_records() const { return n_; }

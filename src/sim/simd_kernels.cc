@@ -165,23 +165,6 @@ inline uint16_t Distance(const TokenSignature& a, const TokenSignature& b) {
 
 }  // namespace
 
-void SignatureDistancesScalar(const TokenSignature& a,
-                              const TokenSignature* run, size_t count,
-                              uint16_t* out) {
-  for (size_t t = 0; t < count; ++t) out[t] = Distance(a, run[t]);
-}
-
-void SignatureDistances(const TokenSignature& a, const TokenSignature* run,
-                        size_t count, uint16_t* out) {
-#if POWER_HAVE_AVX2
-  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
-    SignatureDistancesAvx2(a, run, count, out);
-    return;
-  }
-#endif
-  SignatureDistancesScalar(a, run, count, out);
-}
-
 void GatherSignatureDistancesScalar(const TokenSignature& a,
                                     const TokenSignature* sigs,
                                     const int* idx, size_t count,

@@ -23,9 +23,11 @@ namespace power {
 ///       ComputeSimilarityTable, where every pair of a candidate run shares
 ///       its left record's cached lowercase bytes as the reference.
 ///   signature distances — popcount(a ^ b) of one 256-bit token signature
-///       against many (AVX2: nibble-table byte counts, four signatures per
-///       step). Powers the signature filter in front of every record-level
-///       Jaccard verification of the all-pairs scan and the prefix join.
+///       against gathered others (AVX2: nibble-table byte counts, four
+///       signatures per step). Powers the prefix join's signature filter in
+///       front of its record-level Jaccard verifications (the all-pairs scan
+///       runs the same filter bit-sliced, in plain word code:
+///       blocking/signature_filter.h).
 ///
 /// All three kernel families are *integer* kernels: they return
 /// intersection counts, edit distances and bit counts, never floats. Every
@@ -140,16 +142,6 @@ inline constexpr uint32_t SignatureBit(int32_t id) {
 /// The signature of a token-id set (duplicates set the same bit).
 TokenSignature SignatureOf(std::span<const int32_t> ids);
 
-/// out[t] = popcount(a ^ run[t]) for t in [0, count): one signature against
-/// a contiguous run, the all-pairs scan's shape — the scalar reference.
-void SignatureDistancesScalar(const TokenSignature& a,
-                              const TokenSignature* run, size_t count,
-                              uint16_t* out);
-
-/// Dispatched run: identical integers to the scalar reference.
-void SignatureDistances(const TokenSignature& a, const TokenSignature* run,
-                        size_t count, uint16_t* out);
-
 /// out[t] = popcount(a ^ sigs[idx[t]]) for t in [0, count): one signature
 /// against gathered entries, the prefix join's shape (one probe's
 /// candidates) — the scalar reference.
@@ -172,8 +164,6 @@ size_t SortedIntersectionSizeAvx2(std::span<const int32_t> a,
 void BatchMyersEditDistanceAvx2(std::string_view pattern,
                                 const std::string_view* texts, size_t count,
                                 size_t* out);
-void SignatureDistancesAvx2(const TokenSignature& a, const TokenSignature* run,
-                            size_t count, uint16_t* out);
 void GatherSignatureDistancesAvx2(const TokenSignature& a,
                                   const TokenSignature* sigs, const int* idx,
                                   size_t count, uint16_t* out);

@@ -26,11 +26,11 @@
 //     stopped their column loop. The pattern's peq table is built once per
 //     call (shared reference string), amortized over the whole batch.
 //
-//   SignatureDistancesAvx2 / GatherSignatureDistancesAvx2 — popcount of
-//     the XOR of one 256-bit token signature with each of many: byte counts
-//     from a 16-entry nibble table (vpshufb), summed per 64-bit lane by
-//     vpsadbw, and four signatures' lane sums packed into 16-bit fields so
-//     one horizontal add yields four distances.
+//   GatherSignatureDistancesAvx2 — popcount of the XOR of one 256-bit
+//     token signature with each of many gathered ones: byte counts from a
+//     16-entry nibble table (vpshufb), summed per 64-bit lane by vpsadbw,
+//     and four signatures' lane sums packed into 16-bit fields so one
+//     horizontal add yields four distances.
 
 #include "sim/simd_kernels.h"
 
@@ -325,22 +325,6 @@ inline void TailDistances(__m256i a, size_t remaining, Load load,
 }
 
 }  // namespace
-
-void SignatureDistancesAvx2(const TokenSignature& a, const TokenSignature* run,
-                            size_t count, uint16_t* out) {
-  const __m256i va = LoadSignature(a);
-  size_t t = 0;
-  for (; t + 4 <= count; t += 4) {
-    FourDistances(va, LoadSignature(run[t]), LoadSignature(run[t + 1]),
-                  LoadSignature(run[t + 2]), LoadSignature(run[t + 3]),
-                  out + t);
-  }
-  if (t < count) {
-    TailDistances(
-        va, count - t,
-        [&](size_t k) { return LoadSignature(run[t + k]); }, out + t);
-  }
-}
 
 void GatherSignatureDistancesAvx2(const TokenSignature& a,
                                   const TokenSignature* sigs, const int* idx,

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -31,6 +32,10 @@
 
 namespace power {
 namespace {
+
+// The cache keeps a pointer to its table, so it refuses a temporary one.
+static_assert(std::is_constructible_v<FeatureCache, const Table&>);
+static_assert(!std::is_constructible_v<FeatureCache, Table&&>);
 
 // ---------------------------------------------------------------------------
 // Adversarial random tables: one attribute per similarity function, values

@@ -301,8 +301,10 @@ TEST(ParallelPrefixJoinDifferential, EqualsAllPairsByteForByte) {
 }
 
 // kAuto picks by counted work: the scan on a dense vocabulary, where the
-// join's prefix posting lists are long, and the join on a long-tail one.
-// Either way the result equals the other method's.
+// join's prefix posting lists are long, and the join on a long-tail one at
+// tau 0.5, where its prefixes are short (at tau 0.3 this table's join work
+// is 0.11 of the scan's, and the scan is the faster). Either way the result
+// equals the other method's.
 TEST(GenerateCandidatesTest, AutoDispatchesByCountedWork) {
   const Table dense = Head(DatasetGenerator(41).Generate(AcmPubProfile(0.005)),
                            300);
@@ -310,13 +312,14 @@ TEST(GenerateCandidatesTest, AutoDispatchesByCountedWork) {
   struct Case {
     const char* shape;
     const Table* table;
+    double tau;
     CandidateMethod picked;
     CandidateMethod other;
   };
   const Case cases[] = {
-      {"dense", &dense, CandidateMethod::kAllPairs,
+      {"dense", &dense, 0.3, CandidateMethod::kAllPairs,
        CandidateMethod::kPrefixJoin},
-      {"long_tail", &long_tail, CandidateMethod::kPrefixJoin,
+      {"long_tail", &long_tail, 0.5, CandidateMethod::kPrefixJoin,
        CandidateMethod::kAllPairs}};
   for (const Case& c : cases) {
     SCOPED_TRACE(c.shape);
@@ -324,14 +327,14 @@ TEST(GenerateCandidatesTest, AutoDispatchesByCountedWork) {
     const FeatureCache features(*c.table);
     CandidateStats stats;
     const std::vector<std::pair<int, int>> pairs = GenerateCandidates(
-        features, 0.3, CandidateMethod::kAuto, {}, &stats);
+        features, c.tau, CandidateMethod::kAuto, {}, &stats);
     EXPECT_EQ(stats.resolved, c.picked);
     EXPECT_EQ(stats.scan_work, 300u * 299u / 2);
     EXPECT_GT(stats.join_work, 0u);
-    EXPECT_EQ(2 * stats.join_work < stats.scan_work,
-              c.picked == CandidateMethod::kPrefixJoin);
+    EXPECT_EQ(AutoCandidateMethod(stats.scan_work, stats.join_work),
+              c.picked);
     EXPECT_FALSE(pairs.empty());
-    EXPECT_EQ(pairs, GenerateCandidates(features, 0.3, c.other));
+    EXPECT_EQ(pairs, GenerateCandidates(features, c.tau, c.other));
   }
 }
 
