@@ -3,7 +3,9 @@
 // grouping → grouped dominance graph → ask-and-color → Power+ resolution —
 // reporting per-stage wall time and the peak-RSS watermark after each stage
 // (ru_maxrss is monotone, so the stage where the watermark jumps is the
-// stage that owned peak memory).
+// stage that owned peak memory), and the number of distinct similarity
+// vectors, which the similarity table stores once each and Split builds its
+// tree over.
 //
 // The pipeline runs twice on the same generated table and feature cache,
 // once per candidate method (the all-pairs scan, then the prefix join), and
@@ -61,6 +63,7 @@ struct ScaleResult {
   CandidateMethod method = CandidateMethod::kAllPairs;
   int threads = 1;
   size_t candidate_pairs = 0;
+  size_t distinct_rows = 0;  // distinct similarity vectors among the pairs
   size_t groups = 0;
   size_t edges = 0;
   size_t questions = 0;
@@ -117,6 +120,7 @@ ScaleResult RunMethod(const ScaleResult& base, const Table& table,
                       out.candidate_seconds + out.similarity_seconds +
                       out.resolve_seconds;
 
+  out.distinct_rows = result.num_distinct_rows;
   out.groups = result.num_groups;
   out.edges = result.num_edges;
   out.questions = result.questions;
@@ -151,9 +155,11 @@ void PrintResult(const ScaleResult& r) {
   std::printf("%-22s %10.3f %14s\n", "feature cache", r.feature_seconds, "-");
   std::printf("%-22s %10.3f %14.1f\n", "candidates", r.candidate_seconds,
               mb(r.rss_after_candidates));
-  std::printf("%-22s %10.3f %14.1f\n", "similarity", r.similarity_seconds,
-              mb(r.rss_after_similarity));
-  std::printf("%-22s %10.3f %14s\n", "grouping", r.grouping_seconds, "-");
+  std::printf("%-22s %10.3f %14.1f   %zu distinct rows\n", "similarity",
+              r.similarity_seconds, mb(r.rss_after_similarity),
+              r.distinct_rows);
+  std::printf("%-22s %10.3f %14s   over %zu distinct rows\n", "grouping",
+              r.grouping_seconds, "-", r.distinct_rows);
   std::printf("%-22s %10.3f %14s\n", "grouped graph", r.graph_seconds, "-");
   std::printf("%-22s %10.3f %14.1f\n", "resolve", r.resolve_seconds,
               mb(r.rss_after_resolve));
@@ -162,11 +168,11 @@ void PrintResult(const ScaleResult& r) {
 }
 
 std::string JsonRow(const ScaleResult& r) {
-  char buf[1024];
+  char buf[2048];
   std::snprintf(
       buf, sizeof(buf),
       "    {\"records\": %zu, \"method\": \"%s\", \"threads\": %d, "
-      "\"candidate_pairs\": %zu, \"groups\": %zu, "
+      "\"candidate_pairs\": %zu, \"distinct_rows\": %zu, \"groups\": %zu, "
       "\"edges\": %zu, \"questions\": %zu, \"f1\": %.4f, "
       "\"generate_seconds\": %.3f, \"feature_seconds\": %.3f, "
       "\"candidate_seconds\": %.3f, \"similarity_seconds\": %.3f, "
@@ -178,8 +184,9 @@ std::string JsonRow(const ScaleResult& r) {
       "\"signature_checks\": %llu, \"verifications\": %llu, "
       "\"posting_visits\": %llu}",
       r.records, CandidateMethodName(r.method), r.threads, r.candidate_pairs,
-      r.groups, r.edges, r.questions, r.f1, r.generate_seconds,
-      r.feature_seconds, r.candidate_seconds, r.similarity_seconds,
+      r.distinct_rows, r.groups, r.edges, r.questions, r.f1,
+      r.generate_seconds, r.feature_seconds, r.candidate_seconds,
+      r.similarity_seconds,
       r.grouping_seconds, r.graph_seconds, r.resolve_seconds, r.total_seconds,
       r.rss_after_generate / (1024.0 * 1024.0),
       r.rss_after_candidates / (1024.0 * 1024.0),

@@ -3,8 +3,8 @@
 // #iterations, with 90%-accuracy workers.
 //
 // Plus the similarity front-end throughput bench: the cached path
-// (FeatureCache build + interned-token candidate scan + cached pair
-// similarity vectors) against a bench-local copy of the legacy string path
+// (FeatureCache build + interned-token candidate scan + the interned
+// similarity table) against a bench-local copy of the legacy string path
 // (per-call concatenation/tokenization via the retained table-based
 // per-pair functions), on a mixed-schema table exercising edit, Jaccard,
 // bigram and numeric attributes, swept over thread counts. The two paths'
@@ -180,10 +180,18 @@ FrontEndResult RunFrontEnd(bool cached, const Table& table, int threads,
     FeatureCache features(table);
     *candidates_out = AllPairsCandidates(features, kFrontEndTau);
     r.prune_seconds = prune_watch.ElapsedSeconds();
+    // The stage Run takes: the interned table. It is unpacked for the
+    // equality gate after the stopwatch stops.
     Stopwatch sim_watch;
-    *sims_out =
-        ComputePairSimilarities(features, *candidates_out, kFrontEndFloor);
+    const SimilarityTable table_out =
+        ComputeSimilarityTable(features, *candidates_out, kFrontEndFloor);
     r.sim_seconds = sim_watch.ElapsedSeconds();
+    sims_out->clear();
+    for (size_t p = 0; p < table_out.size(); ++p) {
+      const std::span<const double> row = table_out.row(p);
+      sims_out->push_back({table_out.ids[p].first, table_out.ids[p].second,
+                           std::vector<double>(row.begin(), row.end())});
+    }
   } else {
     *candidates_out = LegacyAllPairsCandidates(table, kFrontEndTau);
     r.prune_seconds = prune_watch.ElapsedSeconds();
@@ -337,7 +345,7 @@ KernelResult BenchJaccardPruneKernel(const FeatureCache& features,
   return r;
 }
 
-// The batched Myers loop of ComputePairSimilarities' edit attribute: runs of
+// The batched Myers loop of ComputeSimilarityTable's edit attribute: runs of
 // texts sharing one reference string, kMyersBatchLanes texts per batch.
 KernelResult BenchBatchMyersKernel(const FeatureCache& features,
                                    size_t attribute, SimdLevel level,

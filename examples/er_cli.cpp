@@ -103,11 +103,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
       }
     } else if (ParseFlag(arg, "eps", &value)) {
       if (!ParseDoubleFlag("eps", value, &opts->eps)) return false;
-      if (!(opts->eps >= 0.0)) {
-        std::fprintf(stderr, "--eps must be >= 0, got '%s'\n",
-                     value.c_str());
-        return false;
-      }
     } else if (ParseFlag(arg, "band", &value)) {
       if (!ParseIntFlag("band", value, kIntMin, kIntMax, &n)) return false;
       opts->band = static_cast<int>(n);
@@ -156,6 +151,19 @@ int main(int argc, char** argv) {
     std::fputs(kUsage, stderr);
     return 2;
   }
+  PowerConfig config;
+  config.prune_tau = opts.tau;
+  config.epsilon = opts.eps;
+  config.selector = opts.selector;
+  config.error_tolerant = opts.error_tolerant;
+  config.max_questions = opts.budget;
+  config.seed = opts.seed;
+  // The library's own check (a negative eps), before any table is read.
+  if (const std::string error = ValidateConfig(config); !error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
 
   Table table;
   if (opts.demo) {
@@ -184,13 +192,6 @@ int main(int argc, char** argv) {
 
   CrowdOracle crowd(&table, BandFor(opts.band), WorkerModel::kExactAccuracy,
                     5, opts.seed);
-  PowerConfig config;
-  config.prune_tau = opts.tau;
-  config.epsilon = opts.eps;
-  config.selector = opts.selector;
-  config.error_tolerant = opts.error_tolerant;
-  config.max_questions = opts.budget;
-  config.seed = opts.seed;
   PowerResult result = PowerFramework(config).Run(table, &crowd);
 
   auto clusters = BuildClusters(table.num_records(), result.matched_pairs);

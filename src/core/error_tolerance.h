@@ -10,8 +10,8 @@
 namespace power {
 
 struct ErrorToleranceConfig {
-  /// Appendix E.3 uses 20 histograms. Must be >= 1; RunOnPairsJob aborts
-  /// with "power: tolerance.num_histograms=<value> must be >= 1" otherwise.
+  /// Appendix E.3 uses 20 histograms. Must be >= 1 (ValidateConfig:
+  /// "power: tolerance.num_histograms=<value> must be >= 1").
   int num_histograms = 20;
   bool equi_depth = false;  // §6 mentions equi-depth; equi-width is default
 };

@@ -105,10 +105,12 @@ uint64_t FnvWord(uint64_t h, uint64_t word) {
 
 /// Binds a checkpoint to the exact job that wrote it: the loop-relevant
 /// configuration (bytewise) plus the full pair table, one step per 8-byte
-/// word: n, m, every PairKey, then every similarity bit pattern in row
-/// order. Machine-side knobs that cannot change the loop's draws or answers
-/// (num_threads, timing) are deliberately excluded so a resume may legally
-/// run at a different thread count.
+/// word: n, m, every PairKey, then every pair's similarity bit patterns in
+/// pair order, read through the row index. These are the words the
+/// expanded layout hashed, so a checkpoint written before the table was
+/// interned still matches. Machine-side knobs that cannot change the loop's
+/// draws or answers (num_threads, timing) are deliberately excluded so a
+/// resume may legally run at a different thread count.
 uint64_t JobFingerprint(const PowerConfig& config,
                         const SimilarityTable& pairs) {
   uint64_t h = 0xcbf29ce484222325ULL;
@@ -124,7 +126,9 @@ uint64_t JobFingerprint(const PowerConfig& config,
   h = FnvWord(h, pairs.size());
   h = FnvWord(h, pairs.m);
   for (const auto& [i, j] : pairs.ids) h = FnvWord(h, PairKey(i, j));
-  for (double s : pairs.values) h = FnvWord(h, std::bit_cast<uint64_t>(s));
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    for (double s : pairs.row(p)) h = FnvWord(h, std::bit_cast<uint64_t>(s));
+  }
   return h;
 }
 
@@ -136,10 +140,41 @@ std::string ResolveCheckpointPath(const PowerConfig& config) {
   return env != nullptr ? std::string(env) : std::string();
 }
 
+/// Aborts with ValidateConfig's message when `config` cannot run.
+void CheckConfig(const PowerConfig& config) {
+  const std::string error = ValidateConfig(config);
+  if (error.empty()) return;
+  std::fprintf(stderr, "%s\n", error.c_str());
+  std::abort();
+}
+
 }  // namespace
+
+std::string ValidateConfig(const PowerConfig& config) {
+  char message[128];
+  if (!(config.epsilon >= 0.0)) {
+    std::snprintf(message, sizeof(message),
+                  "power: grouping epsilon=%g must be >= 0", config.epsilon);
+    return message;
+  }
+  if (config.max_ask_attempts < 1) {
+    std::snprintf(message, sizeof(message),
+                  "power: max_ask_attempts=%zu must be >= 1",
+                  config.max_ask_attempts);
+    return message;
+  }
+  if (config.tolerance.num_histograms < 1) {
+    std::snprintf(message, sizeof(message),
+                  "power: tolerance.num_histograms=%d must be >= 1",
+                  config.tolerance.num_histograms);
+    return message;
+  }
+  return std::string();
+}
 
 PowerResult PowerFramework::Run(const Table& table,
                                 PairOracle* oracle) const {
+  CheckConfig(config_);
   ScopedNumThreads thread_scope(config_.num_threads);
   CandidateStats candidate_stats;
   SimilarityTable pairs;
@@ -169,6 +204,7 @@ PowerResult PowerFramework::Run(const Table& table,
 
 PowerResult PowerFramework::RunOnPairs(SimilarityTable pairs,
                                        PairOracle* oracle) const {
+  CheckConfig(config_);
   RunOnPairsJob job(config_, std::move(pairs), oracle);
   while (job.Step()) {
   }
@@ -177,6 +213,7 @@ PowerResult PowerFramework::RunOnPairs(SimilarityTable pairs,
 
 PowerResult PowerFramework::RunOnPairs(const std::vector<SimilarPair>& pairs,
                                        PairOracle* oracle) const {
+  CheckConfig(config_);
   return RunOnPairs(PackSimilarPairs(pairs), oracle);
 }
 
@@ -196,25 +233,13 @@ RunOnPairsJob::RunOnPairsJob(const PowerConfig& config, SimilarityTable pairs,
   // histogram count fails the same way under every grouping kind (NonGroup
   // never reads epsilon) and at every table size (an empty pair list never
   // reaches a grouper, the ask loop or Finish's histogram), before any
-  // question is paid for.
-  if (!(config_.epsilon >= 0.0)) {
-    std::fprintf(stderr, "power: grouping epsilon=%g must be >= 0\n",
-                 config_.epsilon);
-    std::abort();
-  }
-  if (config_.max_ask_attempts < 1) {
-    std::fprintf(stderr, "power: max_ask_attempts=%zu must be >= 1\n",
-                 config_.max_ask_attempts);
-    std::abort();
-  }
-  if (config_.tolerance.num_histograms < 1) {
-    std::fprintf(stderr, "power: tolerance.num_histograms=%d must be >= 1\n",
-                 config_.tolerance.num_histograms);
-    std::abort();
-  }
+  // question is paid for. The entry points check first too; this covers a
+  // job constructed directly.
+  CheckConfig(config_);
   POWER_CHECK(oracle != nullptr);
   result_.num_threads = NumThreads();
   result_.num_pairs = pairs_.size();
+  result_.num_distinct_rows = pairs_.num_distinct;
   if (pairs_.empty()) {
     phase_ = RunPhase::kDone;
     return;

@@ -44,8 +44,8 @@ struct PowerConfig {
   CandidateMethod candidate_method = CandidateMethod::kAuto;
 
   GroupingKind grouping = GroupingKind::kSplit;
-  /// Must be >= 0 under every grouping kind; RunOnPairsJob aborts with
-  /// "power: grouping epsilon=<value> must be >= 0" otherwise.
+  /// Must be >= 0 under every grouping kind (ValidateConfig: "power:
+  /// grouping epsilon=<value> must be >= 0").
   double epsilon = 0.1;
 
   BuilderKind builder = BuilderKind::kRangeTree;
@@ -70,9 +70,8 @@ struct PowerConfig {
   /// what makes a fault pattern whose retries eventually succeed
   /// byte-identical to the fault-free baseline). Questions still unanswered
   /// after the last attempt degrade to the §6 histogram/machine answer
-  /// instead of wedging the loop. Must be >= 1; 1 = degrade immediately.
-  /// RunOnPairsJob aborts with "power: max_ask_attempts=0 must be >= 1"
-  /// otherwise.
+  /// instead of wedging the loop. Must be >= 1; 1 = degrade immediately
+  /// (ValidateConfig: "power: max_ask_attempts=0 must be >= 1").
   size_t max_ask_attempts = 8;
 
   uint64_t seed = 7;
@@ -94,11 +93,23 @@ struct PowerConfig {
   int num_threads = 0;
 };
 
+/// The first reason `config` cannot run, or an empty string when it can:
+/// epsilon < 0 (or NaN), max_ask_attempts < 1, or tolerance.num_histograms
+/// < 1. PowerFramework::Run, both RunOnPairs overloads and the
+/// RunOnPairsJob constructor check it before any other work and abort with
+/// the message, so a bad config fails the same way at every entry point and
+/// every table size, before the feature cache, the candidates or the
+/// similarity table are built.
+std::string ValidateConfig(const PowerConfig& config);
+
 /// Pipeline outcome: the common ER result plus pipeline statistics used by
 /// the benches (graph/grouping sizes and times).
 struct PowerResult : ErResult {
   size_t num_pairs = 0;   // candidate pairs after pruning (Table 3 "#Pairs")
   size_t num_groups = 0;  // grouped-graph vertices
+  /// Distinct similarity vectors among the pairs (the table's rows, each
+  /// stored once); Split builds its tree over them.
+  size_t num_distinct_rows = 0;
   size_t num_edges = 0;   // grouped-graph edges
   size_t num_blue_groups = 0;
   /// True iff max_questions stopped the loop before all groups were colored.

@@ -14,7 +14,7 @@ namespace {
 // previous window. Members are returned as sorted vertex-id vectors.
 std::vector<std::vector<int>> MaximalGroups1d(SimilarityRows sims, size_t k,
                                               double epsilon) {
-  auto at = [&](int v) { return sims.data[v * sims.m + k]; };
+  auto at = [&](int v) { return sims.row(static_cast<size_t>(v))[k]; };
   std::vector<int> order(sims.n);
   for (size_t v = 0; v < sims.n; ++v) order[v] = static_cast<int>(v);
   std::sort(order.begin(), order.end(), [&](int a, int b) {

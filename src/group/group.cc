@@ -30,14 +30,16 @@ VertexGroup MakeGroup(SimilarityRows sims, std::vector<int> members) {
 
 PackedRows PackRows(const std::vector<std::vector<double>>& sims) {
   PackedRows packed;
-  packed.n = sims.size();
   packed.m = sims.empty() ? 0 : sims[0].size();
-  packed.values.reserve(packed.n * packed.m);
+  packed.row_of.reserve(sims.size());
+  RowInterner interner(packed.m);
   for (const std::vector<double>& v : sims) {
     POWER_CHECK_MSG(v.size() == packed.m,
                     "every similarity vector must have one width");
-    packed.values.insert(packed.values.end(), v.begin(), v.end());
+    packed.row_of.push_back(interner.Intern(v.data()));
   }
+  packed.num_distinct = interner.size();
+  packed.distinct = interner.TakeRows();
   return packed;
 }
 

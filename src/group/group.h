@@ -2,6 +2,7 @@
 #define POWER_GROUP_GROUP_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "sim/pair.h"
@@ -20,17 +21,22 @@ struct VertexGroup {
 /// Sorts the members and computes lower/upper from their rows.
 VertexGroup MakeGroup(SimilarityRows sims, std::vector<int> members);
 
-/// Nested vectors, all of one width, packed into one row-major array.
+/// Nested vectors, all of one width, interned as a SimilarityTable's rows
+/// are: each distinct row once, in first-occurrence order, and one row index
+/// per vector.
 struct PackedRows {
-  std::vector<double> values;
-  size_t n = 0;
+  std::vector<double> distinct;  // num_distinct * m, row-major
+  size_t num_distinct = 0;
+  std::vector<uint32_t> row_of;  // one per vector
   size_t m = 0;
 
-  SimilarityRows rows() const { return {values.data(), n, m}; }
+  SimilarityRows rows() const {
+    return {distinct.data(), row_of.data(), row_of.size(), m, num_distinct};
+  }
 };
 
-/// Packs nested vectors into rows: the one way a nested entry point, a test
-/// or a bench reaches the row API.
+/// Packs nested vectors into rows through RowInterner: the one way a nested
+/// entry point, a test or a bench reaches the row API.
 PackedRows PackRows(const std::vector<std::vector<double>>& sims);
 
 /// True iff the ε-constraint of Definition 3 holds for this member set.

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <unordered_map>
 
 #include "sim/similarity.h"
-#include "sim/tokenizer.h"
 #include "util/parallel.h"
 
 namespace power {
@@ -151,58 +149,6 @@ FeatureCache::FeatureCache(const Table& table)
                   rec_sig_[i] = SignatureOf(RecordTokenIds(i));
                 }
               });
-}
-
-double ComputeSimilarity(const FeatureCache& features, SimilarityFunction fn,
-                         size_t i, size_t j, size_t k) {
-  switch (fn) {
-    case SimilarityFunction::kJaccard:
-      return JaccardOfSets(features.WordTokenIds(i, k),
-                           features.WordTokenIds(j, k));
-    case SimilarityFunction::kEditSimilarity: {
-      std::string_view a = features.LowerValue(i, k);
-      std::string_view b = features.LowerValue(j, k);
-      size_t max_len = std::max(a.size(), b.size());
-      if (max_len == 0) return 1.0;
-      return 1.0 - static_cast<double>(MyersEditDistance(a, b)) /
-                       static_cast<double>(max_len);
-    }
-    case SimilarityFunction::kBigramJaccard:
-      return JaccardOfSets(features.BigramIds(i, k), features.BigramIds(j, k));
-    case SimilarityFunction::kCosine: {
-      auto a = features.WordTokenIds(i, k);
-      auto b = features.WordTokenIds(j, k);
-      if (a.empty() && b.empty()) return 1.0;
-      if (a.empty() || b.empty()) return 0.0;
-      size_t inter = SortedIntersectionSize(a, b);
-      return static_cast<double>(inter) /
-             std::sqrt(static_cast<double>(a.size()) *
-                       static_cast<double>(b.size()));
-    }
-    case SimilarityFunction::kOverlap: {
-      auto a = features.WordTokenIds(i, k);
-      auto b = features.WordTokenIds(j, k);
-      if (a.empty() && b.empty()) return 1.0;
-      if (a.empty() || b.empty()) return 0.0;
-      size_t inter = SortedIntersectionSize(a, b);
-      return static_cast<double>(inter) /
-             static_cast<double>(std::min(a.size(), b.size()));
-    }
-    case SimilarityFunction::kNumeric: {
-      double va = 0.0;
-      double vb = 0.0;
-      if (!features.NumericValue(i, k, &va) ||
-          !features.NumericValue(j, k, &vb)) {
-        return JaccardOfSets(features.BigramIds(i, k),
-                             features.BigramIds(j, k));
-      }
-      double max_abs = std::max(std::abs(va), std::abs(vb));
-      if (max_abs == 0.0) return 1.0;
-      double sim = 1.0 - std::abs(va - vb) / max_abs;
-      return std::max(0.0, sim);
-    }
-  }
-  return 0.0;
 }
 
 }  // namespace power

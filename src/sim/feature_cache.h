@@ -125,13 +125,6 @@ class FeatureCache {
   std::vector<std::pair<uint64_t, uint32_t>> dict_ref_;
 };
 
-/// ComputeSimilarity(fn, table.Value(i,k), table.Value(j,k)) over cached
-/// features: sorted int-span intersections for the token families, Myers
-/// bit-parallel edit distance over the cached lowercase bytes, a cached
-/// double compare for numerics. Byte-identical to the raw-string path.
-double ComputeSimilarity(const FeatureCache& features, SimilarityFunction fn,
-                         size_t i, size_t j, size_t k);
-
 /// THE record-level Jaccard prune comparison — the one boundary predicate
 /// every pruning path shares. Exactly `JaccardOfSets(A, B) >= tau` for
 /// sorted-unique sets of the given sizes with `intersection` common

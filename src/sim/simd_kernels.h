@@ -13,9 +13,10 @@ namespace power {
 ///
 ///   sorted-span intersection — |A ∩ B| of two sorted-unique int32 token-id
 ///       spans. Powers SortedIntersectionSize / JaccardOfSets (span
-///       overloads) and therefore the record-level Jaccard prune, the
-///       prefix-filter join verification, and the Jaccard / cosine / overlap
-///       attribute similarities.
+///       overloads) and therefore the record-level Jaccard prune and the
+///       prefix-filter join verification. (The attribute similarities count
+///       a run's intersections against marks of its left record's ids
+///       instead: ComputeSimilarityTable.)
 ///   batched Myers edit distance — Levenshtein distances of up to 8 texts
 ///       per call against one shared reference string, lanes advanced in
 ///       lock-step (AVX2: 4 × 64-bit pattern words per vector, two vectors

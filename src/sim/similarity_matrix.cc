@@ -1,6 +1,8 @@
 #include "sim/similarity_matrix.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -14,11 +16,14 @@
 namespace power {
 namespace {
 
-constexpr int64_t kPairGrain = 64;
+// Pairs per pooled chunk. Chunk dictionaries merge serially, and a larger
+// chunk leaves fewer chunk-local rows to merge: at 100k records, 2.25M
+// rather than 3.86M at 64 pairs per chunk, for 204k distinct rows.
+constexpr int64_t kPairGrain = 1024;
 
-// Edit-similarity over a batch-computed Myers distance: the exact double
-// expression of the single-pair cached path (feature_cache.cc), applied to
-// the same integer distance — so batching cannot change a bit.
+// Edit similarity over a batch-computed Myers distance: Eq. 2's double
+// expression (EditSimilarity in sim/similarity.cc), applied to the same
+// integer distance, so batching cannot change a bit.
 inline double EditSimilarityFromDistance(size_t dist, size_t len_a,
                                          size_t len_b) {
   const size_t max_len = std::max(len_a, len_b);
@@ -26,36 +31,142 @@ inline double EditSimilarityFromDistance(size_t dist, size_t len_a,
   return 1.0 - static_cast<double>(dist) / static_cast<double>(max_len);
 }
 
-// Fills column k of rows [begin, end) of `out` for the run
-// candidates[begin, end) (all sharing the same left record) on an
-// edit-similarity attribute, via the batched Myers kernel against the run's
-// shared reference string lower(i, k). Scratch is caller-owned so
-// steady-state chunks reuse it.
-void FillEditAttributeForRun(const FeatureCache& features,
-                             const std::vector<std::pair<int, int>>& candidates,
-                             int64_t begin, int64_t end, size_t k,
-                             double component_floor,
-                             std::vector<std::string_view>* texts,
-                             std::vector<size_t>* dists,
-                             SimilarityTable* out) {
-  const size_t count = static_cast<size_t>(end - begin);
-  const size_t i = static_cast<size_t>(candidates[static_cast<size_t>(begin)].first);
-  const std::string_view pattern = features.LowerValue(i, k);
-  texts->clear();
-  for (int64_t p = begin; p < end; ++p) {
-    texts->push_back(features.LowerValue(
-        static_cast<size_t>(candidates[static_cast<size_t>(p)].second), k));
-  }
-  dists->resize(count);
-  BatchMyersEditDistance(pattern, texts->data(), count, dists->data());
-  for (int64_t p = begin; p < end; ++p) {
-    const size_t t = static_cast<size_t>(p - begin);
-    double s = EditSimilarityFromDistance((*dists)[t], pattern.size(),
-                                          (*texts)[t].size());
-    if (s < component_floor) s = 0.0;
-    out->values[static_cast<size_t>(p) * out->m + k] = s;
+// A set similarity from |A ∩ B|, |A| and |B|: exactly the expressions of
+// JaccardOfSets, CosineSimilarity and OverlapCoefficient, empty-set rules
+// included. Bigram Jaccard and numeric's fallback take the Jaccard branch.
+inline double SetSimilarity(SimilarityFunction fn, size_t inter, size_t size_a,
+                            size_t size_b) {
+  if (size_a == 0 && size_b == 0) return 1.0;
+  if (size_a == 0 || size_b == 0) return 0.0;
+  switch (fn) {
+    case SimilarityFunction::kCosine:
+      return static_cast<double>(inter) /
+             std::sqrt(static_cast<double>(size_a) *
+                       static_cast<double>(size_b));
+    case SimilarityFunction::kOverlap:
+      return static_cast<double>(inter) /
+             static_cast<double>(std::min(size_a, size_b));
+    default:
+      return static_cast<double>(inter) /
+             static_cast<double>(size_a + size_b - inter);
   }
 }
+
+// One chunk's scratch: one mark byte per dictionary token, set for the left
+// record's ids while its run is counted and clear between runs (a byte per
+// token counted faster than a bit per token), and the batched Myers pass's
+// buffers.
+struct RunScratch {
+  std::vector<uint8_t> marks;
+  std::vector<std::string_view> texts;
+  std::vector<size_t> dists;
+};
+
+void SetMarks(std::span<const int32_t> ids, uint8_t mark,
+              std::vector<uint8_t>* marks) {
+  for (int32_t id : ids) (*marks)[static_cast<uint32_t>(id)] = mark;
+}
+
+// |A ∩ B| for the marked set A. FeatureCache spans are sorted and unique,
+// so this is the count the sorted-span intersection returns.
+size_t CountMarked(std::span<const int32_t> ids,
+                   const std::vector<uint8_t>& marks) {
+  size_t count = 0;
+  for (int32_t id : ids) count += marks[static_cast<uint32_t>(id)];
+  return count;
+}
+
+// Fills column k of the rows of the run candidates[begin, end), which all
+// share the left record; row t of the run is at rows + t * m. Token-family
+// columns mark the left record's ids once and count each right record's
+// ids against the marks. Edit-similarity columns run the batched Myers
+// kernel against the run's shared reference string lower(i, k); it returns
+// the single-pair kernel's integer distance (tests/simd_kernels_test.cc).
+// Every function is symmetric in its two values, so the left record may be
+// either end of the pair.
+void FillColumnForRun(const FeatureCache& features, SimilarityFunction fn,
+                      size_t k,
+                      const std::vector<std::pair<int, int>>& candidates,
+                      int64_t begin, int64_t end, double component_floor,
+                      size_t m, double* rows, RunScratch* scratch) {
+  const auto left =
+      static_cast<size_t>(candidates[static_cast<size_t>(begin)].first);
+  auto right = [&](int64_t p) {
+    return static_cast<size_t>(candidates[static_cast<size_t>(p)].second);
+  };
+  auto put = [&](int64_t p, double s) {
+    if (s < component_floor) s = 0.0;
+    rows[static_cast<size_t>(p - begin) * m + k] = s;
+  };
+  switch (fn) {
+    case SimilarityFunction::kEditSimilarity: {
+      const std::string_view pattern = features.LowerValue(left, k);
+      scratch->texts.clear();
+      for (int64_t p = begin; p < end; ++p) {
+        scratch->texts.push_back(features.LowerValue(right(p), k));
+      }
+      scratch->dists.resize(scratch->texts.size());
+      BatchMyersEditDistance(pattern, scratch->texts.data(),
+                             scratch->texts.size(), scratch->dists.data());
+      for (int64_t p = begin; p < end; ++p) {
+        const auto t = static_cast<size_t>(p - begin);
+        put(p, EditSimilarityFromDistance(scratch->dists[t], pattern.size(),
+                                          scratch->texts[t].size()));
+      }
+      return;
+    }
+    case SimilarityFunction::kNumeric: {
+      // NumericSimilarity: both values parse, or bigram Jaccard.
+      const std::span<const int32_t> a = features.BigramIds(left, k);
+      double va = 0.0;
+      const bool left_numeric = features.NumericValue(left, k, &va);
+      SetMarks(a, 1, &scratch->marks);
+      for (int64_t p = begin; p < end; ++p) {
+        double vb = 0.0;
+        if (left_numeric && features.NumericValue(right(p), k, &vb)) {
+          const double max_abs = std::max(std::abs(va), std::abs(vb));
+          if (max_abs == 0.0) {
+            put(p, 1.0);
+          } else {
+            const double sim = 1.0 - std::abs(va - vb) / max_abs;
+            put(p, std::max(0.0, sim));
+          }
+        } else {
+          const std::span<const int32_t> b = features.BigramIds(right(p), k);
+          put(p, SetSimilarity(fn, CountMarked(b, scratch->marks), a.size(),
+                               b.size()));
+        }
+      }
+      SetMarks(a, 0, &scratch->marks);
+      return;
+    }
+    case SimilarityFunction::kJaccard:
+    case SimilarityFunction::kBigramJaccard:
+    case SimilarityFunction::kCosine:
+    case SimilarityFunction::kOverlap: {
+      auto ids = [&](size_t r) {
+        return fn == SimilarityFunction::kBigramJaccard
+                   ? features.BigramIds(r, k)
+                   : features.WordTokenIds(r, k);
+      };
+      const std::span<const int32_t> a = ids(left);
+      SetMarks(a, 1, &scratch->marks);
+      for (int64_t p = begin; p < end; ++p) {
+        const std::span<const int32_t> b = ids(right(p));
+        put(p, SetSimilarity(fn, CountMarked(b, scratch->marks), a.size(),
+                             b.size()));
+      }
+      SetMarks(a, 0, &scratch->marks);
+      return;
+    }
+  }
+}
+
+// One chunk's distinct rows in first-occurrence order, before the merge.
+struct ChunkRows {
+  std::vector<double> distinct;
+  size_t count = 0;
+};
 
 }  // namespace
 
@@ -81,70 +192,70 @@ SimilarityTable ComputeSimilarityTable(
     const FeatureCache& features,
     const std::vector<std::pair<int, int>>& candidates,
     double component_floor) {
-  // Each pair's row is independent and lands in its own slot, so the loop
-  // shards over the pool; the table is positionally identical to the serial
-  // loop's at any thread count.
-  //
-  // Within a chunk, edit-similarity attributes run through the batched
-  // Myers kernel: candidate lists arrive sorted by (i, j), so runs of pairs
-  // sharing a left record share one reference string, and the batch
-  // advances up to kMyersBatchLanes pairs per column step. The batch
-  // returns the same integer distance as the single-pair kernel on every
-  // input (tests/simd_kernels_test.cc), so each slot's doubles are
-  // unchanged; chunk boundaries can split a run, which only shortens
-  // batches, never changes results.
+  // Chunks of pairs run on the pool. Within a chunk, each run of pairs that
+  // share a left record (candidate lists arrive sorted by (i, j)) is filled
+  // column by column into the chunk's row buffer, and the chunk interns its
+  // rows into a local dictionary, writing local ids into row_of. A chunk
+  // boundary can split a run, which only repeats the run's setup. The merge
+  // then interns each chunk's distinct rows in chunk order and rewrites its
+  // ids, so ids follow first occurrence in pair order and the table is the
+  // same at every thread count.
   const Schema& schema = features.table().schema();
   const size_t m = schema.num_attributes();
-  bool any_edit = false;
-  for (size_t k = 0; k < m; ++k) {
-    any_edit |= schema.attribute(k).sim == SimilarityFunction::kEditSimilarity;
-  }
+  const size_t n = candidates.size();
   SimilarityTable out;
   out.m = m;
-  out.ids.resize(candidates.size());
-  out.values.resize(candidates.size() * m);
-  ParallelFor(
-      0, static_cast<int64_t>(candidates.size()), kPairGrain,
-      [&](int64_t begin, int64_t end) {
-        for (int64_t p = begin; p < end; ++p) {
-          const auto& [i, j] = candidates[static_cast<size_t>(p)];
-          POWER_CHECK(i != j);
-          const int lo = std::min(i, j);
-          const int hi = std::max(i, j);
-          out.ids[static_cast<size_t>(p)] = {lo, hi};
-          double* row = out.values.data() + static_cast<size_t>(p) * m;
-          for (size_t k = 0; k < m; ++k) {
-            if (schema.attribute(k).sim ==
-                SimilarityFunction::kEditSimilarity) {
-              continue;  // filled by the batched pass below
-            }
-            double s = ComputeSimilarity(features, schema.attribute(k).sim,
-                                         static_cast<size_t>(lo),
-                                         static_cast<size_t>(hi), k);
-            if (s < component_floor) s = 0.0;
-            row[k] = s;
-          }
-        }
-        if (!any_edit) return;
-        std::vector<std::string_view> texts;
-        std::vector<size_t> dists;
-        int64_t p = begin;
-        while (p < end) {
-          int64_t q = p;
+  out.ids.resize(n);
+  out.row_of.resize(n);
+  std::vector<ChunkRows> chunks(NumChunks(0, static_cast<int64_t>(n),
+                                          kPairGrain));
+  ParallelForChunked(
+      0, static_cast<int64_t>(n), kPairGrain,
+      [&](size_t chunk, int64_t begin, int64_t end) {
+        RunScratch scratch;
+        scratch.marks.assign(features.dict_size(), 0);
+        std::vector<double> rows(static_cast<size_t>(end - begin) * m);
+        for (int64_t p = begin; p < end;) {
           const int left = candidates[static_cast<size_t>(p)].first;
-          while (q < end && candidates[static_cast<size_t>(q)].first == left) {
-            ++q;
+          int64_t q = p;
+          for (; q < end && candidates[static_cast<size_t>(q)].first == left;
+               ++q) {
+            const auto& [i, j] = candidates[static_cast<size_t>(q)];
+            POWER_CHECK(i != j);
+            out.ids[static_cast<size_t>(q)] = {std::min(i, j),
+                                               std::max(i, j)};
           }
+          double* run_rows = rows.data() + static_cast<size_t>(p - begin) * m;
           for (size_t k = 0; k < m; ++k) {
-            if (schema.attribute(k).sim ==
-                SimilarityFunction::kEditSimilarity) {
-              FillEditAttributeForRun(features, candidates, p, q, k,
-                                      component_floor, &texts, &dists, &out);
-            }
+            FillColumnForRun(features, schema.attribute(k).sim, k, candidates,
+                             p, q, component_floor, m, run_rows, &scratch);
           }
           p = q;
         }
+        RowInterner local(m);
+        for (int64_t p = begin; p < end; ++p) {
+          out.row_of[static_cast<size_t>(p)] =
+              local.Intern(rows.data() + static_cast<size_t>(p - begin) * m);
+        }
+        chunks[chunk].count = local.size();
+        chunks[chunk].distinct = local.TakeRows();
       });
+  RowInterner global(m);
+  std::vector<uint32_t> to_global;
+  for (size_t c = 0; c < chunks.size(); ++c) {
+    to_global.resize(chunks[c].count);
+    for (size_t r = 0; r < chunks[c].count; ++r) {
+      to_global[r] = global.Intern(chunks[c].distinct.data() + r * m);
+    }
+    chunks[c] = ChunkRows();
+    const size_t begin = c * static_cast<size_t>(kPairGrain);
+    const size_t end = std::min(n, begin + static_cast<size_t>(kPairGrain));
+    for (size_t p = begin; p < end; ++p) {
+      out.row_of[p] = to_global[out.row_of[p]];
+    }
+  }
+  out.num_distinct = global.size();
+  out.distinct = global.TakeRows();
   return out;
 }
 
@@ -168,13 +279,16 @@ SimilarityTable PackSimilarPairs(const std::vector<SimilarPair>& pairs) {
   SimilarityTable table;
   table.m = pairs.empty() ? 0 : pairs[0].sims.size();
   table.ids.reserve(pairs.size());
-  table.values.reserve(pairs.size() * table.m);
+  table.row_of.reserve(pairs.size());
+  RowInterner interner(table.m);
   for (const SimilarPair& p : pairs) {
     POWER_CHECK_MSG(p.sims.size() == table.m,
                     "every pair's similarity vector must have one width");
     table.ids.emplace_back(p.i, p.j);
-    table.values.insert(table.values.end(), p.sims.begin(), p.sims.end());
+    table.row_of.push_back(interner.Intern(p.sims.data()));
   }
+  table.num_distinct = interner.size();
+  table.distinct = interner.TakeRows();
   return table;
 }
 

@@ -24,10 +24,14 @@ SimilarPair ComputePairSimilarity(const Table& table, int i, int j,
                                   double component_floor);
 
 /// Computes the similarity vectors of a batch of candidate pairs over cached
-/// features into one table, row p for candidates[p] (ids ordered i < j).
-/// The pooled loop writes each row in place; edit-similarity columns come
-/// from the batched Myers kernel. Every value is bit-identical to the
-/// string-path ComputePairSimilarity at any thread count.
+/// features into one table, pair p for candidates[p] (ids ordered i < j).
+/// The pooled loop fills the pairs that share a left record as one run: each
+/// token-family column marks the left record's token ids once (a byte per
+/// dictionary token) and counts each partner's ids against the marks, and
+/// edit-similarity columns come from the batched Myers kernel. Each distinct
+/// row is stored once, in first-occurrence pair order. Every value is
+/// bit-identical to the string-path ComputePairSimilarity, and the table is
+/// the same at any thread count.
 SimilarityTable ComputeSimilarityTable(
     const FeatureCache& features,
     const std::vector<std::pair<int, int>>& candidates,
@@ -39,8 +43,9 @@ std::vector<SimilarPair> ComputePairSimilarities(
     const std::vector<std::pair<int, int>>& candidates,
     double component_floor);
 
-/// Packs pairs into a table, bit for bit (the width of the first pair; every
-/// pair must have it).
+/// Packs pairs into a table, bit for bit, interning the rows as
+/// ComputeSimilarityTable does (the width of the first pair; every pair must
+/// have it).
 SimilarityTable PackSimilarPairs(const std::vector<SimilarPair>& pairs);
 
 /// Record-level similarity used for pruning (paper §7.1): word-token Jaccard

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <fstream>
+#include <numeric>
 #include <set>
 #include <string>
 #include <tuple>
@@ -208,10 +209,13 @@ TEST(QuickSortBuilderTest, AntichainBuildsInLinearMemory) {
     values.push_back(t);
     values.push_back(1.0 - t);
   }
+  std::vector<uint32_t> index(kN);  // every row distinct
+  std::iota(index.begin(), index.end(), 0u);
   ScopedNumThreads one(1);
   const size_t before = PeakRssBytes();
   ASSERT_GT(before, 0u);
-  PairGraph g = QuickSortBuilder().Build({values.data(), kN, 2});
+  PairGraph g =
+      QuickSortBuilder().Build({values.data(), index.data(), kN, 2, kN});
   const size_t growth = PeakRssBytes() - before;
   EXPECT_EQ(g.num_vertices(), kN);
   EXPECT_EQ(g.num_edges(), 0u);

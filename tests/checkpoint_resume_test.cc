@@ -16,18 +16,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "blocking/pair_generator.h"
 #include "core/power.h"
+#include "data/generator.h"
 #include "data/paper_example.h"
 #include "platform/platform.h"
 #include "platform/platform_oracle.h"
 #include "platform/requester.h"
+#include "sim/feature_cache.h"
 #include "sim/pair.h"
+#include "sim/similarity_matrix.h"
 #include "util/snapshot.h"
 
 namespace power {
@@ -345,6 +350,80 @@ TEST(CheckpointResumeTest, VersionOneCheckpointIsRefusedAndRunStartsClean) {
 // Version 2 stored a forced flag per vertex in the coloring blob.
 TEST(CheckpointResumeTest, VersionTwoCheckpointIsRefusedAndRunStartsClean) {
   ExpectOldVersionRefusedAndRunStartsClean(2);
+}
+
+// The job fingerprint as it was computed over the expanded table, one row of
+// doubles per pair: bytewise FNV-1a over the loop-relevant config fields,
+// then one FNV step per 8-byte word over n, m, every PairKey and every value
+// in pair order.
+uint64_t FnvBytes(uint64_t h, const void* data, size_t size) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t b = 0; b < size; ++b) h = (h ^ p[b]) * 0x100000001B3ULL;
+  return h;
+}
+
+template <typename T>
+uint64_t FnvField(uint64_t h, const T& v) {
+  return FnvBytes(h, &v, sizeof(v));
+}
+
+uint64_t FnvStep(uint64_t h, uint64_t word) {
+  return (h ^ word) * 0x100000001B3ULL;
+}
+
+uint64_t ExpandedTableFingerprint(const PowerConfig& config,
+                                  const std::vector<SimilarPair>& pairs) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  h = FnvField(h, config.grouping);
+  h = FnvField(h, config.epsilon);
+  h = FnvField(h, config.builder);
+  h = FnvField(h, config.selector);
+  h = FnvField(h, config.error_tolerant);
+  h = FnvField(h, config.max_questions);
+  h = FnvField(h, config.confidence_threshold);
+  h = FnvField(h, config.max_ask_attempts);
+  h = FnvField(h, config.seed);
+  h = FnvStep(h, pairs.size());
+  h = FnvStep(h, pairs.empty() ? 0 : pairs[0].sims.size());
+  for (const SimilarPair& p : pairs) h = FnvStep(h, PairKey(p.i, p.j));
+  for (const SimilarPair& p : pairs) {
+    for (double v : p.sims) h = FnvStep(h, std::bit_cast<uint64_t>(v));
+  }
+  return h;
+}
+
+// A checkpoint written over the expanded table still resumes over the
+// interned one: the stored fingerprint hashes the same words in the same
+// order. The table's rows repeat, so the interned layout really differs.
+TEST(CheckpointResumeTest, FingerprintHashesTheExpandedTablesWords) {
+  DatasetProfile profile = CoraProfile();
+  profile.num_records = 200;
+  profile.num_entities = 60;
+  const Table table = DatasetGenerator(51).Generate(profile);
+  const FeatureCache features(table);
+  const PowerConfig defaults;
+  const std::vector<std::pair<int, int>> candidates =
+      AllPairsCandidates(features, defaults.prune_tau);
+  const std::vector<SimilarPair> pairs = ComputePairSimilarities(
+      features, candidates, defaults.component_floor);
+  SimilarityTable interned = ComputeSimilarityTable(
+      features, candidates, defaults.component_floor);
+  ASSERT_LT(interned.num_distinct, pairs.size());
+
+  const std::string path = CheckpointPath("expanded_fingerprint");
+  CheckpointStore(path).Clear();
+  const PowerConfig config = JobConfig(SelectorKind::kTopoSort, 1, path);
+  CrowdPlatform platform(&table, FaultyPlatformConfig());
+  PlatformOracle oracle(&platform, TestRetryPolicy());
+  {
+    RunOnPairsJob job(config, std::move(interned), &oracle);
+    ASSERT_TRUE(job.Step());
+    job.SimulateCrashForTest();
+  }
+  JobCheckpoint cp;
+  ASSERT_TRUE(CheckpointStore(path).Load(&cp));
+  EXPECT_EQ(cp.fingerprint, ExpandedTableFingerprint(config, pairs));
+  CheckpointStore(path).Clear();
 }
 
 // RunOnPairs with a checkpoint path picks up where a crashed run stopped.

@@ -313,8 +313,17 @@ TEST(FeatureCacheDifferential, TokenIdsMatchReferenceOnHostileCells) {
 
 TEST(FeatureCacheDifferential, SimilarityVectorsMatchLegacyBitForBit) {
   constexpr double kFloor = 0.2;
-  for (uint64_t seed : {5u, 23u, 71u}) {
-    Table table = MakeAdversarialTable(seed, /*num_records=*/36);
+  // Three small tables, and one of 200 records whose 19,900 pairs span 20
+  // of the similarity table's chunks, so chunk boundaries fall inside runs
+  // of pairs that share a left record.
+  struct Case {
+    uint64_t seed;
+    int records;
+  };
+  for (const Case c :
+       {Case{5, 36}, Case{23, 36}, Case{71, 36}, Case{97, 200}}) {
+    const uint64_t seed = c.seed;
+    Table table = MakeAdversarialTable(seed, c.records);
     const int n = static_cast<int>(table.num_records());
 
     // Legacy reference: the raw-string per-pair path, serial.
@@ -328,7 +337,7 @@ TEST(FeatureCacheDifferential, SimilarityVectorsMatchLegacyBitForBit) {
       }
     }
 
-    for (int threads : {1, 8}) {
+    for (int threads : {1, 2, 8}) {
       ScopedNumThreads scope(threads);
       FeatureCache features(table);
       std::vector<std::pair<int, int>> all_pairs;

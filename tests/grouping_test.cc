@@ -353,6 +353,26 @@ TEST(SplitGrouperDifferential, DuplicatesAndSingleVertexMatchReference) {
   Rng rng(8);
   for (int v = 0; v < 300; ++v) dups.push_back(few[rng.UniformIndex(6)]);
   ExpectSplitMatchesReference(dups, "six distinct vectors");
+  // A handful of vectors repeated many times past 8 attributes, so child
+  // keys span several bytes.
+  for (size_t m : {12u, 20u}) {
+    std::vector<std::vector<double>> wide_few = GridSims(9 + m, 5, m);
+    std::vector<std::vector<double>> wide_dups;
+    for (int v = 0; v < 400; ++v) {
+      wide_dups.push_back(wide_few[rng.UniformIndex(5)]);
+    }
+    ExpectSplitMatchesReference(wide_dups, "five distinct vectors m " +
+                                               std::to_string(m));
+  }
+  // 0.0 and -0.0 copies of one vector, in both orders: bit-distinct rows
+  // that always share a leaf, whose bounds keep the sign met first.
+  const std::vector<double> pos = {0.0, 0.6, 0.3};
+  const std::vector<double> neg = {-0.0, 0.6, 0.3};
+  const std::vector<double> far = {0.9, 0.1, 0.3};
+  ExpectSplitMatchesReference({pos, neg, far, pos, neg, neg},
+                              "zero before negative zero");
+  ExpectSplitMatchesReference({neg, pos, far, neg, pos, pos},
+                              "negative zero before zero");
 }
 
 // Similarity vectors of the pairs a default run keeps from a generated

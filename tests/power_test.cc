@@ -1,5 +1,8 @@
+#include <stdlib.h>
+
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -259,6 +262,37 @@ TEST(PowerFrameworkDeathTest,
       }
     }
   }
+}
+
+// Run refuses a bad config before its first stage. Under POWER_VERBOSE the
+// candidate stage logs a "power: candidates:" line, so a child whose whole
+// stderr is the config message built no feature cache, no candidates and no
+// similarity table.
+TEST(PowerFrameworkDeathTest, RunRefusesABadConfigBeforeTheFrontEnd) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Table table = PaperExampleTable();
+  CrowdOracle oracle = PerfectOracle(table);
+  PowerConfig bad_epsilon;
+  bad_epsilon.epsilon = -0.1;
+  PowerConfig bad_attempts;
+  bad_attempts.max_ask_attempts = 0;
+  PowerConfig bad_histograms;
+  bad_histograms.tolerance.num_histograms = 0;
+  const std::pair<PowerConfig, std::string> cases[] = {
+      {bad_epsilon, "power: grouping epsilon=-0\\.1 must be >= 0"},
+      {bad_attempts, "power: max_ask_attempts=0 must be >= 1"},
+      {bad_histograms, "power: tolerance\\.num_histograms=0 must be >= 1"}};
+  for (const auto& [config, message] : cases) {
+    SCOPED_TRACE(message);
+    EXPECT_FALSE(ValidateConfig(config).empty());
+    EXPECT_DEATH(
+        {
+          ::setenv("POWER_VERBOSE", "1", /*overwrite=*/1);
+          PowerFramework(config).Run(table, &oracle);
+        },
+        "^" + message + "\n$");
+  }
+  EXPECT_EQ(ValidateConfig(PowerConfig()), "");
 }
 
 TEST(PowerFrameworkTest, KindNamesAreStable) {

@@ -1,13 +1,19 @@
-// Differential tests for the flat similarity table: every row that the
-// pooled ComputeSimilarityTable writes equals the single-pair string path
-// ComputePairSimilarity(const Table&, ...), which shares no code with the
-// feature cache, bit for bit, at 1, 2 and 8 threads; and the nested entry
-// points that remain (the unpacked ComputePairSimilarities, the packing
-// RunOnPairs) give identical results.
+// Differential tests for the interned similarity table: every row that the
+// pooled ComputeSimilarityTable gives a pair equals the single-pair string
+// path ComputePairSimilarity(const Table&, ...), which shares no code with
+// the feature cache, bit for bit, at 1, 2 and 8 threads; the distinct rows
+// and the row index equal a serial first-occurrence reference at every
+// thread count and SIMD level; and the nested entry points that remain (the
+// unpacked ComputePairSimilarities, the packing RunOnPairs) give identical
+// results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstring>
+#include <map>
+#include <set>
 #include <span>
 #include <string>
 #include <utility>
@@ -19,6 +25,7 @@
 #include "crowd/pair_oracle.h"
 #include "data/generator.h"
 #include "sim/feature_cache.h"
+#include "sim/simd_kernels.h"
 #include "sim/similarity_matrix.h"
 #include "util/parallel.h"
 
@@ -26,7 +33,7 @@ namespace power {
 namespace {
 
 constexpr double kFloor = 0.2;
-constexpr size_t kPairGrain = 64;  // similarity_matrix.cc's chunk size
+constexpr size_t kPairGrain = 1024;  // similarity_matrix.cc's chunk size
 
 Table ProfileTable(DatasetProfile profile, size_t records) {
   const double ratio = static_cast<double>(profile.num_entities) /
@@ -81,7 +88,8 @@ void ExpectRowsMatchSinglePair(const Table& table, const std::string& label) {
         ComputeSimilarityTable(features, candidates, kFloor);
     ASSERT_EQ(got.size(), candidates.size()) << label;
     ASSERT_EQ(got.m, table.schema().num_attributes()) << label;
-    ASSERT_EQ(got.values.size(), got.size() * got.m) << label;
+    ASSERT_EQ(got.row_of.size(), got.size()) << label;
+    ASSERT_EQ(got.distinct.size(), got.num_distinct * got.m) << label;
     size_t mismatches = 0;
     for (size_t p = 0; p < got.size(); ++p) {
       if (got.ids[p] != std::make_pair(want[p].i, want[p].j) ||
@@ -122,10 +130,79 @@ TEST(SimilarityTableDifferential, PairSimilaritiesEqualUnpackedTable) {
   const SimilarityTable repacked = PackSimilarPairs(pairs);
   EXPECT_EQ(repacked.ids, packed.ids);
   EXPECT_EQ(repacked.m, packed.m);
-  ASSERT_EQ(repacked.values.size(), packed.values.size());
-  EXPECT_EQ(std::memcmp(repacked.values.data(), packed.values.data(),
-                        packed.values.size() * sizeof(double)),
+  EXPECT_EQ(repacked.row_of, packed.row_of);
+  EXPECT_EQ(repacked.num_distinct, packed.num_distinct);
+  ASSERT_EQ(repacked.distinct.size(), packed.distinct.size());
+  EXPECT_EQ(std::memcmp(repacked.distinct.data(), packed.distinct.data(),
+                        packed.distinct.size() * sizeof(double)),
             0);
+}
+
+std::vector<uint64_t> RowBits(const std::vector<double>& row) {
+  std::vector<uint64_t> bits;
+  for (double s : row) bits.push_back(std::bit_cast<uint64_t>(s));
+  return bits;
+}
+
+// The interned layout against a serial reference built from the string-path
+// rows: ids in first-occurrence pair order, keyed by bit pattern. The
+// distinct rows and the index must be identical at every thread count and
+// SIMD level.
+void ExpectInternedRowsMatchReference(const Table& table,
+                                      const std::string& label) {
+  FeatureCache features(table);
+  const std::vector<std::pair<int, int>> candidates =
+      AllPairsCandidates(features, PowerConfig().prune_tau);
+  std::map<std::vector<uint64_t>, uint32_t> ids;
+  std::vector<uint32_t> want_row_of;
+  std::vector<double> want_distinct;
+  std::set<std::vector<uint64_t>> patterns;
+  for (const auto& [i, j] : candidates) {
+    const SimilarPair p = ComputePairSimilarity(table, i, j, kFloor);
+    const auto [it, fresh] = ids.emplace(RowBits(p.sims), ids.size());
+    if (fresh) {
+      want_distinct.insert(want_distinct.end(), p.sims.begin(), p.sims.end());
+    }
+    want_row_of.push_back(it->second);
+    patterns.insert(RowBits(p.sims));
+  }
+  ASSERT_LT(ids.size(), candidates.size()) << label << ": no row repeats";
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  if (BuiltWithAvx2() && CpuSupportsAvx2()) levels.push_back(SimdLevel::kAvx2);
+  const SimdLevel startup = ActiveSimdLevel();
+  for (SimdLevel level : levels) {
+    OverrideSimdLevel(level);
+    for (int threads : {1, 2, 8}) {
+      ScopedNumThreads scope(threads);
+      const SimilarityTable got =
+          ComputeSimilarityTable(features, candidates, kFloor);
+      const std::string where = label + " " + SimdLevelName(level) +
+                                " threads " + std::to_string(threads);
+      EXPECT_EQ(got.num_distinct, patterns.size()) << where;
+      EXPECT_EQ(got.row_of, want_row_of) << where;
+      ASSERT_EQ(got.distinct.size(), want_distinct.size()) << where;
+      EXPECT_EQ(std::memcmp(got.distinct.data(), want_distinct.data(),
+                            want_distinct.size() * sizeof(double)),
+                0)
+          << where;
+    }
+  }
+  OverrideSimdLevel(startup);
+}
+
+TEST(SimilarityTableDifferential, InternedRowsMatchFirstOccurrenceReference) {
+  ExpectInternedRowsMatchReference(AcmPubShaped(), "ACMPub");
+  ExpectInternedRowsMatchReference(CoraShapedWithEditColumns(),
+                                   "Cora with edit columns");
+}
+
+TEST(SimilarityTableDifferential, PackingKeepsSignedZerosApart) {
+  const SimilarityTable table = PackSimilarPairs(
+      {{0, 1, {0.0, 0.5}}, {0, 2, {-0.0, 0.5}}, {1, 2, {0.0, 0.5}}});
+  EXPECT_EQ(table.num_distinct, 2u);
+  EXPECT_EQ(table.row_of, (std::vector<uint32_t>{0, 1, 0}));
+  EXPECT_TRUE(std::signbit(table.row(1)[0]));
+  EXPECT_FALSE(std::signbit(table.row(2)[0]));
 }
 
 // ---------------------------------------------------------------------------
