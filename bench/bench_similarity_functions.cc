@@ -11,11 +11,10 @@
 // outputs are asserted equal before any timing is reported.
 //
 // Plus the kernel-level bench: the dispatched SIMD kernels
-// (sim/simd_kernels.h) against their scalar references on the three hot
-// integer loops — the record-level Jaccard prune (sorted token-id span
-// intersection over every record pair), the batched Myers edit distance
-// (8 texts per call against a shared reference string) and the gathered
-// signature distances of the prefix join's filter. Engine outputs are
+// (sim/simd_kernels.h) against their scalar references on their two hot
+// integer loops — the batched Myers edit distance (8 texts per call
+// against a shared reference string) and the gathered signature distances
+// of the prefix join's filter. Engine outputs are
 // checksummed and asserted equal before any speedup is reported, and the
 // AVX2 rows carry an 8-lane roofline (8x the scalar element throughput) so
 // the achieved fraction is visible next to the speedup.
@@ -299,10 +298,10 @@ int RunFrontEndBench(bool smoke, std::vector<std::string>* json_rows) {
 // ---------------------------------------------------------------------------
 
 struct KernelResult {
-  std::string kernel;    // "jaccard_prune" | "batch_myers" | "signature"
+  std::string kernel;    // "batch_myers" | "signature"
   std::string engine;    // "scalar" | "avx2"
   size_t pairs = 0;      // pair comparisons timed
-  size_t elements = 0;   // merge elements (prune) / text columns (myers)
+  size_t elements = 0;   // text columns (myers) / signature words
   double seconds = 0.0;
   uint64_t checksum = 0;  // engine-independent result fingerprint
   double pairs_per_sec() const {
@@ -312,38 +311,6 @@ struct KernelResult {
     return seconds <= 0.0 ? 0.0 : elements / seconds;
   }
 };
-
-// The record-level Jaccard prune loop of AllPairsCandidates, stripped to its
-// kernel: every record pair's sorted-span intersection plus the shared
-// threshold predicate. The checksum folds both the intersection counts and
-// the keep decisions, so a kernel that miscounts cannot report a speedup.
-KernelResult BenchJaccardPruneKernel(const FeatureCache& features,
-                                     SimdLevel level, int reps) {
-  OverrideSimdLevel(level);
-  KernelResult r;
-  r.kernel = "jaccard_prune";
-  r.engine = SimdLevelName(level);
-  const size_t n = features.num_records();
-  Stopwatch watch;
-  for (int rep = 0; rep < reps; ++rep) {
-    for (size_t i = 0; i + 1 < n; ++i) {
-      const auto ri = features.RecordTokenIds(i);
-      for (size_t j = i + 1; j < n; ++j) {
-        const auto rj = features.RecordTokenIds(j);
-        const size_t inter = SortedIntersectionSizeKernel(ri, rj);
-        r.checksum += 2 * inter +
-                      (RecordJaccardAtLeast(inter, ri.size(), rj.size(),
-                                            kFrontEndTau)
-                           ? 1
-                           : 0);
-        r.elements += ri.size() + rj.size();
-      }
-    }
-  }
-  r.seconds = watch.ElapsedSeconds();
-  r.pairs = static_cast<size_t>(reps) * n * (n - 1) / 2;
-  return r;
-}
 
 // The batched Myers loop of ComputeSimilarityTable's edit attribute: runs of
 // texts sharing one reference string, kMyersBatchLanes texts per batch.
@@ -426,7 +393,6 @@ std::string KernelJsonRow(const KernelResult& r) {
 
 int RunKernelBench(bool smoke, std::vector<std::string>* json_rows) {
   const size_t kRecords = smoke ? 220 : 2500;
-  const int kPruneReps = smoke ? 1 : 3;
   const int kMyersReps = smoke ? 1 : 3;
   const int kSignatureReps = smoke ? 1 : 20;
   Table table = MakeFrontEndTable(kRecords);
@@ -466,11 +432,6 @@ int RunKernelBench(bool smoke, std::vector<std::string>* json_rows) {
                 100.0 * vec.elems_per_sec() / roofline);
     PrintRule();
   };
-  run_pair(
-      [&](SimdLevel level) {
-        return BenchJaccardPruneKernel(features, level, kPruneReps);
-      },
-      "jaccard_prune");
   run_pair(
       [&](SimdLevel level) {
         return BenchBatchMyersKernel(features,

@@ -6,7 +6,8 @@
 #                        every change touching util/parallel.h or a pooled
 #                        hot path);
 #   asan  (build-asan/)  ASan+UBSan (POWER_SANITIZE=address) over the full
-#                        suite — memory errors and UB at -O0-ish codegen;
+#                        suite, the examples' er_cli entries included —
+#                        memory errors and UB at -O0-ish codegen;
 #   ubsan (build-ubsan/) UBSan alone (POWER_SANITIZE=undefined) at -O2 over
 #                        the full suite — integer overflow / bad shifts in
 #                        optimized codegen, which the asan tree's different
@@ -111,10 +112,13 @@ fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then
   echo "== build (ASan+UBSan) =="
+  # Examples stay ON in build-asan (every leg that configures it says so),
+  # so the er_cli entries, the hostile table CSVs among them, run under
+  # ASan+UBSan; the explicit ON overrides a stale OFF in an existing tree.
   cmake -B build-asan -S . \
     -DPOWER_SANITIZE=address \
     -DPOWER_BUILD_BENCHMARKS=OFF \
-    -DPOWER_BUILD_EXAMPLES=OFF >/dev/null
+    -DPOWER_BUILD_EXAMPLES=ON >/dev/null
   cmake --build build-asan -j "$(nproc)" >/dev/null
   echo "== ctest (full suite under ASan+UBSan) =="
   (cd build-asan && \
@@ -143,7 +147,7 @@ if [[ "$RUN_FAULTS" == 1 ]]; then
   cmake -B build-asan -S . \
     -DPOWER_SANITIZE=address \
     -DPOWER_BUILD_BENCHMARKS=OFF \
-    -DPOWER_BUILD_EXAMPLES=OFF >/dev/null
+    -DPOWER_BUILD_EXAMPLES=ON >/dev/null
   cmake --build build-asan -j "$(nproc)" >/dev/null
   echo "== ctest (fault-injection suite under ASan+UBSan) =="
   # -L before -j: were -j ever left without its count, ctest would eat "-L"
@@ -159,7 +163,7 @@ if [[ "$RUN_CRASH" == 1 ]]; then
   cmake -B build-asan -S . \
     -DPOWER_SANITIZE=address \
     -DPOWER_BUILD_BENCHMARKS=OFF \
-    -DPOWER_BUILD_EXAMPLES=OFF >/dev/null
+    -DPOWER_BUILD_EXAMPLES=ON >/dev/null
   cmake --build build-asan -j "$(nproc)" >/dev/null
   echo "== ctest (crash/durability suite under ASan+UBSan) =="
   # The kill point is std::_Exit, which skips LSan's atexit hook — the crash

@@ -90,9 +90,10 @@ std::vector<std::pair<int, int>> AllPairsCandidates(
   // signature table's -1). Each pair is decided once, and every step but a
   // row's first is whole. A step's 256 decisions are one SignatureSteps
   // call, which passes exactly the pairs SignatureLimits passes (the filter
-  // is symmetric in the two records). The survivors are verified by the
-  // dispatched intersection kernel and the shared RecordJaccardAtLeast
-  // predicate, i.e. exactly RecordLevelJaccard(features, i, j) >= tau.
+  // is symmetric in the two records). The survivors are verified against
+  // the row's TokenMarks, set at its first survivor and cleared at its end,
+  // with the shared RecordJaccardAtLeast predicate, i.e. exactly
+  // RecordLevelJaccard(features, i, j) >= tau.
   //
   // Positions are row-sharded over the pool; each chunk keeps its pairs as
   // (min id, max id). The output is a function of the pair set alone, sorted
@@ -113,6 +114,7 @@ std::vector<std::pair<int, int>> AllPairsCandidates(
         [&](size_t chunk, int64_t row_begin, int64_t row_end) {
           auto& buf = found[chunk];
           SignatureLimits limits(max_size, tau);
+          TokenMarks marks(features.dict_size());
           uint64_t verifications = 0;
           // The bucket of the chunk's first position.
           size_t own = static_cast<size_t>(
@@ -129,6 +131,7 @@ std::vector<std::pair<int, int>> AllPairsCandidates(
             const std::span<const int32_t> rx =
                 features.RecordTokenIds(static_cast<size_t>(x));
             const SignatureBits bits(sigs[static_cast<size_t>(x)]);
+            bool marked = false;
             for (size_t g = own; g < buckets.size(); ++g) {
               const ScanLayout::Bucket& bucket = buckets[g];
               const int32_t limit = limits.Limit(bucket.size);
@@ -153,16 +156,20 @@ std::vector<std::pair<int, int>> AllPairsCandidates(
                         p + static_cast<int>(64 * w) + std::countr_zero(m))];
                     const std::span<const int32_t> ry =
                         features.RecordTokenIds(static_cast<size_t>(y));
+                    if (!marked) {
+                      marks.Mark(rx);
+                      marked = true;
+                    }
                     ++verifications;
-                    const size_t inter = SortedIntersectionSizeKernel(rx, ry);
-                    if (RecordJaccardAtLeast(inter, rx.size(), ry.size(),
-                                             tau)) {
+                    if (RecordJaccardAtLeast(marks.Count(ry), rx.size(),
+                                             ry.size(), tau)) {
                       buf.emplace_back(std::min(x, y), std::max(x, y));
                     }
                   }
                 }
               }
             }
+            if (marked) marks.Unmark(rx);
           }
           verified[chunk] = verifications;
         });

@@ -7,7 +7,6 @@
 
 #include "blocking/signature_filter.h"
 #include "sim/simd_kernels.h"
-#include "sim/tokenizer.h"
 #include "util/check.h"
 #include "util/parallel.h"
 
@@ -85,6 +84,8 @@ ProbeCounts ProbeRange(const PrefixIndex& index, int begin, int end,
   // Probe-stamped candidate dedup. A probe's candidates lie at positions
   // before its own, so positions [0, end) cover every candidate.
   std::vector<int> last_seen(static_cast<size_t>(end), -1);
+  // The probe's ranks, marked at its first candidate to verify.
+  TokenMarks marks(plan.posting_begin.size() - 1);
   std::vector<int> candidates;
   std::vector<uint16_t> distances;
   for (int k = begin; k < end; ++k) {
@@ -112,22 +113,28 @@ ProbeCounts ProbeRange(const PrefixIndex& index, int begin, int end,
                              index.signatures.data(), candidates.data(),
                              candidates.size(), distances.data());
     counts.signature_checks += candidates.size();
+    bool marked = false;
     for (size_t c = 0; c < candidates.size(); ++c) {
       const int q = candidates[c];
       const std::span<const int32_t> ty = plan.Tokens(static_cast<size_t>(q));
       const size_t len_y = ty.size();
       if (!limits.MayPass(len_y, distances[c])) continue;
-      // Verification: the exact record-level Jaccard prune decision, same
-      // predicate (and same dispatched intersection kernel) as
-      // AllPairsCandidates — not a cross-multiplied epsilon rewrite that
-      // could disagree with it on the tau boundary.
+      // Verification: the exact record-level Jaccard prune decision, the
+      // same predicate and marked count as AllPairsCandidates — not a
+      // cross-multiplied epsilon rewrite that could disagree with it on the
+      // tau boundary. Ranking is a bijection, so the rank-space count is
+      // the token-space one.
+      if (!marked) {
+        marks.Mark(tx);
+        marked = true;
+      }
       ++counts.verifications;
-      const size_t inter = SortedIntersectionSize(tx, ty);
-      if (RecordJaccardAtLeast(inter, len_x, len_y, plan.tau)) {
+      if (RecordJaccardAtLeast(marks.Count(ty), len_x, len_y, plan.tau)) {
         const int y = plan.order[static_cast<size_t>(q)];
         out->emplace_back(std::min(x, y), std::max(x, y));
       }
     }
+    if (marked) marks.Unmark(tx);
   }
   return counts;
 }

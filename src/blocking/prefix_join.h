@@ -66,7 +66,8 @@ PrefixJoinPlan PlanPrefixJoin(const FeatureCache& features, double tau);
 ///    the first |x| - ceil(tau*|x|) + 1 tokens,
 ///  - signature filter (SignatureMayReach) on the records' 256-bit token
 ///    signatures, which implies the length filter |y| >= tau * |x|,
-///  - merge-based verification of the exact Jaccard.
+///  - verification of the exact Jaccard, counted against the probe's
+///    marked ranks (TokenMarks).
 ///
 /// The prefix index is built once, on `plan`; the probes then run on the
 /// thread pool over ranges of the processing order. The result is sorted

@@ -1,5 +1,6 @@
 #include "data/table.h"
 
+#include <limits>
 #include <map>
 #include <unordered_set>
 
@@ -85,9 +86,13 @@ bool Table::FromCsv(const std::string& text, Table* table) {
     if (row.size() != header.size()) return false;
     Record r;
     // Full-token parse: a malformed entity id is a malformed file, not a
-    // silent entity 0 (the old atoi behavior).
+    // silent entity 0 (the old atoi behavior). So is one outside int's
+    // range, which a narrowing cast would wrap onto another entity.
     std::optional<int64_t> id = ParseInt(row[1]);
-    if (!id.has_value()) return false;
+    if (!id.has_value() || *id < std::numeric_limits<int>::min() ||
+        *id > std::numeric_limits<int>::max()) {
+      return false;
+    }
     r.entity_id = static_cast<int>(*id);
     r.values.assign(row.begin() + 2, row.end());
     table->Add(std::move(r));

@@ -30,8 +30,8 @@ namespace power {
 ///
 /// All token families share a single interned dictionary. Interning is a
 /// bijection between distinct token strings and their ids, so set sizes and
-/// sorted-span intersection counts — and therefore every similarity double
-/// computed from them — are byte-identical to the raw string path
+/// intersection counts — and therefore every similarity double computed
+/// from them — are byte-identical to the raw string path
 /// (tests/feature_cache_test.cc proves this differentially).
 ///
 /// Determinism at any thread count: parallel passes shard over records with
@@ -125,6 +125,36 @@ class FeatureCache {
   std::vector<std::pair<uint64_t, uint32_t>> dict_ref_;
 };
 
+/// One mark byte per id of an id space the caller sizes: the dictionary for
+/// FeatureCache token ids, the prefix join's rank count for its ranks. Mark
+/// one set A, then Count(B) is |A ∩ B| for every duplicate-free B, and
+/// Unmark(A) clears the bytes A set. The similarity table, the all-pairs
+/// scan and the prefix join count every intersection through it: the table
+/// marks a run's left record once per attribute, the scan and the join
+/// mark a record's ids at its first pair to verify. A byte per id counted
+/// faster than a bit per id, and faster than the AVX2 merge of the two
+/// sorted spans it replaced (DESIGN.md §14, §17).
+class TokenMarks {
+ public:
+  explicit TokenMarks(size_t num_ids) : marks_(num_ids, 0) {}
+
+  void Mark(std::span<const int32_t> ids) { Set(ids, 1); }
+  void Unmark(std::span<const int32_t> ids) { Set(ids, 0); }
+
+  size_t Count(std::span<const int32_t> ids) const {
+    size_t count = 0;
+    for (int32_t id : ids) count += marks_[static_cast<uint32_t>(id)];
+    return count;
+  }
+
+ private:
+  void Set(std::span<const int32_t> ids, uint8_t mark) {
+    for (int32_t id : ids) marks_[static_cast<uint32_t>(id)] = mark;
+  }
+
+  std::vector<uint8_t> marks_;
+};
+
 /// THE record-level Jaccard prune comparison — the one boundary predicate
 /// every pruning path shares. Exactly `JaccardOfSets(A, B) >= tau` for
 /// sorted-unique sets of the given sizes with `intersection` common
@@ -133,11 +163,10 @@ class FeatureCache {
 ///
 /// AllPairsCandidates and PrefixFilterJoin (verification, and the
 /// signature filter's table in blocking/signature_filter.h, which is also
-/// the join's length filter), SignatureMayReach and the SIMD kernel bench
-/// all route their threshold decision through this one inline so that a
-/// floating-point rewrite in one call site can never make the scalar and
-/// SIMD paths — or the all-pairs scan and the prefix join — disagree on a
-/// pair sitting exactly on the tau boundary.
+/// the join's length filter) and SignatureMayReach all route their
+/// threshold decision through this one inline, so that a floating-point
+/// rewrite in one call site can never make the all-pairs scan and the
+/// prefix join disagree on a pair sitting exactly on the tau boundary.
 inline bool RecordJaccardAtLeast(size_t intersection, size_t size_a,
                                  size_t size_b, double tau) {
   if (size_a == 0 && size_b == 0) return 1.0 >= tau;

@@ -93,35 +93,6 @@ void OverrideSimdLevel(SimdLevel level) {
   g_simd_level.store(static_cast<int>(level), std::memory_order_release);
 }
 
-size_t SortedIntersectionSizeScalar(std::span<const int32_t> a,
-                                    std::span<const int32_t> b) {
-  size_t inter = 0;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) {
-      ++inter;
-      ++i;
-      ++j;
-    } else if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return inter;
-}
-
-size_t SortedIntersectionSizeKernel(std::span<const int32_t> a,
-                                    std::span<const int32_t> b) {
-#if POWER_HAVE_AVX2
-  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
-    return SortedIntersectionSizeAvx2(a, b);
-  }
-#endif
-  return SortedIntersectionSizeScalar(a, b);
-}
-
 void BatchMyersEditDistanceScalar(std::string_view pattern,
                                   const std::string_view* texts, size_t count,
                                   size_t* out) {

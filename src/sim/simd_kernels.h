@@ -11,12 +11,6 @@ namespace power {
 /// Runtime-dispatched SIMD kernels for the similarity front end's hot loops
 /// over the columnar FeatureCache:
 ///
-///   sorted-span intersection — |A ∩ B| of two sorted-unique int32 token-id
-///       spans. Powers SortedIntersectionSize / JaccardOfSets (span
-///       overloads) and therefore the record-level Jaccard prune and the
-///       prefix-filter join verification. (The attribute similarities count
-///       a run's intersections against marks of its left record's ids
-///       instead: ComputeSimilarityTable.)
 ///   batched Myers edit distance — Levenshtein distances of up to 8 texts
 ///       per call against one shared reference string, lanes advanced in
 ///       lock-step (AVX2: 4 × 64-bit pattern words per vector, two vectors
@@ -30,14 +24,17 @@ namespace power {
 ///       runs the same filter bit-sliced, in plain word code:
 ///       blocking/signature_filter.h).
 ///
-/// All three kernel families are *integer* kernels: they return
-/// intersection counts, edit distances and bit counts, never floats. Every
-/// similarity double is derived from those integers by the same scalar
-/// expressions on every dispatch path, so scalar and SIMD results are
-/// byte-identical by construction — and a differential-test layer
-/// (tests/simd_kernels_test.cc, tests/simd_dispatch_test.cc) proves it on
-/// adversarial inputs and on the end-to-end question/coloring trace (see
-/// DESIGN.md §13).
+/// Token-set intersections have no kernel here: every production count is
+/// one TokenMarks pass (sim/feature_cache.h), which measured faster than the
+/// AVX2 block merge it replaced (DESIGN.md §14).
+///
+/// Both kernel families are *integer* kernels: they return edit distances
+/// and bit counts, never floats. Every similarity double is derived from
+/// those integers by the same scalar expressions on every dispatch path, so
+/// scalar and SIMD results are byte-identical by construction — and a
+/// differential-test layer (tests/simd_kernels_test.cc,
+/// tests/simd_dispatch_test.cc) proves it on adversarial inputs and on the
+/// end-to-end question/coloring trace (see DESIGN.md §13).
 ///
 /// Dispatch is resolved once, at the first kernel call:
 ///   POWER_SIMD=off|scalar   force the scalar kernels;
@@ -80,23 +77,6 @@ SimdLevel ActiveSimdLevel();
 /// process). Production code must not call it: the one sanctioned
 /// production override is the POWER_SIMD environment variable.
 void OverrideSimdLevel(SimdLevel level);
-
-// ---------------------------------------------------------------------------
-// Sorted-span intersection.
-// ---------------------------------------------------------------------------
-// Contract (both variants): spans are sorted strictly ascending (sorted
-// unique), and every value is <= INT32_MAX - 8 — FeatureCache token ids and
-// prefix-join ranks are dense non-negative indices, far below that. The
-// AVX2 variant pads partial 8-lane blocks with sentinels above that range.
-
-/// Scalar merge intersection — the reference kernel.
-size_t SortedIntersectionSizeScalar(std::span<const int32_t> a,
-                                    std::span<const int32_t> b);
-
-/// Dispatched intersection: AVX2 when active, else the scalar kernel.
-/// Always returns SortedIntersectionSizeScalar(a, b)'s exact count.
-size_t SortedIntersectionSizeKernel(std::span<const int32_t> a,
-                                    std::span<const int32_t> b);
 
 // ---------------------------------------------------------------------------
 // Batched Myers edit distance.
@@ -160,8 +140,6 @@ void GatherSignatureDistances(const TokenSignature& a,
 /// AVX2 kernels, exposed directly for the differential tests and the
 /// kernel-level bench (callers normally go through the dispatched entry
 /// points above). Same contracts as the scalar variants.
-size_t SortedIntersectionSizeAvx2(std::span<const int32_t> a,
-                                  std::span<const int32_t> b);
 void BatchMyersEditDistanceAvx2(std::string_view pattern,
                                 const std::string_view* texts, size_t count,
                                 size_t* out);

@@ -4,18 +4,7 @@
 // runtime dispatch in simd_kernels.cc, so the rest of the library stays
 // baseline-ISA clean.
 //
-// All three kernels are integer kernels with scalar-identical results:
-//
-//   SortedIntersectionSizeAvx2 — block-merge intersection (Schlegel/Lemire
-//     style): compare an 8-lane block of `a` against all 8 cyclic rotations
-//     of an 8-lane block of `b`, popcount the match mask, then advance the
-//     block whose last element is smaller (both on a tie). Partial tail
-//     blocks are mask-loaded and padded with per-side sentinels above the
-//     id range, so no lane ever reads past a span and pad lanes can never
-//     compare equal. Each common value is counted exactly once: values are
-//     strictly ascending and unique, a common value is always inside both
-//     current windows when its blocks first meet, and the advance rule
-//     never lets both containing blocks be live together twice.
+// Both kernels are integer kernels with scalar-identical results:
 //
 //   BatchMyersEditDistanceAvx2 — Myers' bit-parallel Levenshtein recurrence
 //     (the exact formulation of MyersDistance in similarity.cc, one 64-bit
@@ -41,106 +30,6 @@
 #include <cstring>
 
 namespace power {
-namespace {
-
-// ---------------------------------------------------------------------------
-// Sorted-span intersection.
-// ---------------------------------------------------------------------------
-
-// Pad sentinels: above every legal span value (contract: values <=
-// INT32_MAX - 8) and distinct per side, so a-pads never match b-pads.
-constexpr int32_t kPadA = INT32_MAX;
-constexpr int32_t kPadB = INT32_MAX - 1;
-
-// Loads up to 8 lanes from p (remaining >= 1), padding the tail with `pad`.
-inline __m256i LoadBlockPadded(const int32_t* p, size_t remaining,
-                               int32_t pad) {
-  if (remaining >= 8) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  }
-  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  const __m256i active =
-      _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int32_t>(remaining)),
-                         lane);
-  const __m256i v = _mm256_maskload_epi32(p, active);
-  return _mm256_blendv_epi8(_mm256_set1_epi32(pad), v, active);
-}
-
-// Count of lanes of `va` that match any lane of `vb` (all-pairs compare via
-// the 8 cyclic rotations of vb). Lanes are unique within a block, so the
-// OR-ed match mask has exactly one set lane per common value.
-inline size_t BlockIntersectCount(__m256i va, __m256i vb) {
-  __m256i m = _mm256_cmpeq_epi32(va, vb);
-  m = _mm256_or_si256(
-      m, _mm256_cmpeq_epi32(
-             va, _mm256_permutevar8x32_epi32(
-                     vb, _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 0))));
-  m = _mm256_or_si256(
-      m, _mm256_cmpeq_epi32(
-             va, _mm256_permutevar8x32_epi32(
-                     vb, _mm256_setr_epi32(2, 3, 4, 5, 6, 7, 0, 1))));
-  m = _mm256_or_si256(
-      m, _mm256_cmpeq_epi32(
-             va, _mm256_permutevar8x32_epi32(
-                     vb, _mm256_setr_epi32(3, 4, 5, 6, 7, 0, 1, 2))));
-  m = _mm256_or_si256(
-      m, _mm256_cmpeq_epi32(
-             va, _mm256_permutevar8x32_epi32(
-                     vb, _mm256_setr_epi32(4, 5, 6, 7, 0, 1, 2, 3))));
-  m = _mm256_or_si256(
-      m, _mm256_cmpeq_epi32(
-             va, _mm256_permutevar8x32_epi32(
-                     vb, _mm256_setr_epi32(5, 6, 7, 0, 1, 2, 3, 4))));
-  m = _mm256_or_si256(
-      m, _mm256_cmpeq_epi32(
-             va, _mm256_permutevar8x32_epi32(
-                     vb, _mm256_setr_epi32(6, 7, 0, 1, 2, 3, 4, 5))));
-  m = _mm256_or_si256(
-      m, _mm256_cmpeq_epi32(
-             va, _mm256_permutevar8x32_epi32(
-                     vb, _mm256_setr_epi32(7, 0, 1, 2, 3, 4, 5, 6))));
-  return static_cast<size_t>(__builtin_popcount(
-      static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(m)))));
-}
-
-}  // namespace
-
-size_t SortedIntersectionSizeAvx2(std::span<const int32_t> a,
-                                  std::span<const int32_t> b) {
-  const size_t na = a.size();
-  const size_t nb = b.size();
-  if (na == 0 || nb == 0) return 0;
-
-  const size_t nblocks_a = (na + 7) / 8;
-  const size_t nblocks_b = (nb + 7) / 8;
-  size_t i = 0;
-  size_t j = 0;
-  __m256i va = LoadBlockPadded(a.data(), na, kPadA);
-  __m256i vb = LoadBlockPadded(b.data(), nb, kPadB);
-  // Last element of the current block; padded tails report the sentinel,
-  // which (being maximal) correctly keeps the tail block live until the
-  // other side runs out.
-  int32_t amax = (na >= 8) ? a[7] : kPadA;
-  int32_t bmax = (nb >= 8) ? b[7] : kPadB;
-
-  size_t count = 0;
-  for (;;) {
-    count += BlockIntersectCount(va, vb);
-    const bool advance_a = amax <= bmax;
-    const bool advance_b = bmax <= amax;
-    if (advance_a) {
-      if (++i == nblocks_a) break;
-      va = LoadBlockPadded(a.data() + i * 8, na - i * 8, kPadA);
-      amax = (i * 8 + 8 <= na) ? a[i * 8 + 7] : kPadA;
-    }
-    if (advance_b) {
-      if (++j == nblocks_b) break;
-      vb = LoadBlockPadded(b.data() + j * 8, nb - j * 8, kPadB);
-      bmax = (j * 8 + 8 <= nb) ? b[j * 8 + 7] : kPadB;
-    }
-  }
-  return count;
-}
 
 // ---------------------------------------------------------------------------
 // Batched Myers edit distance.

@@ -52,29 +52,14 @@ inline double SetSimilarity(SimilarityFunction fn, size_t inter, size_t size_a,
   }
 }
 
-// One chunk's scratch: one mark byte per dictionary token, set for the left
-// record's ids while its run is counted and clear between runs (a byte per
-// token counted faster than a bit per token), and the batched Myers pass's
-// buffers.
+// One chunk's scratch: marks over the dictionary, set for the left record's
+// ids while its run is counted and clear between runs, and the batched
+// Myers pass's buffers.
 struct RunScratch {
-  std::vector<uint8_t> marks;
+  TokenMarks marks;
   std::vector<std::string_view> texts;
   std::vector<size_t> dists;
 };
-
-void SetMarks(std::span<const int32_t> ids, uint8_t mark,
-              std::vector<uint8_t>* marks) {
-  for (int32_t id : ids) (*marks)[static_cast<uint32_t>(id)] = mark;
-}
-
-// |A ∩ B| for the marked set A. FeatureCache spans are sorted and unique,
-// so this is the count the sorted-span intersection returns.
-size_t CountMarked(std::span<const int32_t> ids,
-                   const std::vector<uint8_t>& marks) {
-  size_t count = 0;
-  for (int32_t id : ids) count += marks[static_cast<uint32_t>(id)];
-  return count;
-}
 
 // Fills column k of the rows of the run candidates[begin, end), which all
 // share the left record; row t of the run is at rows + t * m. Token-family
@@ -120,7 +105,7 @@ void FillColumnForRun(const FeatureCache& features, SimilarityFunction fn,
       const std::span<const int32_t> a = features.BigramIds(left, k);
       double va = 0.0;
       const bool left_numeric = features.NumericValue(left, k, &va);
-      SetMarks(a, 1, &scratch->marks);
+      scratch->marks.Mark(a);
       for (int64_t p = begin; p < end; ++p) {
         double vb = 0.0;
         if (left_numeric && features.NumericValue(right(p), k, &vb)) {
@@ -133,11 +118,11 @@ void FillColumnForRun(const FeatureCache& features, SimilarityFunction fn,
           }
         } else {
           const std::span<const int32_t> b = features.BigramIds(right(p), k);
-          put(p, SetSimilarity(fn, CountMarked(b, scratch->marks), a.size(),
+          put(p, SetSimilarity(fn, scratch->marks.Count(b), a.size(),
                                b.size()));
         }
       }
-      SetMarks(a, 0, &scratch->marks);
+      scratch->marks.Unmark(a);
       return;
     }
     case SimilarityFunction::kJaccard:
@@ -150,13 +135,12 @@ void FillColumnForRun(const FeatureCache& features, SimilarityFunction fn,
                    : features.WordTokenIds(r, k);
       };
       const std::span<const int32_t> a = ids(left);
-      SetMarks(a, 1, &scratch->marks);
+      scratch->marks.Mark(a);
       for (int64_t p = begin; p < end; ++p) {
         const std::span<const int32_t> b = ids(right(p));
-        put(p, SetSimilarity(fn, CountMarked(b, scratch->marks), a.size(),
-                             b.size()));
+        put(p, SetSimilarity(fn, scratch->marks.Count(b), a.size(), b.size()));
       }
-      SetMarks(a, 0, &scratch->marks);
+      scratch->marks.Unmark(a);
       return;
     }
   }
@@ -212,8 +196,7 @@ SimilarityTable ComputeSimilarityTable(
   ParallelForChunked(
       0, static_cast<int64_t>(n), kPairGrain,
       [&](size_t chunk, int64_t begin, int64_t end) {
-        RunScratch scratch;
-        scratch.marks.assign(features.dict_size(), 0);
+        RunScratch scratch{TokenMarks(features.dict_size()), {}, {}};
         std::vector<double> rows(static_cast<size_t>(end - begin) * m);
         for (int64_t p = begin; p < end;) {
           const int left = candidates[static_cast<size_t>(p)].first;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/simd_kernels.h"
 #include "util/strings.h"
 
 namespace power {
@@ -68,10 +67,24 @@ double JaccardOfSets(const std::vector<std::string>& a,
 
 size_t SortedIntersectionSize(std::span<const int32_t> a,
                               std::span<const int32_t> b) {
-  // Dispatched kernel (scalar merge or AVX2 block merge — identical counts;
-  // see sim/simd_kernels.h). The string-vector overload above stays scalar:
-  // it is the legacy differential reference and never sees interned ids.
-  return SortedIntersectionSizeKernel(a, b);
+  // A plain merge. It backs RecordLevelJaccard and is the oracle the
+  // candidate paths are tested against; they, and the similarity table,
+  // count against TokenMarks instead (sim/feature_cache.h).
+  size_t inter = 0;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] == b[j]) {
+      ++inter;
+      ++i;
+      ++j;
+    } else if (a[i] < b[j]) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return inter;
 }
 
 double JaccardOfSets(std::span<const int32_t> a, std::span<const int32_t> b) {

@@ -7,7 +7,8 @@
 // counters of 8 bits and more, and signatures whose bits collide. The
 // scan's verifications must equal the pairs the row-at-a-time signature
 // table passes. A property test checks the bit-sliced lane decision against
-// that table directly.
+// that table directly. The edge suite runs the whole pipeline, with a
+// perfect crowd, on the degenerate tables among these.
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -20,9 +21,12 @@
 
 #include "blocking/pair_generator.h"
 #include "blocking/signature_filter.h"
+#include "core/power.h"
+#include "crowd/answer_cache.h"
 #include "data/generator.h"
 #include "data/table.h"
 #include "sim/feature_cache.h"
+#include "sim/pair.h"
 #include "sim/simd_kernels.h"
 #include "sim/tokenizer.h"
 #include "util/parallel.h"
@@ -148,6 +152,52 @@ Table Head(const Table& table, size_t n) {
   return out;
 }
 
+// Cora's records widened to 70 attributes, each a copy of one of the base
+// columns (value and similarity function), so every stage after blocking
+// sees vectors wider than a 64-bit word has bits.
+Table SeventyAttributeTable(size_t n, uint64_t seed) {
+  const Table base = Resized(CoraProfile(), n, seed);
+  const size_t m = base.schema().num_attributes();
+  std::vector<Attribute> attrs;
+  for (size_t k = 0; k < 70; ++k) {
+    attrs.push_back(
+        {"a" + std::to_string(k), base.schema().attribute(k % m).sim});
+  }
+  Table out{Schema(std::move(attrs))};
+  for (const Record& r : base.records()) {
+    Record wide{-1, r.entity_id, {}};
+    for (size_t k = 0; k < 70; ++k) wide.values.push_back(r.values[k % m]);
+    out.Add(std::move(wide));
+  }
+  return out;
+}
+
+// An edit-similarity column of 56-72 bytes beside a Jaccard column, in
+// clusters of three whose later records change one letter, so the batched
+// Myers kernel meets patterns and texts on both sides of its 64-byte word.
+Table EditWordTable(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  Table out(Schema({{"title", SimilarityFunction::kEditSimilarity},
+                    {"text", SimilarityFunction::kJaccard}}));
+  std::string title;
+  for (size_t i = 0; i < n; ++i) {
+    if (i % 3 == 0) {
+      const size_t len = 56 + rng.UniformIndex(17);
+      title.clear();
+      while (title.size() < len) {
+        title += title.empty() || rng.Bernoulli(0.8)
+                     ? static_cast<char>('a' + rng.UniformInt(0, 7))
+                     : ' ';
+      }
+    } else {
+      title[rng.UniformIndex(title.size())] =
+          static_cast<char>('a' + rng.UniformInt(0, 7));
+    }
+    out.Add({-1, static_cast<int>(i / 3), {title, title}});
+  }
+  return out;
+}
+
 Table OracleTable(const std::string& shape) {
   if (shape == "records_0" || shape == "records_1" || shape == "records_2") {
     return Head(Resized(AcmPubProfile(1.0), 50, 61),
@@ -175,6 +225,8 @@ Table OracleTable(const std::string& shape) {
   if (shape == "count_513") return FixedCountTable(513, 6, 67);
   if (shape == "wide") return WideTable(400, 68);
   if (shape == "colliding") return CollidingTable(400, 69);
+  if (shape == "attributes_70") return SeventyAttributeTable(150, 72);
+  if (shape == "edit_word") return EditWordTable(300, 73);
   if (shape == "acm_1500") return Resized(AcmPubProfile(1.0), 1500, 70);
   if (shape == "cora_1500") return Resized(CoraProfile(), 1500, 71);
   ADD_FAILURE() << "unknown shape " << shape;
@@ -284,8 +336,87 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, ParallelScanOracle,
     ::testing::Values("records_0", "records_1", "records_2", "identical",
                       "empty", "count_255", "count_256", "count_257",
-                      "count_513", "wide", "colliding", "acm_1500",
-                      "cora_1500"),
+                      "count_513", "wide", "colliding", "attributes_70",
+                      "edit_word", "acm_1500", "cora_1500"),
+    [](const ::testing::TestParamInfo<std::string>& shape) {
+      return shape.param;
+    });
+
+// Everything in a PowerResult but its timings.
+struct RunFacts {
+  size_t questions;
+  size_t iterations;
+  size_t num_pairs;
+  size_t num_groups;
+  size_t num_distinct_rows;
+  size_t num_edges;
+  size_t num_blue_groups;
+  bool budget_exhausted;
+  std::string candidate_method;
+  std::vector<uint64_t> matched;  // sorted
+
+  bool operator==(const RunFacts&) const = default;
+};
+
+class ParallelEdgeRun : public ::testing::TestWithParam<std::string> {};
+
+// PowerFramework::Run end to end, Power and Power+, on the oracle's
+// degenerate shapes with a perfect crowd: the candidates, the similarity
+// table, grouping, the ask-and-color loop and Finish must give one result
+// at every thread count, ask at most one question per group, never stop on
+// a budget or leave a group BLUE, and match only candidate pairs.
+TEST_P(ParallelEdgeRun, PerfectCrowdRunIsThreadInvariantAndBounded) {
+  const Table table = OracleTable(GetParam());
+  std::set<uint64_t> candidates;
+  {
+    const FeatureCache features(table);
+    for (const auto& [i, j] :
+         GenerateCandidates(features, PowerConfig().prune_tau,
+                            CandidateMethod::kAllPairs)) {
+      candidates.insert(PairKey(i, j));
+    }
+  }
+  for (bool error_tolerant : {false, true}) {
+    SCOPED_TRACE(error_tolerant ? "Power+" : "Power");
+    std::vector<RunFacts> runs;
+    for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      CrowdOracle crowd(&table, {1.0, 1.0}, WorkerModel::kExactAccuracy, 5,
+                        74);
+      PowerConfig config;
+      config.error_tolerant = error_tolerant;
+      config.num_threads = threads;
+      const PowerResult result = PowerFramework(config).Run(table, &crowd);
+      RunFacts facts{result.questions,
+                     result.iterations,
+                     result.num_pairs,
+                     result.num_groups,
+                     result.num_distinct_rows,
+                     result.num_edges,
+                     result.num_blue_groups,
+                     result.budget_exhausted,
+                     result.candidate_method,
+                     {result.matched_pairs.begin(),
+                      result.matched_pairs.end()}};
+      std::sort(facts.matched.begin(), facts.matched.end());
+      EXPECT_EQ(facts.num_pairs, candidates.size());
+      EXPECT_LE(facts.questions, facts.num_groups);
+      EXPECT_FALSE(facts.budget_exhausted);
+      EXPECT_EQ(facts.num_blue_groups, 0u);
+      EXPECT_TRUE(std::includes(candidates.begin(), candidates.end(),
+                                facts.matched.begin(), facts.matched.end()));
+      runs.push_back(std::move(facts));
+    }
+    EXPECT_EQ(runs[1], runs[0]);
+    EXPECT_EQ(runs[2], runs[0]);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ParallelEdgeRun,
+    ::testing::Values("records_0", "records_1", "records_2", "identical",
+                      "empty", "wide", "colliding", "attributes_70",
+                      "edit_word"),
     [](const ::testing::TestParamInfo<std::string>& shape) {
       return shape.param;
     });

@@ -108,5 +108,20 @@ TEST(TableTest, FromCsvRejectsMalformed) {
   EXPECT_FALSE(Table::FromCsv("id,entity_id,name\n0,0\n", &t));
 }
 
+TEST(TableTest, FromCsvRejectsEntityIdOutsideIntRange) {
+  // 4294967296 = 2^32 would wrap to entity 0 and merge the two records'
+  // entities; the ends of int's range still parse.
+  Table t;
+  EXPECT_FALSE(
+      Table::FromCsv("id,entity_id,name\n0,0,a\n1,4294967296,b\n", &t));
+  EXPECT_FALSE(Table::FromCsv("id,entity_id,name\n0,2147483648,a\n", &t));
+  EXPECT_FALSE(Table::FromCsv("id,entity_id,name\n0,-2147483649,a\n", &t));
+  ASSERT_TRUE(Table::FromCsv(
+      "id,entity_id,name\n0,2147483647,a\n1,-2147483648,b\n2,-1,c\n", &t));
+  EXPECT_EQ(t.record(0).entity_id, 2147483647);
+  EXPECT_EQ(t.record(1).entity_id, -2147483647 - 1);
+  EXPECT_EQ(t.record(2).entity_id, -1);
+}
+
 }  // namespace
 }  // namespace power

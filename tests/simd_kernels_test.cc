@@ -20,12 +20,14 @@
 #include "util/rng.h"
 
 // Differential fuzz of the SIMD kernels against their scalar references:
-// every intersection count and every batched Myers distance must be the
-// exact integer the scalar kernel returns, on adversarial inputs — empty
-// and singleton spans, all-common and disjoint dictionaries, unaligned span
-// starts carved from one arena, strings crossing the 64-char Myers word
-// boundary — under both dispatch modes. Plus unit coverage of the dispatch
-// policy itself and of the shared record-level Jaccard prune predicate.
+// every batched Myers distance and signature distance must be the exact
+// integer the scalar kernel returns, on adversarial inputs — strings
+// crossing the 64-char Myers word boundary, gathers of every tail length —
+// under both dispatch modes. The two token-set intersection counts, the
+// sorted merge and TokenMarks, are checked against a set reference on empty
+// and singleton spans and all-common and disjoint dictionaries. Plus unit
+// coverage of the dispatch policy itself and of the shared record-level
+// Jaccard prune predicate.
 
 namespace power {
 namespace {
@@ -66,27 +68,33 @@ std::vector<int32_t> RandomSortedUnique(Rng* rng, size_t max_size,
   return {s.begin(), s.end()};
 }
 
+// The merge and the marked count, each set marked in turn, against the set
+// reference. Unmark must leave every byte clear, so one TokenMarks serves
+// set after set: the second pass repeats the first's counts.
 void ExpectAllVariantsAgree(std::span<const int32_t> a,
                             std::span<const int32_t> b) {
   const size_t expected = ReferenceIntersection(a, b);
-  ASSERT_EQ(SortedIntersectionSizeScalar(a, b), expected);
-  ASSERT_EQ(SortedIntersectionSizeScalar(b, a), expected);
-#if POWER_HAVE_AVX2
-  if (Avx2Runnable()) {
-    ASSERT_EQ(SortedIntersectionSizeAvx2(a, b), expected);
-    ASSERT_EQ(SortedIntersectionSizeAvx2(b, a), expected);
-  }
-#endif
-  for (SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
-    if (level == SimdLevel::kAvx2 && !Avx2Runnable()) continue;
-    ScopedSimdLevel scope(level);
-    ASSERT_EQ(SortedIntersectionSizeKernel(a, b), expected)
-        << "dispatch " << SimdLevelName(level);
+  ASSERT_EQ(SortedIntersectionSize(a, b), expected);
+  ASSERT_EQ(SortedIntersectionSize(b, a), expected);
+  int32_t universe = 0;
+  for (int32_t v : a) universe = std::max(universe, v + 1);
+  for (int32_t v : b) universe = std::max(universe, v + 1);
+  TokenMarks marks(static_cast<size_t>(universe));
+  for (int pass = 0; pass < 2; ++pass) {
+    marks.Mark(a);
+    ASSERT_EQ(marks.Count(b), expected) << "pass " << pass;
+    ASSERT_EQ(marks.Count(a), a.size()) << "pass " << pass;
+    marks.Unmark(a);
+    marks.Mark(b);
+    ASSERT_EQ(marks.Count(a), expected) << "pass " << pass;
+    marks.Unmark(b);
+    ASSERT_EQ(marks.Count(a), 0u) << "pass " << pass;
+    ASSERT_EQ(marks.Count(b), 0u) << "pass " << pass;
   }
 }
 
 // ---------------------------------------------------------------------------
-// Sorted-span intersection.
+// Token-set intersection: the sorted merge and TokenMarks.
 // ---------------------------------------------------------------------------
 
 TEST(SimdKernelsIntersection, AdversarialFixedCases) {
@@ -110,7 +118,7 @@ TEST(SimdKernelsIntersection, AdversarialFixedCases) {
   ExpectAllVariantsAgree(dense, dense);          // all common
   ExpectAllVariantsAgree(evens, odds);           // fully disjoint, interleaved
   ExpectAllVariantsAgree(dense, evens);          // half common
-  // Sizes straddling the 8-lane block boundary on each side.
+  // Prefixes of 1 to 17 elements on each side.
   for (size_t cut_a : {1u, 7u, 8u, 9u, 15u, 16u, 17u}) {
     for (size_t cut_b : {1u, 7u, 8u, 9u, 15u, 16u, 17u}) {
       ExpectAllVariantsAgree(std::span(dense).subspan(0, cut_a),
@@ -128,31 +136,6 @@ TEST(SimdKernelsIntersection, RandomizedDifferentialFuzz) {
     std::vector<int32_t> a = RandomSortedUnique(&rng, 80, universe);
     std::vector<int32_t> b = RandomSortedUnique(&rng, 80, universe);
     ExpectAllVariantsAgree(a, b);
-  }
-}
-
-TEST(SimdKernelsIntersection, UnalignedSpanStartsOverSharedArena) {
-  // Spans carved out of one CSR-style arena at every offset mod 8: the AVX2
-  // kernel must behave identically on unaligned loads and partial-tail
-  // blocks whose neighbors in the arena hold live (potentially matching)
-  // values.
-  Rng rng(77);
-  std::vector<int32_t> arena;
-  int32_t v = 0;
-  for (size_t t = 0; t < 400; ++t) {
-    v += 1 + static_cast<int32_t>(rng.UniformIndex(3));
-    arena.push_back(v);
-  }
-  for (size_t off_a = 0; off_a < 16; ++off_a) {
-    for (size_t len_a : {0u, 1u, 5u, 8u, 13u, 40u}) {
-      for (size_t off_b : {3u, 10u, 128u, 301u}) {
-        for (size_t len_b : {1u, 7u, 9u, 33u}) {
-          ExpectAllVariantsAgree(
-              std::span(arena).subspan(off_a, len_a),
-              std::span(arena).subspan(off_b, len_b));
-        }
-      }
-    }
   }
 }
 
