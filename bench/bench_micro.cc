@@ -52,6 +52,35 @@ void BM_BigramJaccard(benchmark::State& state) {
 }
 BENCHMARK(BM_BigramJaccard)->Arg(16)->Arg(64)->Arg(256);
 
+// The feature-cache build alone, on one thread, on the benchmark workloads'
+// table shapes: ACMPub at 6k records (batch-dense) and Cora at 2k
+// (crowd-faulty), each profile's records-per-entity ratio kept.
+void BM_FeatureCacheBuild(benchmark::State& state, DatasetProfile profile,
+                          size_t records) {
+  const double ratio = static_cast<double>(profile.num_entities) /
+                       static_cast<double>(profile.num_records);
+  profile.num_records = records;
+  profile.num_entities =
+      static_cast<size_t>(static_cast<double>(records) * ratio);
+  const Table table = DatasetGenerator(kBenchSeed).Generate(profile);
+  int64_t bytes = 0;
+  for (const Record& r : table.records()) {
+    for (const std::string& v : r.values) {
+      bytes += static_cast<int64_t>(v.size());
+    }
+  }
+  ScopedNumThreads scope(1);
+  for (auto _ : state) {
+    const FeatureCache features(table);
+    benchmark::DoNotOptimize(features.dict_size());
+  }
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK_CAPTURE(BM_FeatureCacheBuild, acmpub_6k, AcmPubProfile(1.0), 6000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_FeatureCacheBuild, cora_2k, CoraProfile(), 2000)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_PrefixFilterJoin(benchmark::State& state) {
   DatasetProfile profile = RestaurantProfile();
   profile.num_records = static_cast<size_t>(state.range(0));

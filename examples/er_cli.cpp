@@ -5,7 +5,9 @@
 //
 // CSV format (Table::ToCsv): header "id,entity_id,<attr>,...". If the
 // entity_id column is all -1 the tool only outputs clusters; otherwise it
-// also scores itself against the ground truth.
+// also scores itself against the ground truth. --out names each record by
+// its `id` text (by its position under --demo), so the id column must not
+// repeat a value.
 //
 // Flags: --tau=0.3 --eps=0.1 --band=90 --selector=topo|single|multi|random
 //        --plus (error tolerance) --budget=N --seed=N --out=clusters.csv
@@ -19,6 +21,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/consolidation.h"
@@ -28,6 +31,7 @@
 #include "eval/cluster_metrics.h"
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
+#include "util/csv.h"
 #include "util/env.h"
 #include "util/strings.h"
 
@@ -166,11 +170,17 @@ int main(int argc, char** argv) {
   }
 
   Table table;
+  // The name --out gives each record: its id text from the file, or its
+  // position in the demo table.
+  std::vector<std::string> record_names;
   if (opts.demo) {
     DatasetProfile profile = RestaurantProfile();
     profile.num_records = 300;
     profile.num_entities = 240;
     table = DatasetGenerator(opts.seed).Generate(profile);
+    for (size_t r = 0; r < table.num_records(); ++r) {
+      record_names.push_back(std::to_string(r));
+    }
     std::printf("demo table: %zu records\n", table.num_records());
   } else {
     std::ifstream in(opts.csv_path);
@@ -180,10 +190,26 @@ int main(int argc, char** argv) {
     }
     std::stringstream buffer;
     buffer << in.rdbuf();
-    if (!Table::FromCsv(buffer.str(), &table)) {
+    const std::string text = buffer.str();
+    if (!Table::FromCsv(text, &table)) {
       std::fprintf(stderr, "malformed table CSV %s\n",
                    opts.csv_path.c_str());
       return 2;
+    }
+    // FromCsv numbers records by position and has checked every row, so
+    // the id column is read from the parsed rows. A repeated id is refused:
+    // its clusters could not be joined back to its row.
+    std::vector<std::vector<std::string>> rows;
+    Csv::Parse(text, &rows);
+    std::unordered_set<std::string> seen;
+    for (size_t r = 1; r < rows.size(); ++r) {
+      const std::string& id = rows[r][0];
+      if (!seen.insert(id).second) {
+        std::fprintf(stderr, "malformed table CSV %s: id '%s' repeats\n",
+                     opts.csv_path.c_str(), id.c_str());
+        return 2;
+      }
+      record_names.push_back(id);
     }
     std::printf("loaded %zu records, %zu attributes from %s\n",
                 table.num_records(), table.schema().num_attributes(),
@@ -222,7 +248,8 @@ int main(int argc, char** argv) {
     out << "cluster_id,record_id\n";
     for (size_t c = 0; c < clusters.size(); ++c) {
       for (int r : clusters[c]) {
-        out << c << "," << r << "\n";
+        out << c << ","
+            << Csv::EscapeField(record_names[static_cast<size_t>(r)]) << "\n";
       }
     }
     std::printf("clusters written to %s\n", opts.out_path.c_str());

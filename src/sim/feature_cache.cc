@@ -1,8 +1,10 @@
 #include "sim/feature_cache.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
-#include <unordered_map>
+#include <cstddef>
+#include <cstring>
 
 #include "sim/similarity.h"
 #include "util/parallel.h"
@@ -12,18 +14,108 @@ namespace {
 
 constexpr int64_t kRecordGrain = 32;
 
+constexpr uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
+
 // Slot of a 1- or 2-byte token in the direct intern table: one slot per
 // 1-byte token, then one per 2-byte token. Every bigram, and every word of
-// one or two bytes, is interned there instead of in the hash map.
+// one or two bytes, is interned there instead of in LongTokenTable.
 size_t ShortTokenSlot(std::string_view t) {
   const auto b0 = static_cast<unsigned char>(t[0]);
   if (t.size() == 1) return b0;
   return 256 + (size_t{b0} << 8 | static_cast<unsigned char>(t[1]));
 }
 
-bool IsSpace(char ch) {
-  return std::isspace(static_cast<unsigned char>(ch)) != 0;
+uint64_t Load64(const char* p) {
+  uint64_t w;
+  std::memcpy(&w, p, sizeof(w));
+  return w;
 }
+
+uint64_t Load32(const char* p) {
+  uint32_t w;
+  std::memcpy(&w, p, sizeof(w));
+  return w;
+}
+
+// 32-bit hash of a token of three or more bytes. Every load reads bytes of
+// the token only, as fixed-width words (a 3-byte token byte by byte, 4 to 7
+// bytes as two overlapping 4-byte words, longer ones 8 bytes at a time with
+// the last word ending at the token's end), so any byte value, NUL
+// included, counts like any other. The length is mixed in first, and a
+// final avalanche spreads the high bits into the low ones the slot takes.
+uint32_t HashLongToken(std::string_view t) {
+  const char* p = t.data();
+  const size_t len = t.size();
+  uint64_t h = len * kGolden;
+  auto mix = [&h](uint64_t w) {
+    h = (h ^ w) * kGolden;
+    h ^= h >> 32;
+  };
+  if (len < 4) {
+    mix(static_cast<unsigned char>(p[0]) |
+        static_cast<uint64_t>(static_cast<unsigned char>(p[1])) << 8 |
+        static_cast<uint64_t>(static_cast<unsigned char>(p[2])) << 16);
+  } else if (len < 8) {
+    mix(Load32(p) | Load32(p + len - 4) << 32);
+  } else {
+    for (size_t b = 0; b + 8 < len; b += 8) mix(Load64(p + b));
+    mix(Load64(p + len - 8));
+  }
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  return static_cast<uint32_t>(h ^ (h >> 33));
+}
+
+// Ids of the tokens longer than two bytes: an open-addressing table with
+// linear probing, kept at most half full. A slot holds a token's hash in
+// its high 32 bits and its id + 1 in the low 32 (0 marks an empty slot).
+// The token's bytes are the dictionary's view into the lowercase bytes,
+// compared only when the hashes agree. Like RowInterner it is only probed,
+// never iterated, so ids follow the interning order alone.
+class LongTokenTable {
+ public:
+  // `bytes` are the cache's lowercase bytes and `refs` its id -> (offset,
+  // length) views into them; neither reallocates while the table lives.
+  LongTokenTable(const char* bytes,
+                 const std::vector<std::pair<uint64_t, uint32_t>>* refs)
+      : bytes_(bytes), refs_(refs), slots_(1024, 0) {}
+
+  // The id of `t`, or `next` when `t` is new; `next` is then t's id.
+  int32_t Intern(std::string_view t, int32_t next) {
+    const uint32_t hash = HashLongToken(t);
+    const size_t mask = slots_.size() - 1;
+    size_t s = hash & mask;
+    for (; slots_[s] != 0; s = (s + 1) & mask) {
+      if (static_cast<uint32_t>(slots_[s] >> 32) != hash) continue;
+      const auto id = static_cast<uint32_t>(slots_[s]) - 1;
+      const auto& [off, len] = (*refs_)[id];
+      if (len == t.size() && std::memcmp(bytes_ + off, t.data(), len) == 0) {
+        return static_cast<int32_t>(id);
+      }
+    }
+    slots_[s] = uint64_t{hash} << 32 | (static_cast<uint32_t>(next) + 1);
+    if (2 * ++size_ > slots_.size()) Grow();
+    return next;
+  }
+
+ private:
+  void Grow() {
+    std::vector<uint64_t> old(slots_.size() * 2, 0);
+    old.swap(slots_);
+    const size_t mask = slots_.size() - 1;
+    for (const uint64_t slot : old) {
+      if (slot == 0) continue;
+      size_t s = (slot >> 32) & mask;
+      while (slots_[s] != 0) s = (s + 1) & mask;
+      slots_[s] = slot;
+    }
+  }
+
+  const char* bytes_;
+  const std::vector<std::pair<uint64_t, uint32_t>>* refs_;
+  size_t size_ = 0;
+  std::vector<uint64_t> slots_;
+};
 
 }  // namespace
 
@@ -33,8 +125,21 @@ FeatureCache::FeatureCache(const Table& table)
       m_(table.schema().num_attributes()) {
   const size_t cells = n_ * m_;
 
-  // Lowercase bytes + numerics. Byte offsets are a pure function of the
-  // value sizes, so every cell's slot is fixed before the parallel fill.
+  // Byte tables, filled from the C locale set now, so the bytes equal
+  // ToLower and the words SplitWhitespace under any locale.
+  std::array<char, 256> to_lower;
+  std::array<bool, 256> is_space;
+  for (int b = 0; b < 256; ++b) {
+    to_lower[static_cast<size_t>(b)] = static_cast<char>(std::tolower(b));
+    is_space[static_cast<size_t>(b)] = std::isspace(b) != 0;
+  }
+  auto space = [&is_space](char ch) {
+    return is_space[static_cast<unsigned char>(ch)];
+  };
+
+  // Pass 1, on the pool: lowercase bytes and numerics. Byte offsets are a
+  // pure function of the value sizes, so every cell's slot is fixed before
+  // the parallel fill.
   lower_off_.assign(cells + 1, 0);
   for (size_t c = 0; c < cells; ++c) {
     lower_off_[c + 1] = lower_off_[c] + table.Value(c / m_, c % m_).size();
@@ -51,8 +156,7 @@ FeatureCache::FeatureCache(const Table& table)
                     const size_t c = cell(static_cast<size_t>(i), k);
                     char* out = lower_bytes_.data() + lower_off_[c];
                     for (size_t b = 0; b < value.size(); ++b) {
-                      out[b] = static_cast<char>(
-                          std::tolower(static_cast<unsigned char>(value[b])));
+                      out[b] = to_lower[static_cast<unsigned char>(value[b])];
                     }
                     double v = 0.0;
                     if (ParseNumericValue(value, &v)) {
@@ -63,21 +167,28 @@ FeatureCache::FeatureCache(const Table& table)
                 }
               });
 
-  // Serial pass: tokenize cells in ascending order, words before bigrams
+  // Pass 2, serial: tokenize cells in ascending order, words before bigrams
   // within a cell, and intern by first occurrence, so ids do not depend on
   // the thread count. An id joins a span the first time it appears there:
   // cell_seen[id] is 2c + 1 once among cell c's words, 2c + 2 once among
-  // its bigrams; record_seen[id] is i + 1 once among record i's words. View
-  // keys point into lower_bytes_, which no longer reallocates.
+  // its bigrams; record_seen[id] is i + 1 once among record i's words. So a
+  // cell span holds each id once, in first-occurrence order. A record span
+  // is sorted when its record ends, and its signature taken.
   std::vector<int32_t> short_ids(256 + 65536, -1);
-  std::unordered_map<std::string_view, int32_t> long_ids;
+  LongTokenTable long_ids(lower_bytes_.data(), &dict_ref_);
   std::vector<uint64_t> cell_seen;
   std::vector<uint64_t> record_seen;
   auto intern = [&](std::string_view t) {
-    int32_t& id = t.size() <= 2 ? short_ids[ShortTokenSlot(t)]
-                                : long_ids.try_emplace(t, -1).first->second;
-    if (id < 0) {
-      id = static_cast<int32_t>(dict_ref_.size());
+    const auto next = static_cast<int32_t>(dict_ref_.size());
+    int32_t id = next;
+    if (t.size() > 2) {
+      id = long_ids.Intern(t, next);
+    } else if (int32_t& slot = short_ids[ShortTokenSlot(t)]; slot >= 0) {
+      id = slot;
+    } else {
+      slot = next;
+    }
+    if (id == next) {
       dict_ref_.emplace_back(
           static_cast<uint64_t>(t.data() - lower_bytes_.data()),
           static_cast<uint32_t>(t.size()));
@@ -92,14 +203,15 @@ FeatureCache::FeatureCache(const Table& table)
   word_off_.assign(cells + 1, 0);
   gram_off_.assign(cells + 1, 0);
   rec_off_.assign(n_ + 1, 0);
+  rec_sig_.resize(n_);
   for (size_t i = 0; i < n_; ++i) {
     for (size_t k = 0; k < m_; ++k) {
       const size_t c = cell(i, k);
       const std::string_view lower = LowerValue(i, k);
       for (size_t p = 0; p < lower.size();) {
-        while (p < lower.size() && IsSpace(lower[p])) ++p;
+        while (p < lower.size() && space(lower[p])) ++p;
         const size_t start = p;
-        while (p < lower.size() && !IsSpace(lower[p])) ++p;
+        while (p < lower.size() && !space(lower[p])) ++p;
         if (p == start) continue;
         const size_t id = intern(lower.substr(start, p - start));
         if (cell_seen[id] == 2 * c + 1) continue;
@@ -126,29 +238,15 @@ FeatureCache::FeatureCache(const Table& table)
       gram_off_[c + 1] = gram_ids_.size();
     }
     rec_off_[i + 1] = rec_ids_.size();
+    // RecordLevelJaccard merges record spans, so these stay sorted; ids are
+    // injective over token strings, so the sorted span is the legacy
+    // sorted-unique set.
+    std::sort(rec_ids_.begin() + static_cast<std::ptrdiff_t>(rec_off_[i]),
+              rec_ids_.end());
+    rec_sig_[i] = SignatureOf(RecordTokenIds(i));
   }
   word_ids_.shrink_to_fit();
   rec_ids_.shrink_to_fit();
-
-  // Sort every span in place (parallel; ids are injective over token
-  // strings, so the sorted ids of a span represent exactly the legacy
-  // sorted-unique string set).
-  rec_sig_.resize(n_);
-  auto sort_span = [](int32_t* ids, const uint64_t* off, size_t s) {
-    std::sort(ids + off[s], ids + off[s + 1]);
-  };
-  ParallelFor(0, static_cast<int64_t>(n_), kRecordGrain,
-              [&](int64_t begin, int64_t end) {
-                for (auto i = static_cast<size_t>(begin);
-                     i < static_cast<size_t>(end); ++i) {
-                  for (size_t k = 0; k < m_; ++k) {
-                    sort_span(word_ids_.data(), word_off_.data(), cell(i, k));
-                    sort_span(gram_ids_.data(), gram_off_.data(), cell(i, k));
-                  }
-                  sort_span(rec_ids_.data(), rec_off_.data(), i);
-                  rec_sig_[i] = SignatureOf(RecordTokenIds(i));
-                }
-              });
 }
 
 }  // namespace power

@@ -20,8 +20,10 @@ namespace power {
 /// array per feature family):
 ///
 ///   lower bytes  — the lower-cased bytes of every cell, concatenated;
-///   word ids     — sorted-unique interned word-token ids per cell;
-///   bigram ids   — sorted-unique interned 2-gram ids per cell;
+///   word ids     — interned word-token ids per cell, each once, in
+///                  first-occurrence order;
+///   bigram ids   — interned 2-gram ids per cell, each once, in
+///                  first-occurrence order;
 ///   record ids   — sorted-unique word-token ids over the whole record
 ///                  (identical to WordTokenSet of the ' '-joined record);
 ///   signatures   — a 256-bit TokenSignature of every record's ids (32 B
@@ -32,12 +34,16 @@ namespace power {
 /// bijection between distinct token strings and their ids, so set sizes and
 /// intersection counts — and therefore every similarity double computed
 /// from them — are byte-identical to the raw string path
-/// (tests/feature_cache_test.cc proves this differentially).
+/// (tests/feature_cache_test.cc proves this differentially). A cell span is
+/// a set in no particular order: its readers count it against TokenMarks,
+/// which does not depend on order. A record span is sorted, because
+/// RecordLevelJaccard (the baselines' input) merges two of them.
 ///
-/// Determinism at any thread count: parallel passes shard over records with
-/// chunk boundaries that depend only on the record count, every record's
-/// output lands in its own slot, and token ids are assigned in a serial
-/// first-occurrence pass over cells in ascending order.
+/// Determinism at any thread count: the lowercase pass shards over records
+/// with chunk boundaries that depend only on the record count, and every
+/// record's output lands in its own slot; token ids and every span are
+/// written by one serial first-occurrence pass over cells in ascending
+/// order.
 ///
 /// The cache borrows the table; it must not outlive it, so a temporary table
 /// does not compile. Cost: one build is O(total value bytes) — it amortizes
@@ -60,13 +66,15 @@ class FeatureCache {
         .substr(lower_off_[c], lower_off_[c + 1] - lower_off_[c]);
   }
 
-  /// Sorted-unique word-token ids of cell (i, k) (== WordTokenSet, interned).
+  /// Word-token ids of cell (i, k), each once in first-occurrence order:
+  /// the set WordTokenSet returns, interned, not sorted.
   std::span<const int32_t> WordTokenIds(size_t i, size_t k) const {
     const size_t c = cell(i, k);
     return {word_ids_.data() + word_off_[c], word_off_[c + 1] - word_off_[c]};
   }
 
-  /// Sorted-unique bigram ids of cell (i, k) (== QGramSet(·, 2), interned).
+  /// Bigram ids of cell (i, k), each once in first-occurrence order: the
+  /// set QGramSet(·, 2) returns, interned, not sorted.
   std::span<const int32_t> BigramIds(size_t i, size_t k) const {
     const size_t c = cell(i, k);
     return {gram_ids_.data() + gram_off_[c], gram_off_[c + 1] - gram_off_[c]};
@@ -109,7 +117,8 @@ class FeatureCache {
   // Lower-cased bytes of all cells, concatenated; n*m+1 offsets.
   std::string lower_bytes_;
   std::vector<uint64_t> lower_off_;
-  // Sorted-unique token-id runs per cell (n*m+1 offsets each).
+  // Unique token-id runs per cell, in first-occurrence order (n*m+1
+  // offsets each).
   std::vector<int32_t> word_ids_;
   std::vector<uint64_t> word_off_;
   std::vector<int32_t> gram_ids_;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -185,13 +186,16 @@ TEST(FeatureCacheTokens, FeaturesMatchLegacyTokenizationExactly) {
 // Token ids are exact, not just the token sets: a reference interns by first
 // occurrence in a std::map, walking cells in ascending order with word
 // tokens before bigrams within a cell. Ids feed the signature hash, so they
-// decide the candidate paths' CandidateStats counters.
+// decide the candidate paths' CandidateStats counters. A cell span lists
+// each of its ids once, in first-occurrence order; a record span is sorted,
+// since the candidate paths merge record spans.
 // ---------------------------------------------------------------------------
 
 struct ReferenceFeatures {
   std::vector<std::string> dict;  // id -> token
-  std::vector<std::vector<int32_t>> words, grams;  // per cell, sorted-unique
-  std::vector<std::vector<int32_t>> records;       // per record
+  // Per cell, each id once in first-occurrence order.
+  std::vector<std::vector<int32_t>> words, grams;
+  std::vector<std::vector<int32_t>> records;  // per record, sorted-unique
 };
 
 ReferenceFeatures InternByFirstOccurrence(const Table& table) {
@@ -208,6 +212,14 @@ ReferenceFeatures InternByFirstOccurrence(const Table& table) {
     v.erase(std::unique(v.begin(), v.end()), v.end());
     return v;
   };
+  auto first_occurrences = [](const std::vector<int32_t>& v) {
+    std::vector<int32_t> out;
+    std::set<int32_t> seen;
+    for (int32_t id : v) {
+      if (seen.insert(id).second) out.push_back(id);
+    }
+    return out;
+  };
   for (size_t i = 0; i < table.num_records(); ++i) {
     std::vector<int32_t> record;
     for (size_t k = 0; k < m; ++k) {
@@ -222,8 +234,8 @@ ReferenceFeatures InternByFirstOccurrence(const Table& table) {
         grams.push_back(intern(lower.substr(b, 2)));
       }
       record.insert(record.end(), words.begin(), words.end());
-      ref.words.push_back(sort_unique(std::move(words)));
-      ref.grams.push_back(sort_unique(std::move(grams)));
+      ref.words.push_back(first_occurrences(words));
+      ref.grams.push_back(first_occurrences(grams));
     }
     ref.records.push_back(sort_unique(std::move(record)));
   }
@@ -248,6 +260,8 @@ void ExpectIdsMatchReference(const Table& table, const std::string& label) {
     }
     for (size_t i = 0; i < table.num_records(); ++i) {
       for (size_t k = 0; k < m; ++k) {
+        ASSERT_EQ(features.LowerValue(i, k), ToLower(table.Value(i, k)))
+            << at << " cell (" << i << ", " << k << ")";
         ASSERT_EQ(AsVector(features.WordTokenIds(i, k)), ref.words[i * m + k])
             << at << " cell (" << i << ", " << k << ")";
         ASSERT_EQ(AsVector(features.BigramIds(i, k)), ref.grams[i * m + k])
@@ -273,6 +287,37 @@ Table ProfileTable(DatasetProfile profile, size_t records) {
   return DatasetGenerator(51).Generate(profile);
 }
 
+// A vocabulary of over 20k distinct words of 3 to 17 bytes, so the long-token
+// table grows several times and hashes words on both sides of every 8-byte
+// boundary. Each cell also repeats a word of an earlier record.
+Table MakeLargeVocabularyTable() {
+  Schema schema({{"a", SimilarityFunction::kJaccard},
+                 {"b", SimilarityFunction::kBigramJaccard}});
+  Table table(schema);
+  Rng rng(83);
+  std::vector<std::string> seen;
+  for (int i = 0; i < 2200; ++i) {
+    Record r;
+    for (size_t k = 0; k < schema.num_attributes(); ++k) {
+      std::string value;
+      for (int w = 0; w < 5; ++w) {
+        std::string word;
+        const int len = rng.UniformInt(3, 17);
+        for (int b = 0; b < len; ++b) {
+          word.push_back(static_cast<char>(
+              (rng.Bernoulli(0.2) ? 'A' : 'a') + rng.UniformInt(0, 25)));
+        }
+        seen.push_back(word);
+        value += word + ' ';
+      }
+      value += seen[rng.UniformIndex(seen.size())];
+      r.values.push_back(std::move(value));
+    }
+    table.Add(std::move(r));
+  }
+  return table;
+}
+
 TEST(FeatureCacheDifferential, TokenIdsMatchFirstOccurrenceReference) {
   ExpectIdsMatchReference(ProfileTable(AcmPubProfile(1.0), 1500), "ACMPub");
   ExpectIdsMatchReference(ProfileTable(CoraProfile(), 600), "Cora");
@@ -280,6 +325,13 @@ TEST(FeatureCacheDifferential, TokenIdsMatchFirstOccurrenceReference) {
                           "Restaurant");
   ExpectIdsMatchReference(MakeAdversarialTable(/*seed=*/61, 60),
                           "adversarial");
+  const Table large = MakeLargeVocabularyTable();
+  size_t long_words = 0;
+  for (const std::string& token : InternByFirstOccurrence(large).dict) {
+    if (token.size() > 2) ++long_words;
+  }
+  ASSERT_GE(long_words, 20000u);
+  ExpectIdsMatchReference(large, "large vocabulary");
 }
 
 TEST(FeatureCacheDifferential, TokenIdsMatchReferenceOnHostileCells) {
@@ -302,6 +354,19 @@ TEST(FeatureCacheDifferential, TokenIdsMatchReferenceOnHostileCells) {
     Record r;
     r.values = values;
     table.Add(std::move(r));
+  }
+  // Every byte value, in every column: a cell of its own, then inside
+  // words that start with it, end with it and straddle 8-byte boundaries.
+  for (int b = 0; b < 256; ++b) {
+    const std::string c(1, static_cast<char>(b));
+    Record alone;
+    alone.values = {c, c, c};
+    table.Add(std::move(alone));
+    Record inside;
+    inside.values = {c + "Bc x" + c + "y",
+                     "abcdefG" + c + " " + c + c + c,
+                     "Ab" + c + "defghijklmnop" + c + "q " + c + "xyz"};
+    table.Add(std::move(inside));
   }
   ExpectIdsMatchReference(table, "hostile");
 }

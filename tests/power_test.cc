@@ -1,7 +1,10 @@
 #include <stdlib.h>
 
+#include <algorithm>
 #include <limits>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -13,6 +16,8 @@
 #include "data/paper_example.h"
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
+#include "sim/feature_cache.h"
+#include "sim/similarity_matrix.h"
 
 namespace power {
 namespace {
@@ -80,6 +85,139 @@ INSTANTIATE_TEST_SUITE_P(
                      BuilderKind::kRangeTree},
         PipelineCase{GroupingKind::kGreedy, SelectorKind::kSinglePath,
                      BuilderKind::kRangeTree}));
+
+// ---------------------------------------------------------------------------
+// A perfect crowd on truth that is monotone in the similarity vector: a pair
+// matches exactly when its row dominates a fixed threshold vector. If a pair
+// matches, so does every pair whose row dominates it, and if it does not,
+// neither does any pair it dominates, so dominance inference cannot color a
+// pair wrongly. Every configuration whose groups hold one row each
+// (NonGroup, or Split at epsilon 0) must then return the truth exactly,
+// asking at most one question per group.
+// ---------------------------------------------------------------------------
+
+struct MonotoneCase {
+  GroupingKind grouping;
+  BuilderKind builder;
+  SelectorKind selector;
+};
+
+void PrintTo(const MonotoneCase& c, std::ostream* os) {
+  *os << GroupingKindName(c.grouping) << "_" << BuilderKindName(c.builder)
+      << "_" << SelectorKindName(c.selector);
+}
+
+// Answers yes, with every vote, exactly when the pair's row is at least
+// `threshold` in every attribute.
+class DominanceOracle : public PairOracle {
+ public:
+  DominanceOracle(const SimilarityTable& pairs,
+                  const std::vector<double>& threshold) {
+    for (size_t p = 0; p < pairs.size(); ++p) {
+      const std::span<const double> row = pairs.row(p);
+      bool yes = true;
+      for (size_t k = 0; k < row.size(); ++k) yes &= row[k] >= threshold[k];
+      const uint64_t key = PairKey(pairs.ids[p].first, pairs.ids[p].second);
+      answers_[key] = yes;
+      if (yes) truth_.insert(key);
+    }
+  }
+
+  VoteResult Ask(int i, int j) override {
+    return {answers_.at(PairKey(i, j)) ? 3 : 0, 3};
+  }
+
+  const std::unordered_set<uint64_t>& truth() const { return truth_; }
+
+ private:
+  std::unordered_map<uint64_t, bool> answers_;
+  std::unordered_set<uint64_t> truth_;
+};
+
+struct MonotoneInput {
+  std::string name;
+  SimilarityTable pairs;
+  // Per attribute, the 40th percentile of the pairs' values.
+  std::vector<double> threshold;
+};
+
+// The candidates of 300 generated records at the default tau, thinned by a
+// fixed stride to at most 1,000 pairs: these tables have a few dozen
+// distinct rows over thousands of pairs, and NonGroup's graph joins every
+// pair to every pair it dominates.
+MonotoneInput MakeMonotoneInput(std::string name, DatasetProfile profile) {
+  profile.num_entities = profile.num_entities * 300 / profile.num_records;
+  profile.num_records = 300;
+  const Table table = DatasetGenerator(41).Generate(profile);
+  const FeatureCache features(table);
+  const PowerConfig defaults;
+  const std::vector<std::pair<int, int>> candidates =
+      GenerateCandidates(features, defaults.prune_tau, CandidateMethod::kAuto);
+  const size_t stride = (candidates.size() + 999) / 1000;
+  std::vector<std::pair<int, int>> kept;
+  for (size_t p = 0; p < candidates.size(); p += stride) {
+    kept.push_back(candidates[p]);
+  }
+  MonotoneInput input{std::move(name), {}, {}};
+  input.pairs =
+      ComputeSimilarityTable(features, kept, defaults.component_floor);
+  for (size_t k = 0; k < input.pairs.m; ++k) {
+    std::vector<double> values;
+    for (size_t p = 0; p < input.pairs.size(); ++p) {
+      values.push_back(input.pairs.row(p)[k]);
+    }
+    std::sort(values.begin(), values.end());
+    input.threshold.push_back(values[values.size() * 2 / 5]);
+  }
+  return input;
+}
+
+class MonotoneTruth : public ::testing::TestWithParam<MonotoneCase> {};
+
+TEST_P(MonotoneTruth, PerfectCrowdReturnsTheTruthExactly) {
+  static const std::vector<MonotoneInput> inputs = {
+      MakeMonotoneInput("ACMPub", AcmPubProfile(1.0)),
+      MakeMonotoneInput("Cora", CoraProfile())};
+  const MonotoneCase& c = GetParam();
+  for (const MonotoneInput& input : inputs) {
+    SCOPED_TRACE(input.name);
+    DominanceOracle oracle(input.pairs, input.threshold);
+    ASSERT_GT(oracle.truth().size(), 0u);
+    ASSERT_LT(oracle.truth().size(), input.pairs.size());
+
+    PowerConfig config;
+    config.grouping = c.grouping;
+    config.epsilon = 0.0;
+    config.builder = c.builder;
+    config.selector = c.selector;
+    const PowerResult result =
+        PowerFramework(config).RunOnPairs(input.pairs, &oracle);
+
+    EXPECT_EQ(result.matched_pairs, oracle.truth());
+    EXPECT_DOUBLE_EQ(ComputePrf(result.matched_pairs, oracle.truth()).f1,
+                     1.0);
+    EXPECT_GT(result.questions, 0u);
+    EXPECT_LE(result.questions, result.num_groups);
+  }
+}
+
+std::vector<MonotoneCase> MonotoneCases() {
+  std::vector<MonotoneCase> cases;
+  for (SelectorKind selector :
+       {SelectorKind::kRandom, SelectorKind::kSinglePath,
+        SelectorKind::kMultiPath, SelectorKind::kTopoSort}) {
+    for (BuilderKind builder : {BuilderKind::kBruteForce,
+                                BuilderKind::kQuickSort,
+                                BuilderKind::kRangeTree}) {
+      cases.push_back({GroupingKind::kNone, builder, selector});
+    }
+    cases.push_back({GroupingKind::kSplit, BuilderKind::kRangeTree, selector});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, MonotoneTruth,
+                         ::testing::ValuesIn(MonotoneCases()));
 
 TEST(PowerFrameworkTest, GroupingReducesQuestions) {
   Table table = PaperExampleTable();
