@@ -19,7 +19,7 @@ constexpr int64_t kVertexGrain = 32;
 }  // namespace
 
 void PairGraph::CheckFrozenVertex(int v) const {
-  POWER_CHECK_MSG(frozen_, "adjacency requires a frozen graph (DedupEdges)");
+  POWER_CHECK_MSG(frozen_, "adjacency requires a frozen graph");
   POWER_CHECK(v >= 0 && static_cast<size_t>(v) < num_vertices_);
 }
 
@@ -130,6 +130,56 @@ void PairGraph::DedupEdges() {
   // `pending_ = {}` would pick operator=(initializer_list), which keeps the
   // capacity; a moved-in empty vector frees the buffer.
   pending_ = std::vector<std::pair<int, int>>();
+  frozen_ = true;
+}
+
+void PairGraph::FreezeFromChildren(std::vector<int64_t> child_off,
+                                   std::vector<int> child_edges) {
+  POWER_CHECK_MSG(!frozen_, "PairGraph is frozen; no further edges");
+  POWER_CHECK_MSG(pending_.empty(), "pending edges freeze through DedupEdges");
+  const size_t n = num_vertices_;
+  POWER_CHECK_MSG(child_off.size() == n + 1,
+                  "child offsets need num_vertices() + 1 entries");
+  POWER_CHECK_MSG(child_off[0] == 0, "child offsets must start at 0");
+  for (size_t v = 0; v < n; ++v) {
+    POWER_CHECK_MSG(child_off[v] <= child_off[v + 1],
+                    "child offsets must not decrease");
+  }
+  POWER_CHECK_MSG(
+      child_off[n] == static_cast<int64_t>(child_edges.size()),
+      "the last child offset must equal the child edge count");
+
+  // Check every list and count each vertex's parents in one pass; the
+  // counts sit one slot up, so the prefix sum below turns them into offsets.
+  std::vector<int64_t> parent_off(n + 1, 0);
+  for (size_t v = 0; v < n; ++v) {
+    int prev = -1;
+    for (int64_t e = child_off[v]; e < child_off[v + 1]; ++e) {
+      const int c = child_edges[static_cast<size_t>(e)];
+      POWER_CHECK_MSG(static_cast<size_t>(c) < n, "child out of range");
+      POWER_CHECK_MSG(static_cast<size_t>(c) != v, "self-loop");
+      POWER_CHECK_MSG(c > prev, "a child list must be strictly ascending");
+      prev = c;
+      ++parent_off[static_cast<size_t>(c) + 1];
+    }
+  }
+  for (size_t v = 0; v < n; ++v) parent_off[v + 1] += parent_off[v];
+
+  // Transpose in parent order, so every parent list comes out ascending.
+  std::vector<int64_t> cursor(parent_off.begin(), parent_off.end() - 1);
+  std::vector<int> parent_edges(child_edges.size());
+  for (size_t v = 0; v < n; ++v) {
+    for (int64_t e = child_off[v]; e < child_off[v + 1]; ++e) {
+      const int c = child_edges[static_cast<size_t>(e)];
+      parent_edges[static_cast<size_t>(cursor[c]++)] = static_cast<int>(v);
+    }
+  }
+
+  child_off_ = std::move(child_off);
+  child_edges_ = std::move(child_edges);
+  parent_off_ = std::move(parent_off);
+  parent_edges_ = std::move(parent_edges);
+  num_edges_ = child_edges_.size();
   frozen_ = true;
 }
 

@@ -19,25 +19,37 @@ namespace power {
 /// comparable vertex pair), i.e. the transitive closure. Question selection
 /// (Dilworth path cover) and O(1)-hop propagation both rely on this.
 ///
-/// Lifecycle: the graph has a build phase and a frozen phase. During build,
-/// AddEdge / AddEdgeChunks append to a flat pending-edge list. DedupEdges()
-/// freezes the graph: the pending edges are deduplicated and laid out as two
-/// immutable CSR (offset + flat edge array) adjacency forms — children and
-/// parents — built with parallel counting/scatter/sort passes on the global
-/// thread pool (util/parallel.h) whose result is independent of the thread
-/// count. After freezing, children(v)/parents(v) return lightweight sorted
-/// spans into the flat arrays and no further mutation is allowed. The flat
-/// layout replaces the former ragged vector<vector<int>> adjacency, which on
-/// closure graphs (O(|V|²) edges) dominated both memory and cache misses in
-/// the ask-and-color serving loop.
+/// Lifecycle: the graph has a build phase and a frozen phase, and two ways
+/// to freeze.
+///
+///  * Pending edges. AddEdge / AddEdgeChunks append to a flat pending-edge
+///    list, duplicates allowed. DedupEdges() deduplicates them and lays them
+///    out as two immutable CSR (offset + flat edge array) adjacency forms,
+///    children and parents, with parallel counting/scatter/sort passes on
+///    the global thread pool (util/parallel.h) whose result is independent
+///    of the thread count. The base builders of §4.1 freeze this way: their
+///    vertices are pairs, so they emit edges chunk by chunk.
+///  * Child lists. FreezeFromChildren() takes the children side already in
+///    CSR form, every list strictly ascending, checks it, and builds the
+///    parent side with one serial counting transpose: no atomics, sort or
+///    dedup. The grouped graph freezes this way, since its bit-parallel
+///    build emits each group's children ascending and unique.
+///
+/// Both give the same arrays for the same edge set. After freezing,
+/// children(v)/parents(v) return lightweight sorted spans into the flat
+/// arrays and no further mutation is allowed. The flat layout replaces the
+/// former ragged vector<vector<int>> adjacency, which on closure graphs
+/// (O(|V|²) edges) dominated both memory and cache misses in the
+/// ask-and-color serving loop.
 ///
 /// Concurrency contract: the build phase (AddEdge/AddEdgeChunks) and the
-/// freeze (DedupEdges) are driven by ONE thread; inside the freeze, the
-/// parallel count/scatter/sort passes share per-vertex atomic counters whose
-/// relaxed increments commute (thread-count-invariant totals), and the
-/// `frozen_` flag itself is written only by that driving thread before any
-/// reader exists. After freezing the graph is immutable and safe to read
-/// from any number of threads without synchronization.
+/// freeze (DedupEdges or FreezeFromChildren) are driven by ONE thread;
+/// inside DedupEdges, the parallel count/scatter/sort passes share
+/// per-vertex atomic counters whose relaxed increments commute
+/// (thread-count-invariant totals), and the `frozen_` flag itself is
+/// written only by that driving thread before any reader exists. After
+/// freezing the graph is immutable and safe to read from any number of
+/// threads without synchronization.
 class PairGraph {
  public:
   PairGraph() = default;
@@ -62,7 +74,17 @@ class PairGraph {
   /// immutable CSR adjacency (see class comment). Idempotent.
   void DedupEdges();
 
-  /// True once DedupEdges() has frozen the graph into CSR form.
+  /// Freezes the graph from its children in CSR form: `child_off` holds
+  /// num_vertices() + 1 non-decreasing offsets from 0 to
+  /// child_edges.size(), and vertex v's children are
+  /// child_edges[child_off[v], child_off[v + 1]), strictly ascending, in
+  /// range and never v itself. Aborts on any other input. Builds the parent
+  /// lists by a counting transpose in vertex order, so they come out
+  /// ascending too. The graph must be unfrozen with no pending edges.
+  void FreezeFromChildren(std::vector<int64_t> child_off,
+                          std::vector<int> child_edges);
+
+  /// True once DedupEdges() or FreezeFromChildren() has frozen the graph.
   bool frozen() const { return frozen_; }
 
   /// Children of v (vertices v strictly dominates), ascending. Frozen only.

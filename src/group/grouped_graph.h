@@ -16,9 +16,14 @@ struct GroupedGraph {
   PairGraph graph;  // vertex v == groups[v]
 };
 
-/// Builds the grouped graph by testing interval dominance between all group
-/// pairs (group counts are small; the relation is transitive, so this yields
-/// the full closure like the base builders do).
+/// Builds the grouped graph: an edge for every ordered group pair that
+/// GroupStrictlyDominates, so the full closure, as the base builders emit.
+/// Group counts reach tens of thousands (22k on a 20k-record Cora table),
+/// so pairs are not tested one by one: one bit-parallel sweep per attribute
+/// decides a whole row of targets per source group, in fixed-size blocks of
+/// source rows, on the calling thread. Each child list comes out ascending
+/// and unique and freezes through PairGraph::FreezeFromChildren. Aborts
+/// unless all groups share one bound width and no bound is NaN.
 GroupedGraph BuildGroupedGraph(std::vector<VertexGroup> groups);
 
 /// Builds a grouped graph of singleton groups using a base-graph builder —

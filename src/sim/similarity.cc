@@ -207,7 +207,10 @@ bool ParseNumericValue(std::string_view s, double* value) {
   }
   char* end = nullptr;
   double v = std::strtod(buf, &end);
-  if (end != buf + t.size()) return false;
+  // strtod also reads "inf", "nan" and overflowing text like "1e999"; those
+  // fall back to the string path like "12a", since 1 - |a - b| / max(|a|,
+  // |b|) would score two equal cells as NaN (clamped to 0).
+  if (end != buf + t.size() || !std::isfinite(v)) return false;
   *value = v;
   return true;
 }

@@ -38,13 +38,15 @@ double CosineSimilarity(std::string_view a, std::string_view b);
 double OverlapCoefficient(std::string_view a, std::string_view b);
 
 /// Similarity of numeric values: 1 - |a - b| / max(|a|, |b|), clamped to
-/// [0, 1]; both zero -> 1. Non-numeric input falls back to BigramJaccard
-/// (so the function is safe on mixed columns like Cora's "pages").
+/// [0, 1]; both zero -> 1. Input that is not a finite number falls back to
+/// BigramJaccard (so the function is safe on mixed columns like Cora's
+/// "pages", and two equal "inf" or "nan" cells score 1).
 double NumericSimilarity(std::string_view a, std::string_view b);
 
 /// The numeric parse NumericSimilarity and the feature cache share:
-/// Trim + strtod, accepting only a full-token parse. Allocation-free for
-/// trimmed values up to 127 bytes (thread-local buffer above that).
+/// Trim + strtod, accepting only a full-token parse to a finite value.
+/// Allocation-free for trimmed values up to 127 bytes (thread-local buffer
+/// above that).
 bool ParseNumericValue(std::string_view s, double* value);
 
 /// Dispatches on the attribute's configured function.

@@ -1,3 +1,4 @@
+#include <cmath>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -84,6 +85,22 @@ TEST(GroupedGraphTest, GroupingShrinksGraph) {
   GroupedGraph grouped = BuildGroupedGraph(SplitGrouper().Group(sims, 0.1));
   EXPECT_LT(grouped.groups.size(), ungrouped.groups.size());
   EXPECT_EQ(grouped.groups.size(), 9u);
+}
+
+// Every group's bounds must be one width and never NaN: the build sorts
+// them, and a NaN would break the sort's order.
+TEST(GroupedGraphDeathTest, RefusesNaNBoundsAndMixedWidths) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto groups = SplitGrouper().Group(PaperSims(), 0.1);
+  ASSERT_GT(groups.size(), 2u);
+  std::vector<VertexGroup> nan_bound = groups;
+  nan_bound[1].upper[0] = std::nan("");
+  EXPECT_DEATH(BuildGroupedGraph(nan_bound), "group bounds must not be NaN");
+  std::vector<VertexGroup> mixed = groups;
+  mixed[2].lower.push_back(0.5);
+  mixed[2].upper.push_back(0.5);
+  EXPECT_DEATH(BuildGroupedGraph(mixed),
+               "every group needs bounds of one width");
 }
 
 TEST(GroupedGraphTest, EmptyGroups) {

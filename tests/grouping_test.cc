@@ -415,6 +415,167 @@ TEST(GreedyGrouperTest, RowEntryMatchesNested) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Greedy against a reference copy that dedupes each attribute's joined
+// candidates through a std::set of member vectors, keeping the first
+// occurrence, so a hash collision cannot drop a candidate. GreedyGrouper
+// must emit the same groups in the same order.
+// ---------------------------------------------------------------------------
+
+// Maximal windows of attribute k: vertices by value descending (ties by
+// id), each maximal run spanning at most epsilon, members ascending.
+std::vector<std::vector<int>> ReferenceWindows(
+    const std::vector<std::vector<double>>& sims, size_t k, double epsilon) {
+  std::vector<int> order(sims.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    if (sims[a][k] != sims[b][k]) return sims[a][k] > sims[b][k];
+    return a < b;
+  });
+  std::vector<std::vector<int>> windows;
+  size_t covered_to = 0;
+  for (size_t i = 0; i < order.size(); ++i) {
+    size_t t = i;
+    while (t + 1 < order.size() &&
+           sims[order[i]][k] - sims[order[t + 1]][k] <= epsilon + 1e-12) {
+      ++t;
+    }
+    if (t + 1 <= covered_to) continue;  // inside an earlier window
+    std::vector<int> members(order.begin() + i, order.begin() + t + 1);
+    std::sort(members.begin(), members.end());
+    windows.push_back(std::move(members));
+    covered_to = t + 1;
+  }
+  return windows;
+}
+
+std::vector<VertexGroup> ReferenceGreedy(
+    const std::vector<std::vector<double>>& sims, double epsilon) {
+  std::vector<VertexGroup> result;
+  if (sims.empty()) return result;
+  std::vector<std::vector<int>> candidates = ReferenceWindows(sims, 0, epsilon);
+  for (size_t k = 1; k < sims[0].size(); ++k) {
+    const std::vector<std::vector<int>> windows =
+        ReferenceWindows(sims, k, epsilon);
+    std::vector<std::vector<int>> joined;
+    std::set<std::vector<int>> seen;
+    for (const std::vector<int>& c : candidates) {
+      for (const std::vector<int>& w : windows) {
+        std::vector<int> both;
+        std::set_intersection(c.begin(), c.end(), w.begin(), w.end(),
+                              std::back_inserter(both));
+        if (!both.empty() && seen.insert(both).second) {
+          joined.push_back(std::move(both));
+        }
+      }
+    }
+    candidates = std::move(joined);
+  }
+  // Cover: the first candidate with the most uncovered members, repeated.
+  std::vector<bool> covered(sims.size(), false);
+  size_t left = sims.size();
+  while (left > 0) {
+    size_t best = 0;
+    size_t best_live = 0;
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      const size_t live = static_cast<size_t>(
+          std::count_if(candidates[c].begin(), candidates[c].end(),
+                        [&](int v) { return !covered[v]; }));
+      if (live > best_live) {
+        best_live = live;
+        best = c;
+      }
+    }
+    std::vector<int> members;
+    for (int v : candidates[best]) {
+      if (!covered[v]) {
+        covered[v] = true;
+        members.push_back(v);
+      }
+    }
+    left -= members.size();
+    result.push_back(ReferenceGroup(sims, std::move(members)));
+  }
+  return result;
+}
+
+void ExpectGreedyMatchesReference(const std::vector<std::vector<double>>& sims,
+                                  std::initializer_list<double> epsilons,
+                                  const std::string& label) {
+  const PackedRows packed = PackRows(sims);
+  for (double eps : epsilons) {
+    ExpectSameGroups(GreedyGrouper().Group(packed.rows(), eps),
+                     ReferenceGreedy(sims, eps),
+                     label + " eps " + std::to_string(eps));
+  }
+}
+
+TEST(GreedyGrouperDifferential, GroupingTestTablesMatchReference) {
+  ExpectGreedyMatchesReference(PaperSims(), {0.0, 0.1, 0.2}, "paper example");
+  for (const GroupCase& c :
+       {GroupCase{1, 1, 0.1, 1}, GroupCase{20, 2, 0.1, 2},
+        GroupCase{60, 2, 0.05, 3}, GroupCase{60, 3, 0.2, 4},
+        GroupCase{100, 4, 0.1, 5}, GroupCase{40, 2, 0.5, 6},
+        GroupCase{80, 3, 0.01, 7}}) {
+    ExpectGreedyMatchesReference(RandomSims(c.seed, c.n, c.m), {c.epsilon},
+                                 "random seed " + std::to_string(c.seed));
+  }
+  for (uint64_t seed : {11u, 12u, 13u}) {
+    ExpectGreedyMatchesReference(RandomSims(seed, 120, 2), {0.15},
+                                 "random 120 seed " + std::to_string(seed));
+  }
+  for (uint64_t seed : {31u, 32u}) {
+    ExpectGreedyMatchesReference(GridSims(seed, 80, 3), {0.0, 0.1, 0.3},
+                                 "grid seed " + std::to_string(seed));
+  }
+}
+
+// A bench_grouping case's vectors: bench seed 51, the prefix join at tau
+// 0.3, component floor 0.2.
+std::vector<std::vector<double>> BenchSims(const DatasetProfile& profile) {
+  const Table table = DatasetGenerator(51).Generate(profile);
+  const FeatureCache features(table);
+  std::vector<std::vector<double>> sims;
+  for (const SimilarPair& p : ComputePairSimilarities(
+           features,
+           GenerateCandidates(features, 0.3, CandidateMethod::kPrefixJoin),
+           0.2)) {
+    sims.push_back(p.sims);
+  }
+  return sims;
+}
+
+// bench_grouping's Restaurant and Cora cases at its four epsilons.
+TEST(GreedyGrouperDifferential, BenchDatasetsMatchReference) {
+  for (const DatasetProfile& profile : {RestaurantProfile(), CoraProfile()}) {
+    ExpectGreedyMatchesReference(BenchSims(profile), {0.05, 0.1, 0.15, 0.2},
+                                 profile.name);
+  }
+}
+
+// Greedy refuses a join that would take more than 1G merge steps, naming
+// itself, the attribute and the count, and points to Split.
+TEST(GreedyGrouperDeathTest, RefusesACombinatorialJoin) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // On random rows the windows overlap in every attribute and the join
+  // grows combinatorially: 29,850 candidates meet 936 windows at attribute
+  // 2 of 2,000 rows at ε 0.05, where Greedy once ran for minutes.
+  const PackedRows random = PackRows(RandomSims(51, 2000, 4));
+  EXPECT_DEATH(GreedyGrouper().Group(random.rows(), 0.05),
+               "Greedy grouping refuses to join attribute 2: 29850 candidate "
+               "groups x 936 windows take 2963653170 merge steps "
+               "\\(limit 1000000000\\); use Split grouping");
+  // Split groups the same rows at once.
+  EXPECT_TRUE(IsPartition(SplitGrouper().Group(random.rows(), 0.05), 2000));
+  // bench_grouping's ACMPub case (180,774 pairs) needs only 62,220
+  // intersections at attribute 1 at ε 0.1, but they merge windows of
+  // thousands of pairs each; Greedy ran its ε 0.05 join for over a minute.
+  const PackedRows acm = PackRows(BenchSims(AcmPubProfile(0.1)));
+  EXPECT_DEATH(GreedyGrouper().Group(acm.rows(), 0.1),
+               "Greedy grouping refuses to join attribute 1: 122 candidate "
+               "groups x 510 windows take 1678230292 merge steps");
+}
+
 // More than 63 split attributes once aborted on a 64-bit key.
 TEST(SplitGrouperTest, SeventyWideAttributesSplit) {
   std::vector<std::vector<double>> sims(4, std::vector<double>(70));

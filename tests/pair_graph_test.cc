@@ -97,6 +97,75 @@ TEST(PairGraphTest, FreezeReleasesThePendingEdgeList) {
       << "VmRSS grew by " << ((after - before) >> 20) << " MB";
 }
 
+// The diamond's children in CSR form, every list ascending.
+std::vector<int64_t> DiamondOffsets() { return {0, 3, 4, 5, 5}; }
+std::vector<int> DiamondChildren() { return {1, 2, 3, 3, 3}; }
+
+// Freezing from child lists gives the arrays the pending-edge freeze gives.
+TEST(PairGraphTest, FreezeFromChildrenMatchesDedupEdges) {
+  PairGraph g(4);
+  g.FreezeFromChildren(DiamondOffsets(), DiamondChildren());
+  const PairGraph want = Diamond();
+  ASSERT_TRUE(g.frozen());
+  EXPECT_EQ(g.num_edges(), want.num_edges());
+  for (int v = 0; v < 4; ++v) {
+    EXPECT_EQ(ToVec(g.children(v)), ToVec(want.children(v))) << v;
+    EXPECT_EQ(ToVec(g.parents(v)), ToVec(want.parents(v))) << v;
+  }
+  PairGraph empty(0);
+  empty.FreezeFromChildren({0}, {});
+  EXPECT_TRUE(empty.frozen());
+  EXPECT_EQ(empty.num_edges(), 0u);
+}
+
+// The freeze checks what it adopts: each malformed input aborts, naming
+// what is wrong.
+TEST(PairGraphDeathTest, FreezeFromChildrenRefusesMalformedLists) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto freeze = [](std::vector<int64_t> offsets, std::vector<int> children) {
+    PairGraph g(4);
+    g.FreezeFromChildren(std::move(offsets), std::move(children));
+  };
+  // Offsets of the wrong size: one short, one over.
+  EXPECT_DEATH(freeze({0, 3, 4, 5}, DiamondChildren()),
+               "child offsets need num_vertices\\(\\) \\+ 1 entries");
+  EXPECT_DEATH(freeze({0, 3, 4, 5, 5, 5}, DiamondChildren()),
+               "child offsets need num_vertices\\(\\) \\+ 1 entries");
+  // Offsets out of order, not starting at 0, or not ending at the count.
+  EXPECT_DEATH(freeze({0, 4, 3, 5, 5}, DiamondChildren()),
+               "child offsets must not decrease");
+  EXPECT_DEATH(freeze({1, 3, 4, 5, 5}, DiamondChildren()),
+               "child offsets must start at 0");
+  EXPECT_DEATH(freeze({0, 3, 4, 5, 6}, DiamondChildren()),
+               "the last child offset must equal the child edge count");
+  // A target out of range, either side.
+  EXPECT_DEATH(freeze(DiamondOffsets(), {1, 2, 4, 3, 3}),
+               "child out of range");
+  EXPECT_DEATH(freeze(DiamondOffsets(), {-1, 2, 3, 3, 3}),
+               "child out of range");
+  // A self-loop.
+  EXPECT_DEATH(freeze(DiamondOffsets(), {1, 2, 3, 1, 3}), "self-loop");
+  // A child list out of order, and one that repeats a target.
+  EXPECT_DEATH(freeze(DiamondOffsets(), {2, 1, 3, 3, 3}),
+               "a child list must be strictly ascending");
+  EXPECT_DEATH(freeze(DiamondOffsets(), {1, 1, 3, 3, 3}),
+               "a child list must be strictly ascending");
+  // A graph that is frozen already, or holds pending edges.
+  EXPECT_DEATH(
+      {
+        PairGraph g = Diamond();
+        g.FreezeFromChildren(DiamondOffsets(), DiamondChildren());
+      },
+      "PairGraph is frozen");
+  EXPECT_DEATH(
+      {
+        PairGraph g(4);
+        g.AddEdge(0, 1);
+        g.FreezeFromChildren(DiamondOffsets(), DiamondChildren());
+      },
+      "pending edges freeze through DedupEdges");
+}
+
 TEST(PairGraphTest, DescendantsAndAncestors) {
   PairGraph g = Diamond();
   EXPECT_EQ(g.Descendants(0), (std::vector<int>{1, 2, 3}));

@@ -20,6 +20,7 @@
 #include "graph/builder.h"
 #include "group/grouped_graph.h"
 #include "group/split_grouper.h"
+#include "order/partial_order.h"
 #include "sim/feature_cache.h"
 #include "sim/simd_kernels.h"
 #include "sim/similarity_matrix.h"
@@ -143,7 +144,7 @@ TEST(ParallelGroupedGraphDifferential, CsrIdenticalAtEveryThreadCount) {
   const PackedRows sims = RandomSims(29, 400, 3, 50);
   const std::vector<VertexGroup> groups =
       SplitGrouper().Group(sims.rows(), 0.1);
-  ASSERT_GT(groups.size(), 64u);  // several 16-row chunks of the edge scan
+  ASSERT_GT(groups.size(), 64u);  // more than one 64-bit word of targets
   GroupedGraph serial;
   {
     ScopedNumThreads scope(1);
@@ -159,11 +160,169 @@ TEST(ParallelGroupedGraphDifferential, CsrIdenticalAtEveryThreadCount) {
   }
 }
 
+// The grouped graph of Definition 5 by its definition: one
+// GroupStrictlyDominates call per ordered group pair. Children are found in
+// target order and parents in source order, so both lists are ascending, as
+// a frozen graph's are.
+struct EdgeLoopCsr {
+  std::vector<std::vector<int>> children;
+  std::vector<std::vector<int>> parents;
+  size_t edges = 0;
+};
+
+EdgeLoopCsr GroupedEdgeLoop(const std::vector<VertexGroup>& groups) {
+  const int g = static_cast<int>(groups.size());
+  EdgeLoopCsr out;
+  out.children.resize(groups.size());
+  out.parents.resize(groups.size());
+  for (int a = 0; a < g; ++a) {
+    for (int b = 0; b < g; ++b) {
+      if (a != b && GroupStrictlyDominates(groups[a].lower, groups[b].upper)) {
+        out.children[a].push_back(b);
+        out.parents[b].push_back(a);
+        ++out.edges;
+      }
+    }
+  }
+  return out;
+}
+
+// A frozen graph's children and parents arrays equal the edge loop's.
+void ExpectEqualsEdgeLoop(const PairGraph& got, const EdgeLoopCsr& want) {
+  ASSERT_TRUE(got.frozen());
+  ASSERT_EQ(got.num_vertices(), want.children.size());
+  ASSERT_EQ(got.num_edges(), want.edges);
+  for (int v = 0; v < static_cast<int>(got.num_vertices()); ++v) {
+    const auto children = got.children(v);
+    ASSERT_TRUE(std::equal(children.begin(), children.end(),
+                           want.children[v].begin(), want.children[v].end()))
+        << "children diverge at vertex " << v;
+    const auto parents = got.parents(v);
+    ASSERT_TRUE(std::equal(parents.begin(), parents.end(),
+                           want.parents[v].begin(), want.parents[v].end()))
+        << "parents diverge at vertex " << v;
+  }
+}
+
+// BuildGroupedGraph equals the edge loop at every thread count.
+void ExpectBuildEqualsEdgeLoop(const std::vector<VertexGroup>& groups,
+                               const std::string& label) {
+  const EdgeLoopCsr want = GroupedEdgeLoop(groups);
+  for (int threads : kThreadCounts) {
+    SCOPED_TRACE(label + ", " + std::to_string(groups.size()) +
+                 " groups, threads=" + std::to_string(threads));
+    ScopedNumThreads scope(threads);
+    const GroupedGraph got = BuildGroupedGraph(groups);
+    ASSERT_EQ(got.groups.size(), groups.size());
+    ExpectEqualsEdgeLoop(got.graph, want);
+  }
+}
+
+// The similarity rows a default run keeps from a generated table.
+SimilarityTable ProfileRows(DatasetProfile profile, size_t records) {
+  const double ratio = static_cast<double>(profile.num_entities) /
+                       static_cast<double>(profile.num_records);
+  profile.num_records = records;
+  profile.num_entities = std::max<size_t>(
+      1, static_cast<size_t>(static_cast<double>(records) * ratio));
+  const Table table = DatasetGenerator(51).Generate(profile);
+  const FeatureCache features(table);
+  return ComputeSimilarityTable(
+      features, GenerateCandidates(features, 0.3, CandidateMethod::kAuto),
+      0.2);
+}
+
+// Split's groups of the workloads' table shapes: hundreds of groups over a
+// few row blocks, tens of thousands of edges.
+TEST(ParallelGroupedGraphOracle, SplitGroupsOfGeneratedTables) {
+  const SimilarityTable acm = ProfileRows(AcmPubProfile(1.0), 3000);
+  const SimilarityTable cora = ProfileRows(CoraProfile(), 2000);
+  for (double eps : {0.05, 0.1}) {
+    const std::string where = " eps " + std::to_string(eps);
+    ExpectBuildEqualsEdgeLoop(SplitGrouper().Group(acm.rows(), eps),
+                              "ACMPub 3k" + where);
+    ExpectBuildEqualsEdgeLoop(SplitGrouper().Group(cora.rows(), eps),
+                              "Cora 2k" + where);
+  }
+}
+
+// 3,000 singleton groups of random rows in which no value repeats within an
+// attribute, so no bound ties: six row blocks of the build.
+TEST(ParallelGroupedGraphOracle, DistinctRandomSingletons) {
+  Rng rng(61);
+  std::vector<std::vector<double>> rows(3000, std::vector<double>(3));
+  for (auto& row : rows) {
+    for (double& x : row) x = rng.UniformDouble(0.0, 1.0);
+  }
+  for (size_t k = 0; k < 3; ++k) {
+    std::set<double> values;
+    for (const auto& row : rows) values.insert(row[k]);
+    ASSERT_EQ(values.size(), rows.size()) << "attribute " << k;
+  }
+  const PackedRows packed = PackRows(rows);
+  const std::vector<VertexGroup> groups = SingletonGroups(packed.rows());
+  ASSERT_EQ(groups.size(), 3000u);
+  ExpectBuildEqualsEdgeLoop(groups, "random singletons");
+}
+
+// n groups of width m on a grid of eighths: each lower bound is a grid
+// value, each upper bound the same or one step up, and zero is drawn with
+// either sign. One group's lower bound often equals another's upper bound
+// exactly, and -0.0 must tie with 0.0 as it does in GroupStrictlyDominates.
+std::vector<VertexGroup> GridGroups(uint64_t seed, size_t n, size_t m) {
+  Rng rng(seed);
+  std::vector<VertexGroup> groups(n);
+  for (size_t a = 0; a < n; ++a) {
+    groups[a].members = {static_cast<int>(a)};
+    for (size_t k = 0; k < m; ++k) {
+      double lo = rng.UniformInt(0, 7) / 8.0;
+      double hi = rng.Bernoulli(0.5) ? lo : lo + 1.0 / 8.0;
+      if (lo == 0.0 && rng.Bernoulli(0.5)) lo = -0.0;
+      if (hi == 0.0 && rng.Bernoulli(0.5)) hi = -0.0;
+      groups[a].lower.push_back(lo);
+      groups[a].upper.push_back(hi);
+    }
+  }
+  return groups;
+}
+
+TEST(ParallelGroupedGraphOracle, SignedZerosAndBoundTies) {
+  for (size_t m : {size_t{1}, size_t{3}, size_t{70}}) {
+    // Below, at and above one 64-bit word of targets; 1,100 groups span
+    // three 512-row blocks.
+    for (size_t n : {0u, 1u, 63u, 64u, 65u, 1100u}) {
+      const std::vector<VertexGroup> groups = GridGroups(7 * n + m, n, m);
+      if (n >= 63) {
+        // The inputs hold what they are meant to: a lower bound equal to
+        // another group's upper bound, and zeros of both signs.
+        bool tie = false;
+        bool negative_zero = false;
+        bool positive_zero = false;
+        for (size_t a = 0; a < n; ++a) {
+          for (size_t b = 0; b < n; ++b) {
+            tie |= a != b && groups[a].lower[0] == groups[b].upper[0];
+          }
+          for (size_t k = 0; k < m; ++k) {
+            negative_zero |= groups[a].lower[k] == 0.0 &&
+                             std::signbit(groups[a].lower[k]);
+            positive_zero |= groups[a].upper[k] == 0.0 &&
+                             !std::signbit(groups[a].upper[k]);
+          }
+        }
+        ASSERT_TRUE(tie) << "m " << m << " n " << n;
+        ASSERT_TRUE(m == 1 || (negative_zero && positive_zero))
+            << "m " << m << " n " << n;
+      }
+      ExpectBuildEqualsEdgeLoop(groups, "grid m " + std::to_string(m));
+    }
+  }
+}
+
 // The NonGroup path builds its singleton groups' graph with a base builder,
-// the grouped path with the interval-dominance loop of Definition 5. For
-// singleton groups interval dominance is strict dominance, so both must
-// freeze to the same CSR on real similarity rows, duplicate vectors
-// included, for every builder at every thread count.
+// the grouped path with the interval dominance of Definition 5. For
+// singleton groups interval dominance is strict dominance, so every builder
+// must freeze to the edge loop's CSR on real similarity rows, duplicate
+// vectors included, at every thread count.
 TEST(ParallelUngroupedGraphDifferential, BuildersMatchGroupedEdgeLoop) {
   // About a thousand pairs and a few hundred thousand closure edges each.
   DatasetProfile cora = CoraProfile();
@@ -186,17 +345,17 @@ TEST(ParallelUngroupedGraphDifferential, BuildersMatchGroupedEdgeLoop) {
       distinct.emplace(rows.row(v).begin(), rows.row(v).end());
     }
     ASSERT_LT(distinct.size(), rows.n) << "no duplicate vectors";
+    const EdgeLoopCsr want = GroupedEdgeLoop(SingletonGroups(rows));
+    ASSERT_GT(want.edges, 0u);
     for (int threads : kThreadCounts) {
       ScopedNumThreads scope(threads);
-      const GroupedGraph want = BuildGroupedGraph(SingletonGroups(rows));
-      ASSERT_GT(want.graph.num_edges(), 0u);
       for (const GraphBuilder* builder : builders) {
         SCOPED_TRACE(std::string(builder->name()) + " on " +
                      std::to_string(rows.n) + " pairs, threads=" +
                      std::to_string(threads));
         const GroupedGraph got = BuildUngrouped(*builder, rows);
         ASSERT_EQ(got.groups.size(), rows.n);
-        ExpectSameCsr(got.graph, want.graph);
+        ExpectEqualsEdgeLoop(got.graph, want);
       }
     }
   }

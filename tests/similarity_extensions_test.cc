@@ -58,6 +58,25 @@ TEST(NumericSimilarityTest, NonNumericFallsBackToBigram) {
                    BigramJaccard("123", "abc"));
 }
 
+// strtod reads these, but they are not finite numbers: equal cells score 1
+// through the string fallback, as "12a" does, not 0 through a NaN.
+TEST(NumericSimilarityTest, NonFiniteTextFallsBackToBigram) {
+  for (const char* cell : {"inf", "nan", "NaN", "1e999", "-inf", "-1e999",
+                           " Infinity ", "nan(0x1)"}) {
+    SCOPED_TRACE(cell);
+    double parsed = 0.0;
+    EXPECT_FALSE(ParseNumericValue(cell, &parsed));
+    EXPECT_EQ(NumericSimilarity(cell, cell), 1.0);
+    EXPECT_EQ(NumericSimilarity(cell, cell), BigramJaccard(cell, cell));
+    EXPECT_EQ(NumericSimilarity(cell, "5"), BigramJaccard(cell, "5"));
+  }
+  // Finite text still parses, underflow to zero included.
+  double parsed = 1.0;
+  EXPECT_TRUE(ParseNumericValue("1e-999", &parsed));
+  EXPECT_EQ(parsed, 0.0);
+  EXPECT_EQ(NumericSimilarity("1e308", "1e308"), 1.0);
+}
+
 TEST(ComputeSimilarityTest, DispatchesExtensions) {
   EXPECT_DOUBLE_EQ(
       ComputeSimilarity(SimilarityFunction::kCosine, "a b", "a b"), 1.0);

@@ -113,6 +113,40 @@ TEST(SimilarityTableDifferential, EditColumnsMatchSinglePairBitForBit) {
   ExpectRowsMatchSinglePair(table, "Cora with edit columns");
 }
 
+// A numeric column holding text strtod reads but that is not a finite
+// number. The table path parses it in the feature cache, the single-pair
+// path in NumericSimilarity; both fall back to bigram Jaccard, so two equal
+// cells score 1.
+TEST(SimilarityTableDifferential, NumericColumnMatchesSinglePairBitForBit) {
+  Table table(Schema({{"title", SimilarityFunction::kJaccard},
+                      {"year", SimilarityFunction::kNumeric}}));
+  const std::vector<std::string> years = {"inf",  "nan",    "NaN", "1e999",
+                                          "-inf", "1994",   " 1995 ",
+                                          "12a",  "0",      "-0"};
+  for (size_t copy = 0; copy < 3; ++copy) {
+    for (size_t y = 0; y < years.size(); ++y) {
+      table.Add({-1, static_cast<int>(y),
+                 {"partial order crowd " + std::to_string(y % 3),
+                  years[(y + copy) % years.size()]}});
+    }
+  }
+  ExpectRowsMatchSinglePair(table, "numeric column");
+
+  FeatureCache features(table);
+  const std::vector<std::pair<int, int>> candidates =
+      AllPairsCandidates(features, PowerConfig().prune_tau);
+  const SimilarityTable got =
+      ComputeSimilarityTable(features, candidates, kFloor);
+  size_t equal_cells = 0;
+  for (size_t p = 0; p < got.size(); ++p) {
+    const auto [i, j] = got.ids[p];
+    if (table.Value(i, 1) != table.Value(j, 1)) continue;
+    ++equal_cells;
+    EXPECT_EQ(got.row(p)[1], 1.0) << "year '" << table.Value(i, 1) << "'";
+  }
+  EXPECT_GT(equal_cells, years.size());
+}
+
 TEST(SimilarityTableDifferential, PairSimilaritiesEqualUnpackedTable) {
   const Table table = CoraShapedWithEditColumns();
   FeatureCache features(table);
