@@ -7,6 +7,11 @@
 // vectors, which the similarity table stores once each and Split builds its
 // tree over.
 //
+// --drop-duplicates keeps only the first record of each exact cell tuple,
+// so no record class has two members: the front end's per-class work is
+// then pure overhead, which this mode measures. It prints the share of
+// records it dropped.
+//
 // The pipeline runs twice on the same generated table and feature cache,
 // once per candidate method (the all-pairs scan, then the prefix join), and
 // prints one row each, with the method's CandidateStats counters. Both rows
@@ -18,13 +23,15 @@
 // on the table, from the counted work of the join row.
 //
 // Usage:
-//   bench_scale [--smoke] [--records N] [--json <path>]
+//   bench_scale [--smoke] [--records N] [--drop-duplicates] [--json <path>]
 //
-// --smoke downscales to 10k records (the `bench_scale_smoke` ctest target);
-// the default is the 100k run. POWER_THREADS sets the thread count.
+// --smoke downscales to 10k records (the `bench_scale_smoke` ctest target,
+// and `bench_scale_smoke_distinct` with --drop-duplicates); the default is
+// the 100k run. POWER_THREADS sets the thread count.
 #include <cstdio>
 #include <cstring>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,8 +65,20 @@ DatasetProfile ScaledProfile(size_t num_records) {
   return p;
 }
 
+// The records of `table` whose cells do not repeat an earlier record's, in
+// table order.
+Table DropDuplicates(const Table& table) {
+  Table out(table.schema());
+  std::set<std::vector<std::string>> seen;
+  for (const Record& r : table.records()) {
+    if (seen.insert(r.values).second) out.Add(r);
+  }
+  return out;
+}
+
 struct ScaleResult {
   size_t records = 0;
+  size_t record_classes = 0;  // distinct cell tuples among the records
   CandidateMethod method = CandidateMethod::kAllPairs;
   int threads = 1;
   size_t candidate_pairs = 0;
@@ -131,7 +150,8 @@ ScaleResult RunMethod(const ScaleResult& base, const Table& table,
 }
 
 void PrintResult(const ScaleResult& r) {
-  std::printf("records            %12zu\n", r.records);
+  std::printf("records / classes  %12zu / %zu\n", r.records,
+              r.record_classes);
   std::printf("method / threads   %12s / %d\n", CandidateMethodName(r.method),
               r.threads);
   std::printf("candidate pairs    %12zu\n", r.candidate_pairs);
@@ -171,7 +191,8 @@ std::string JsonRow(const ScaleResult& r) {
   char buf[2048];
   std::snprintf(
       buf, sizeof(buf),
-      "    {\"records\": %zu, \"method\": \"%s\", \"threads\": %d, "
+      "    {\"records\": %zu, \"record_classes\": %zu, \"method\": \"%s\", "
+      "\"threads\": %d, "
       "\"candidate_pairs\": %zu, \"distinct_rows\": %zu, \"groups\": %zu, "
       "\"edges\": %zu, \"questions\": %zu, \"f1\": %.4f, "
       "\"generate_seconds\": %.3f, \"feature_seconds\": %.3f, "
@@ -183,7 +204,8 @@ std::string JsonRow(const ScaleResult& r) {
       "\"scan_work\": %llu, \"join_work\": %llu, "
       "\"signature_checks\": %llu, \"verifications\": %llu, "
       "\"posting_visits\": %llu}",
-      r.records, CandidateMethodName(r.method), r.threads, r.candidate_pairs,
+      r.records, r.record_classes, CandidateMethodName(r.method), r.threads,
+      r.candidate_pairs,
       r.distinct_rows, r.groups, r.edges, r.questions, r.f1,
       r.generate_seconds, r.feature_seconds, r.candidate_seconds,
       r.similarity_seconds,
@@ -200,19 +222,28 @@ std::string JsonRow(const ScaleResult& r) {
   return buf;
 }
 
-int Run(size_t num_records, const char* json_path) {
+int Run(size_t num_records, bool drop_duplicates, const char* json_path) {
   PrintTitle("End-to-end scale run (all-pairs scan vs prefix join)");
   ScaleResult base;
-  base.records = num_records;
   base.threads = NumThreads();
   Stopwatch watch;
-  const Table table =
+  Table table =
       DatasetGenerator(kBenchSeed).Generate(ScaledProfile(num_records));
   base.generate_seconds = watch.ElapsedSeconds();
+  if (drop_duplicates) {
+    table = DropDuplicates(table);
+    std::printf("dropped %zu of %zu records (%.1f%%) that repeat an earlier "
+                "record's cells\n",
+                num_records - table.num_records(), num_records,
+                100.0 * static_cast<double>(num_records - table.num_records()) /
+                    static_cast<double>(num_records));
+  }
+  base.records = table.num_records();
   base.rss_after_generate = PeakRssBytes();
   watch.Restart();
   const FeatureCache features(table);
   base.feature_seconds = watch.ElapsedSeconds();
+  base.record_classes = features.num_classes();
 
   // The question budget keeps crowd cost (and the serve loop) bounded at
   // scale; the Power+ histogram settles whatever the budget leaves, which is
@@ -270,6 +301,7 @@ int Run(size_t num_records, const char* json_path) {
 
 int main(int argc, char** argv) {
   size_t records = 100000;
+  bool drop_duplicates = false;
   const char* json_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
@@ -283,14 +315,17 @@ int main(int argc, char** argv) {
         return 2;
       }
       records = static_cast<size_t>(*n);
+    } else if (std::strcmp(argv[i], "--drop-duplicates") == 0) {
+      drop_duplicates = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--smoke] [--records N] [--json <path>]\n",
+                   "usage: %s [--smoke] [--records N] [--drop-duplicates] "
+                   "[--json <path>]\n",
                    argv[0]);
       return 2;
     }
   }
-  return power::bench::Run(records, json_path);
+  return power::bench::Run(records, drop_duplicates, json_path);
 }

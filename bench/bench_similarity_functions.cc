@@ -354,8 +354,9 @@ KernelResult BenchSignatureKernel(const FeatureCache& features,
   KernelResult r;
   r.kernel = "signature";
   r.engine = SimdLevelName(level);
-  const std::span<const TokenSignature> sigs = features.RecordSignatures();
-  const size_t n = sigs.size();
+  const size_t n = features.num_records();
+  std::vector<TokenSignature> sigs(n);
+  for (size_t i = 0; i < n; ++i) sigs[i] = features.RecordSignature(i);
   std::vector<int> ids(n);
   std::iota(ids.begin(), ids.end(), 0);
   std::vector<uint16_t> distances(n);

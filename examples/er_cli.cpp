@@ -100,11 +100,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
       opts->error_tolerant = true;
     } else if (ParseFlag(arg, "tau", &value)) {
       if (!ParseDoubleFlag("tau", value, &opts->tau)) return false;
-      if (!(opts->tau > 0.0 && opts->tau <= 1.0)) {
-        std::fprintf(stderr, "--tau must be in (0, 1], got '%s'\n",
-                     value.c_str());
-        return false;
-      }
     } else if (ParseFlag(arg, "eps", &value)) {
       if (!ParseDoubleFlag("eps", value, &opts->eps)) return false;
     } else if (ParseFlag(arg, "band", &value)) {
@@ -162,7 +157,8 @@ int main(int argc, char** argv) {
   config.error_tolerant = opts.error_tolerant;
   config.max_questions = opts.budget;
   config.seed = opts.seed;
-  // The library's own check (a negative eps), before any table is read.
+  // The library's own check (tau outside (0, 1], a negative eps), before
+  // any table is read.
   if (const std::string error = ValidateConfig(config); !error.empty()) {
     std::fprintf(stderr, "%s\n", error.c_str());
     std::fputs(kUsage, stderr);

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <optional>
 #include <span>
+#include <string>
 #include <utility>
 
 #include "blocking/prefix_join.h"
@@ -19,8 +20,9 @@ namespace power {
 
 namespace {
 
-// The records in scan order, (token count, id) ascending, cut into buckets
-// of one token count, and the buckets into steps of up to 256 positions.
+// The record classes in scan order, (token count, class id) ascending, cut
+// into buckets of one token count, and the buckets into steps of up to 256
+// positions.
 struct ScanLayout {
   struct Bucket {
     size_t size;  // token count of every member
@@ -28,24 +30,26 @@ struct ScanLayout {
     int end;
     size_t first_step;
   };
-  std::vector<int> order;  // position -> record id
+  std::vector<int> order;  // position -> class id
   std::vector<Bucket> buckets;
   SignatureSteps steps;
 };
 
 ScanLayout LayOut(const FeatureCache& features) {
-  const std::span<const TokenSignature> sigs = features.RecordSignatures();
+  const std::span<const TokenSignature> sigs = features.ClassSignatures();
   int max_popcount = 0;
   for (const TokenSignature& sig : sigs) {
     max_popcount = std::max(max_popcount, SignatureBits(sig).count);
   }
-  ScanLayout layout{OrderByTokenCount(features), {},
+  ScanLayout layout{ClassesByTokenCount(features), {},
                     SignatureSteps(max_popcount)};
   const int n = static_cast<int>(layout.order.size());
   const int lanes = static_cast<int>(SignatureSteps::kLanes);
   auto size = [&](int p) {
-    return features.RecordTokenIds(
-        static_cast<size_t>(layout.order[static_cast<size_t>(p)])).size();
+    return features
+        .RecordTokenIds(RecordClass{
+            static_cast<uint32_t>(layout.order[static_cast<size_t>(p)])})
+        .size();
   };
   for (int begin = 0, end = 0; begin < n; begin = end) {
     while (end < n && size(end) == size(begin)) ++end;
@@ -84,24 +88,35 @@ std::vector<std::pair<int, int>> CountingSort(
 
 std::vector<std::pair<int, int>> AllPairsCandidates(
     const FeatureCache& features, double tau, CandidateStats* stats) {
-  // The scan walks the triangle in scan order (ScanLayout): the record at
-  // position r meets the rest of its own bucket, then every later bucket,
-  // up to the first whose token count no record of r's can reach (the
-  // signature table's -1). Each pair is decided once, and every step but a
-  // row's first is whole. A step's 256 decisions are one SignatureSteps
-  // call, which passes exactly the pairs SignatureLimits passes (the filter
-  // is symmetric in the two records). The survivors are verified against
-  // the row's TokenMarks, set at its first survivor and cleared at its end,
-  // with the shared RecordJaccardAtLeast predicate, i.e. exactly
-  // RecordLevelJaccard(features, i, j) >= tau.
+  // The scan decides record classes, not records: two records of the same
+  // classes have the same token sets, so one decision covers every pair of
+  // their members. It walks the triangle of classes in scan order
+  // (ScanLayout): the class at position r meets the rest of its own
+  // bucket, then every later bucket, up to the first whose token count no
+  // class of r's can reach (the signature table's -1). Each class pair is
+  // decided once, and every step but a row's first is whole. A step's 256
+  // decisions are one SignatureSteps call, which passes exactly the pairs
+  // SignatureLimits passes (the filter is symmetric in the two sets). The
+  // survivors are verified against the row's TokenMarks, set at its first
+  // survivor and cleared at its end, with the shared RecordJaccardAtLeast
+  // predicate, i.e. exactly RecordLevelJaccard(features, i, j) >= tau. An
+  // accepted class pair yields every pair of one member of each, and a
+  // class's own members pair with each other when identical sets reach tau.
   //
   // Positions are row-sharded over the pool; each chunk keeps its pairs as
   // (min id, max id). The output is a function of the pair set alone, sorted
   // as the serial loop's (i asc, j asc) at any thread count.
   constexpr int64_t kRowGrain = 16;
   const int n = static_cast<int>(features.num_records());
-  const std::span<const TokenSignature> sigs = features.RecordSignatures();
-  const size_t chunks = NumChunks(0, n, kRowGrain);
+  const int classes = static_cast<int>(features.num_classes());
+  auto members = [&](int c) {
+    return features.Members(RecordClass{static_cast<uint32_t>(c)});
+  };
+  auto tokens = [&](int c) {
+    return features.RecordTokenIds(RecordClass{static_cast<uint32_t>(c)});
+  };
+  const std::span<const TokenSignature> sigs = features.ClassSignatures();
+  const size_t chunks = NumChunks(0, classes, kRowGrain);
   std::vector<std::vector<std::pair<int, int>>> found(chunks);
   std::vector<uint64_t> verified(chunks, 0);
   {
@@ -110,7 +125,7 @@ std::vector<std::pair<int, int>> AllPairsCandidates(
     const size_t max_size = buckets.empty() ? 0 : buckets.back().size;
     const int lanes = static_cast<int>(SignatureSteps::kLanes);
     ParallelForChunked(
-        0, n, kRowGrain,
+        0, classes, kRowGrain,
         [&](size_t chunk, int64_t row_begin, int64_t row_end) {
           auto& buf = found[chunk];
           SignatureLimits limits(max_size, tau);
@@ -128,8 +143,16 @@ std::vector<std::pair<int, int>> AllPairsCandidates(
                r < static_cast<int>(row_end); ++r) {
             if (r == buckets[own].end) limits.Reset(buckets[++own].size);
             const int x = layout.order[static_cast<size_t>(r)];
-            const std::span<const int32_t> rx =
-                features.RecordTokenIds(static_cast<size_t>(x));
+            const std::span<const int32_t> rx = tokens(x);
+            const std::span<const int> mx = members(x);
+            if (mx.size() > 1 &&
+                RecordJaccardAtLeast(rx.size(), rx.size(), rx.size(), tau)) {
+              for (size_t a = 0; a < mx.size(); ++a) {
+                for (size_t b = a + 1; b < mx.size(); ++b) {
+                  buf.emplace_back(mx[a], mx[b]);
+                }
+              }
+            }
             const SignatureBits bits(sigs[static_cast<size_t>(x)]);
             bool marked = false;
             for (size_t g = own; g < buckets.size(); ++g) {
@@ -154,16 +177,20 @@ std::vector<std::pair<int, int>> AllPairsCandidates(
                   for (uint64_t m = pass.words[w]; m != 0; m &= m - 1) {
                     const int y = layout.order[static_cast<size_t>(
                         p + static_cast<int>(64 * w) + std::countr_zero(m))];
-                    const std::span<const int32_t> ry =
-                        features.RecordTokenIds(static_cast<size_t>(y));
+                    const std::span<const int32_t> ry = tokens(y);
                     if (!marked) {
                       marks.Mark(rx);
                       marked = true;
                     }
                     ++verifications;
-                    if (RecordJaccardAtLeast(marks.Count(ry), rx.size(),
-                                             ry.size(), tau)) {
-                      buf.emplace_back(std::min(x, y), std::max(x, y));
+                    if (!RecordJaccardAtLeast(marks.Count(ry), rx.size(),
+                                              ry.size(), tau)) {
+                      continue;
+                    }
+                    for (const int a : mx) {
+                      for (const int b : members(y)) {
+                        buf.emplace_back(std::min(a, b), std::max(a, b));
+                      }
                     }
                   }
                 }
@@ -183,8 +210,8 @@ std::vector<std::pair<int, int>> AllPairsCandidates(
       CountingSort(n, std::span(&by_j, 1),
                    [](const auto& pair) { return pair.first; });
   if (stats != nullptr) {
-    const uint64_t records = static_cast<uint64_t>(n);
-    stats->signature_checks = records * (records - 1) / 2;
+    const auto pairs = static_cast<uint64_t>(classes);
+    stats->signature_checks = pairs * (pairs - 1) / 2;
     stats->verifications = 0;
     for (uint64_t v : verified) stats->verifications += v;
     stats->posting_visits = 0;
@@ -209,15 +236,21 @@ CandidateMethod AutoCandidateMethod(uint64_t scan_work, uint64_t join_work) {
                                     : CandidateMethod::kAllPairs;
 }
 
+std::string CandidateThresholdError(double tau) {
+  if (tau > 0.0 && tau <= 1.0) return std::string();
+  char message[96];
+  std::snprintf(message, sizeof(message),
+                "power: candidate threshold tau=%g is outside (0, 1]", tau);
+  return message;
+}
+
 std::vector<std::pair<int, int>> GenerateCandidates(
     const FeatureCache& features, double tau, CandidateMethod method,
     const CandidateOptions& /*options*/, CandidateStats* stats) {
   // Checked here, before dispatch: the scan alone would quietly keep every
   // pair at tau <= 0, and the join alone would abort without naming tau.
-  if (!(tau > 0.0 && tau <= 1.0)) {
-    std::fprintf(stderr,
-                 "power: candidate threshold tau=%g is outside (0, 1]\n",
-                 tau);
+  if (const std::string error = CandidateThresholdError(tau); !error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     std::abort();
   }
   const uint64_t n = features.num_records();
@@ -245,11 +278,11 @@ std::vector<std::pair<int, int>> GenerateCandidates(
   if (EnvVerbose()) {
     std::fprintf(stderr,
                  "power: candidates: method=%s resolved=%s records=%zu "
-                 "pairs=%zu scan_work=%llu join_work=%llu "
+                 "classes=%zu pairs=%zu scan_work=%llu join_work=%llu "
                  "signature_checks=%llu verifications=%llu "
                  "posting_visits=%llu\n",
                  CandidateMethodName(method), CandidateMethodName(resolved),
-                 features.num_records(), out.size(),
+                 features.num_records(), features.num_classes(), out.size(),
                  static_cast<unsigned long long>(counted.scan_work),
                  static_cast<unsigned long long>(counted.join_work),
                  static_cast<unsigned long long>(counted.signature_checks),

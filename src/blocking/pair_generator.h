@@ -2,6 +2,7 @@
 #define POWER_BLOCKING_PAIR_GENERATOR_H_
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -37,14 +38,16 @@ struct CandidateOptions {};
 struct CandidateStats {
   /// The method that ran — never kAuto.
   CandidateMethod resolved = CandidateMethod::kAllPairs;
-  /// The two numbers kAuto compares: the scan's n(n-1)/2 signature checks,
-  /// and the join's posting visits, Σ L(L-1)/2 over the lengths L of its
-  /// prefix posting lists. join_work is 0 when the method is pinned to
-  /// kAllPairs, which plans no join.
+  /// The two numbers kAuto compares: n(n-1)/2 over the n records, and the
+  /// join's posting visits, Σ L(L-1)/2 over the lengths L of its prefix
+  /// posting lists. join_work is 0 when the method is pinned to kAllPairs,
+  /// which plans no join.
   uint64_t scan_work = 0;
   uint64_t join_work = 0;
   /// Pairs whose signatures were compared, and how many of them then ran
-  /// the exact intersection (verifications <= signature_checks).
+  /// the exact intersection (verifications <= signature_checks). The scan
+  /// compares record classes, so it counts C(C-1)/2 class pairs for C
+  /// classes (FeatureCache::num_classes); the join counts record pairs.
   uint64_t signature_checks = 0;
   uint64_t verifications = 0;
   /// Posting-list entries the join's probes visited (0 for the scan); it
@@ -56,10 +59,12 @@ struct CandidateStats {
 /// similarity reaches `tau` are kept as graph vertices; everything below is
 /// assumed non-matching without asking the crowd.
 ///
-/// Decides all n*(n-1)/2 pairs over the cached record-level token-id spans,
-/// 256 at a time: the signature filter (SignatureMayReach, bit-sliced in
-/// SignatureSteps) runs first, so only the pairs that may pass reach the
-/// exact intersection. Fills the signature_checks and verifications counts
+/// Decides all C*(C-1)/2 pairs of the cache's C record classes over their
+/// record-level token-id spans, 256 at a time: the signature filter
+/// (SignatureMayReach, bit-sliced in SignatureSteps) runs first, so only
+/// the pairs that may pass reach the exact intersection. Each accepted class
+/// pair, and each class whose identical sets reach tau, is expanded into
+/// its record pairs. Fills the signature_checks and verifications counts
 /// of `stats` when given.
 std::vector<std::pair<int, int>> AllPairsCandidates(
     const FeatureCache& features, double tau,
@@ -69,10 +74,14 @@ std::vector<std::pair<int, int>> AllPairsCandidates(
 /// 16 × join_work < scan_work, else the scan.
 CandidateMethod AutoCandidateMethod(uint64_t scan_work, uint64_t join_work);
 
+/// The message GenerateCandidates aborts with when tau is outside (0, 1]
+/// (NaN included), or an empty string when tau can run.
+std::string CandidateThresholdError(double tau);
+
 /// Dispatches to AllPairsCandidates or PrefixFilterJoin by `method` (see
-/// CandidateMethod::kAuto). Aborts with a message naming tau unless tau is
-/// in (0, 1], so every method refuses the same thresholds at every table
-/// size. Reports the taken path and its counts via `stats` (optional) and,
+/// CandidateMethod::kAuto). Aborts with CandidateThresholdError's message
+/// unless tau is in (0, 1], so every method refuses the same thresholds at
+/// every table size. Reports the taken path and its counts via `stats` (optional) and,
 /// when the POWER_VERBOSE environment variable is set non-empty (and not
 /// "0"), on stderr.
 std::vector<std::pair<int, int>> GenerateCandidates(

@@ -45,10 +45,10 @@ PrefixIndex BuildPrefixIndex(const FeatureCache& features,
   PrefixIndex index{std::move(plan), {}, {}};
   const PrefixJoinPlan& p = index.plan;
   const size_t n = p.order.size();
-  const std::span<const TokenSignature> sigs = features.RecordSignatures();
   index.signatures.resize(n);
   for (size_t k = 0; k < n; ++k) {
-    index.signatures[k] = sigs[static_cast<size_t>(p.order[k])];
+    index.signatures[k] =
+        features.RecordSignature(static_cast<size_t>(p.order[k]));
   }
   index.postings.resize(p.posting_begin.back());
   std::vector<size_t> fill(p.posting_begin.begin(), p.posting_begin.end() - 1);
@@ -154,23 +154,32 @@ void AppendEmptyRecordPairs(const PrefixJoinPlan& plan,
   }
 }
 
+// 0 .. n-1 ordered by size(i), ties ascending: a counting sort.
+template <typename Size>
+std::vector<int> CountingOrder(size_t n, Size size) {
+  size_t max_size = 0;
+  for (size_t i = 0; i < n; ++i) max_size = std::max(max_size, size(i));
+  std::vector<size_t> next(max_size + 2, 0);
+  for (size_t i = 0; i < n; ++i) ++next[size(i) + 1];
+  for (size_t b = 1; b < next.size(); ++b) next[b] += next[b - 1];
+  std::vector<int> order(n);
+  for (size_t i = 0; i < n; ++i) order[next[size(i)]++] = static_cast<int>(i);
+  return order;
+}
+
 }  // namespace
 
 std::vector<int> OrderByTokenCount(const FeatureCache& features) {
-  // A counting sort: ids ascend within a count.
-  const size_t n = features.num_records();
-  size_t max_size = 0;
-  for (size_t i = 0; i < n; ++i) {
-    max_size = std::max(max_size, features.RecordTokenIds(i).size());
-  }
-  std::vector<size_t> next(max_size + 2, 0);
-  for (size_t i = 0; i < n; ++i) ++next[features.RecordTokenIds(i).size() + 1];
-  for (size_t b = 1; b < next.size(); ++b) next[b] += next[b - 1];
-  std::vector<int> order(n);
-  for (size_t i = 0; i < n; ++i) {
-    order[next[features.RecordTokenIds(i).size()]++] = static_cast<int>(i);
-  }
-  return order;
+  return CountingOrder(features.num_records(), [&](size_t i) {
+    return features.RecordTokenIds(i).size();
+  });
+}
+
+std::vector<int> ClassesByTokenCount(const FeatureCache& features) {
+  return CountingOrder(features.num_classes(), [&](size_t c) {
+    return features.RecordTokenIds(RecordClass{static_cast<uint32_t>(c)})
+        .size();
+  });
 }
 
 PrefixJoinPlan PlanPrefixJoin(const FeatureCache& features, double tau) {

@@ -46,8 +46,12 @@ struct PrefixJoinPlan {
 };
 
 /// The record ids by increasing token count, ties by id: the join's
-/// processing order, and the all-pairs scan's order too.
+/// processing order.
 std::vector<int> OrderByTokenCount(const FeatureCache& features);
+
+/// The record class ids by increasing token count, ties by id: the
+/// all-pairs scan's order.
+std::vector<int> ClassesByTokenCount(const FeatureCache& features);
 
 /// Ranks the tokens and counts the prefix posting lists. Requires tau in
 /// (0, 1].

@@ -151,6 +151,10 @@ void CheckConfig(const PowerConfig& config) {
 }  // namespace
 
 std::string ValidateConfig(const PowerConfig& config) {
+  if (std::string error = CandidateThresholdError(config.prune_tau);
+      !error.empty()) {
+    return error;
+  }
   char message[128];
   if (!(config.epsilon >= 0.0)) {
     std::snprintf(message, sizeof(message),
@@ -178,6 +182,7 @@ PowerResult PowerFramework::Run(const Table& table,
   ScopedNumThreads thread_scope(config_.num_threads);
   CandidateStats candidate_stats;
   SimilarityTable pairs;
+  size_t record_classes = 0;
   double pruning_seconds = 0.0;
   double similarity_seconds = 0.0;
   {
@@ -186,6 +191,7 @@ PowerResult PowerFramework::Run(const Table& table,
     // candidate list are freed before the job, which reads only the table.
     Stopwatch prune_watch;
     FeatureCache features(table);
+    record_classes = features.num_classes();
     std::vector<std::pair<int, int>> candidates = GenerateCandidates(
         features, config_.prune_tau, config_.candidate_method,
         CandidateOptions{}, &candidate_stats);
@@ -196,6 +202,7 @@ PowerResult PowerFramework::Run(const Table& table,
     similarity_seconds = sim_watch.ElapsedSeconds();
   }
   PowerResult result = RunOnPairs(std::move(pairs), oracle);
+  result.num_record_classes = record_classes;
   result.pruning_seconds = pruning_seconds;
   result.similarity_seconds = similarity_seconds;
   result.candidate_method = CandidateMethodName(candidate_stats.resolved);

@@ -34,6 +34,8 @@ const char* BuilderKindName(BuilderKind kind);
 /// additionally enables the error-tolerant coloring of §6.
 struct PowerConfig {
   // Pruning (§7.1): record-level Jaccard threshold and per-attribute floor.
+  // prune_tau must be in (0, 1] (ValidateConfig: "power: candidate
+  // threshold tau=<value> is outside (0, 1]").
   double prune_tau = 0.3;
   double component_floor = 0.2;
   /// kAuto picks by counted work (see CandidateMethod::kAuto): the prefix
@@ -94,6 +96,7 @@ struct PowerConfig {
 };
 
 /// The first reason `config` cannot run, or an empty string when it can:
+/// prune_tau outside (0, 1] (or NaN; GenerateCandidates' message),
 /// epsilon < 0 (or NaN), max_ask_attempts < 1, or tolerance.num_histograms
 /// < 1. PowerFramework::Run, both RunOnPairs overloads and the
 /// RunOnPairsJob constructor check it before any other work and abort with
@@ -110,6 +113,10 @@ struct PowerResult : ErResult {
   /// Distinct similarity vectors among the pairs (the table's rows, each
   /// stored once); Split builds its tree over them.
   size_t num_distinct_rows = 0;
+  /// Record classes: distinct cell tuples among the records, which the
+  /// feature cache, the all-pairs scan and the similarity table each
+  /// process once (FeatureCache::num_classes; Run only).
+  size_t num_record_classes = 0;
   size_t num_edges = 0;   // grouped-graph edges
   size_t num_blue_groups = 0;
   /// True iff max_questions stopped the loop before all groups were colored.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cctype>
 #include <cstddef>
 #include <cstring>
@@ -117,13 +118,110 @@ class LongTokenTable {
   std::vector<uint64_t> slots_;
 };
 
+// 64-bit hash of a record's cells. Each cell mixes in its bytes, read as
+// fixed-width words as in HashLongToken (a cell of 8 bytes or more ends on
+// an overlapping last word), then its length, so equal tuples hash equal
+// and a moved cell boundary changes the words mixed.
+uint64_t HashCells(const std::vector<std::string>& values) {
+  uint64_t h = values.size() * kGolden;
+  for (const std::string& value : values) {
+    const char* p = value.data();
+    const size_t len = value.size();
+    uint64_t last = 0;
+    if (len >= 8) {
+      for (size_t b = 0; b + 8 < len; b += 8) h = (h ^ Load64(p + b)) * kGolden;
+      last = Load64(p + len - 8);
+    } else if (len >= 4) {
+      last = Load32(p) | Load32(p + len - 4) << 32;
+    } else if (len > 0) {
+      last = static_cast<unsigned char>(p[0]) |
+             static_cast<uint64_t>(static_cast<unsigned char>(p[len / 2]))
+                 << 8 |
+             static_cast<uint64_t>(static_cast<unsigned char>(p[len - 1]))
+                 << 16;
+    }
+    h = (h ^ last) * kGolden;
+    h = (h ^ len) * kGolden;
+    h ^= h >> 32;
+  }
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  return h ^ (h >> 33);
+}
+
+// Interns every record's cell tuple by first occurrence: class_of[i] is the
+// class of record i, and the returned vector the first member of each class.
+// An open-addressing table with linear probing, at most half full, holds the
+// hash's high 32 bits and the class id + 1 per slot; records are compared
+// cell by cell only when those bits agree. It is only probed, never
+// iterated, so ids follow the record order alone.
+std::vector<int> InternRecordClasses(const std::vector<Record>& records,
+                                     const std::vector<uint64_t>& hashes,
+                                     std::vector<uint32_t>* class_of) {
+  const size_t n = records.size();
+  std::vector<int> firsts;
+  class_of->resize(n);
+  std::vector<uint64_t> slots(std::bit_ceil(2 * n + 2), 0);
+  const size_t mask = slots.size() - 1;
+  for (size_t i = 0; i < n; ++i) {
+    const auto tag = static_cast<uint32_t>(hashes[i] >> 32);
+    auto c = static_cast<uint32_t>(firsts.size());
+    size_t s = hashes[i] & mask;
+    for (; slots[s] != 0; s = (s + 1) & mask) {
+      const auto known = static_cast<uint32_t>(slots[s]) - 1;
+      if (static_cast<uint32_t>(slots[s] >> 32) == tag &&
+          records[static_cast<size_t>(firsts[known])].values ==
+              records[i].values) {
+        c = known;
+        break;
+      }
+    }
+    if (c == firsts.size()) {
+      slots[s] = uint64_t{tag} << 32 | (c + 1);
+      firsts.push_back(static_cast<int>(i));
+    }
+    (*class_of)[i] = c;
+  }
+  return firsts;
+}
+
 }  // namespace
 
 FeatureCache::FeatureCache(const Table& table)
     : table_(&table),
       n_(table.num_records()),
       m_(table.schema().num_attributes()) {
-  const size_t cells = n_ * m_;
+  const std::vector<Record>& records = table.records();
+
+  // Pass 1, on the pool: hash every record's cells. Then, serially, intern
+  // the tuples into classes, and list each class's members.
+  std::vector<uint64_t> hashes(n_);
+  ParallelFor(0, static_cast<int64_t>(n_), kRecordGrain,
+              [&](int64_t begin, int64_t end) {
+                for (int64_t i = begin; i < end; ++i) {
+                  hashes[static_cast<size_t>(i)] =
+                      HashCells(records[static_cast<size_t>(i)].values);
+                }
+              });
+  const std::vector<int> firsts =
+      InternRecordClasses(records, hashes, &class_of_);
+  std::vector<uint64_t>().swap(hashes);
+  const size_t classes = firsts.size();
+  member_off_.assign(classes + 1, 0);
+  for (const uint32_t c : class_of_) ++member_off_[c + 1];
+  for (size_t c = 0; c < classes; ++c) member_off_[c + 1] += member_off_[c];
+  members_.resize(n_);
+  {
+    std::vector<uint32_t> next(member_off_.begin(), member_off_.end() - 1);
+    for (size_t i = 0; i < n_; ++i) {
+      members_[next[class_of_[i]]++] = static_cast<int>(i);
+    }
+  }
+  // Every feature below is computed from each class's first member.
+  auto value = [&](size_t c, size_t k) -> const std::string& {
+    return records[static_cast<size_t>(firsts[c])].values[k];
+  };
+  const size_t cells = classes * m_;
 
   // Byte tables, filled from the C locale set now, so the bytes equal
   // ToLower and the words SplitWhitespace under any locale.
@@ -137,43 +235,43 @@ FeatureCache::FeatureCache(const Table& table)
     return is_space[static_cast<unsigned char>(ch)];
   };
 
-  // Pass 1, on the pool: lowercase bytes and numerics. Byte offsets are a
+  // Pass 2, on the pool: lowercase bytes and numerics. Byte offsets are a
   // pure function of the value sizes, so every cell's slot is fixed before
   // the parallel fill.
   lower_off_.assign(cells + 1, 0);
-  for (size_t c = 0; c < cells; ++c) {
-    lower_off_[c + 1] = lower_off_[c] + table.Value(c / m_, c % m_).size();
+  for (size_t x = 0; x < cells; ++x) {
+    lower_off_[x + 1] = lower_off_[x] + value(x / m_, x % m_).size();
   }
   lower_bytes_.resize(lower_off_[cells]);
   numeric_val_.assign(cells, 0.0);
   numeric_ok_.assign(cells, 0);
-  ParallelFor(0, static_cast<int64_t>(n_), kRecordGrain,
+  ParallelFor(0, static_cast<int64_t>(classes), kRecordGrain,
               [&](int64_t begin, int64_t end) {
-                for (int64_t i = begin; i < end; ++i) {
+                for (int64_t c = begin; c < end; ++c) {
                   for (size_t k = 0; k < m_; ++k) {
-                    const std::string& value =
-                        table.Value(static_cast<size_t>(i), k);
-                    const size_t c = cell(static_cast<size_t>(i), k);
-                    char* out = lower_bytes_.data() + lower_off_[c];
-                    for (size_t b = 0; b < value.size(); ++b) {
-                      out[b] = to_lower[static_cast<unsigned char>(value[b])];
+                    const std::string& v = value(static_cast<size_t>(c), k);
+                    const size_t x = static_cast<size_t>(c) * m_ + k;
+                    char* out = lower_bytes_.data() + lower_off_[x];
+                    for (size_t b = 0; b < v.size(); ++b) {
+                      out[b] = to_lower[static_cast<unsigned char>(v[b])];
                     }
-                    double v = 0.0;
-                    if (ParseNumericValue(value, &v)) {
-                      numeric_val_[c] = v;
-                      numeric_ok_[c] = 1;
+                    double parsed = 0.0;
+                    if (ParseNumericValue(v, &parsed)) {
+                      numeric_val_[x] = parsed;
+                      numeric_ok_[x] = 1;
                     }
                   }
                 }
               });
 
-  // Pass 2, serial: tokenize cells in ascending order, words before bigrams
-  // within a cell, and intern by first occurrence, so ids do not depend on
-  // the thread count. An id joins a span the first time it appears there:
-  // cell_seen[id] is 2c + 1 once among cell c's words, 2c + 2 once among
-  // its bigrams; record_seen[id] is i + 1 once among record i's words. So a
-  // cell span holds each id once, in first-occurrence order. A record span
-  // is sorted when its record ends, and its signature taken.
+  // Pass 3, serial: tokenize class cells in ascending order, words before
+  // bigrams within a cell, and intern by first occurrence, so ids do not
+  // depend on the thread count. An id joins a span the first time it
+  // appears there: cell_seen[id] is 2x + 1 once among class cell x's words,
+  // 2x + 2 once among its bigrams; record_seen[id] is c + 1 once among
+  // class c's words. So a cell span holds each id once, in first-occurrence
+  // order. A record span is sorted when its class ends, and its signature
+  // taken.
   std::vector<int32_t> short_ids(256 + 65536, -1);
   LongTokenTable long_ids(lower_bytes_.data(), &dict_ref_);
   std::vector<uint64_t> cell_seen;
@@ -202,48 +300,49 @@ FeatureCache::FeatureCache(const Table& table)
   gram_ids_.reserve(lower_bytes_.size());
   word_off_.assign(cells + 1, 0);
   gram_off_.assign(cells + 1, 0);
-  rec_off_.assign(n_ + 1, 0);
-  rec_sig_.resize(n_);
-  for (size_t i = 0; i < n_; ++i) {
+  rec_off_.assign(classes + 1, 0);
+  rec_sig_.resize(classes);
+  for (size_t c = 0; c < classes; ++c) {
+    const RecordClass cls{static_cast<uint32_t>(c)};
     for (size_t k = 0; k < m_; ++k) {
-      const size_t c = cell(i, k);
-      const std::string_view lower = LowerValue(i, k);
+      const size_t x = cell(cls, k);
+      const std::string_view lower = LowerValue(cls, k);
       for (size_t p = 0; p < lower.size();) {
         while (p < lower.size() && space(lower[p])) ++p;
         const size_t start = p;
         while (p < lower.size() && !space(lower[p])) ++p;
         if (p == start) continue;
         const size_t id = intern(lower.substr(start, p - start));
-        if (cell_seen[id] == 2 * c + 1) continue;
-        cell_seen[id] = 2 * c + 1;
+        if (cell_seen[id] == 2 * x + 1) continue;
+        cell_seen[id] = 2 * x + 1;
         word_ids_.push_back(static_cast<int32_t>(id));
         // Record tokens == union of the cell word-token sets: the legacy
         // concatenation joins cells with ' ', so no token ever spans a
         // cell boundary.
-        if (record_seen[id] != i + 1) {
-          record_seen[id] = i + 1;
+        if (record_seen[id] != c + 1) {
+          record_seen[id] = c + 1;
           rec_ids_.push_back(static_cast<int32_t>(id));
         }
       }
-      word_off_[c + 1] = word_ids_.size();
+      word_off_[x + 1] = word_ids_.size();
       // QGramSet(·, 2) semantics: a value of 1 or 2 bytes is its own single
       // gram, a longer one yields every 2-byte window.
       const size_t grams = lower.size() > 1 ? lower.size() - 1 : lower.size();
       for (size_t b = 0; b < grams; ++b) {
         const size_t id = intern(lower.substr(b, 2));
-        if (cell_seen[id] == 2 * c + 2) continue;
-        cell_seen[id] = 2 * c + 2;
+        if (cell_seen[id] == 2 * x + 2) continue;
+        cell_seen[id] = 2 * x + 2;
         gram_ids_.push_back(static_cast<int32_t>(id));
       }
-      gram_off_[c + 1] = gram_ids_.size();
+      gram_off_[x + 1] = gram_ids_.size();
     }
-    rec_off_[i + 1] = rec_ids_.size();
+    rec_off_[c + 1] = rec_ids_.size();
     // RecordLevelJaccard merges record spans, so these stay sorted; ids are
     // injective over token strings, so the sorted span is the legacy
     // sorted-unique set.
-    std::sort(rec_ids_.begin() + static_cast<std::ptrdiff_t>(rec_off_[i]),
+    std::sort(rec_ids_.begin() + static_cast<std::ptrdiff_t>(rec_off_[c]),
               rec_ids_.end());
-    rec_sig_[i] = SignatureOf(RecordTokenIds(i));
+    rec_sig_[c] = SignatureOf(RecordTokenIds(cls));
   }
   word_ids_.shrink_to_fit();
   rec_ids_.shrink_to_fit();

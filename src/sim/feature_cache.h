@@ -14,10 +14,17 @@
 
 namespace power {
 
+/// The class of a record: the records whose cells are equal byte for byte
+/// (raw bytes and lengths, attribute by attribute) form one class. Class ids
+/// are dense in [0, num_classes()) and follow first occurrence: class c's
+/// first member comes before class c + 1's. A distinct type, so a record id
+/// cannot be passed where a class id is read.
+enum class RecordClass : uint32_t {};
+
 /// Per-table record feature cache: every string-derived feature the
-/// similarity front end consumes, computed once on the deterministic pool
-/// and stored in flat CSR-style arrays (offsets + one contiguous value
-/// array per feature family):
+/// similarity front end consumes, computed once per record class on the
+/// deterministic pool and stored in flat CSR-style arrays (offsets + one
+/// contiguous value array per feature family):
 ///
 ///   lower bytes  — the lower-cased bytes of every cell, concatenated;
 ///   word ids     — interned word-token ids per cell, each once, in
@@ -27,8 +34,15 @@ namespace power {
 ///   record ids   — sorted-unique word-token ids over the whole record
 ///                  (identical to WordTokenSet of the ' '-joined record);
 ///   signatures   — a 256-bit TokenSignature of every record's ids (32 B
-///                  per record), for the candidate paths' signature filter;
+///                  per class), for the candidate paths' signature filter;
 ///   numerics     — the Trim+strtod parse of every cell, done once.
+///
+/// Every feature is a function of a record's cells, so exact-duplicate
+/// records share one copy: the cache interns each record's cell tuple into
+/// a RecordClass and computes the features of each class's first member
+/// only. Each feature has two accessors, one taking a class and one taking
+/// a record, which reads its record's class. The all-pairs scan and the
+/// similarity table work on classes; everything else reads records.
 ///
 /// All token families share a single interned dictionary. Interning is a
 /// bijection between distinct token strings and their ids, so set sizes and
@@ -37,13 +51,16 @@ namespace power {
 /// (tests/feature_cache_test.cc proves this differentially). A cell span is
 /// a set in no particular order: its readers count it against TokenMarks,
 /// which does not depend on order. A record span is sorted, because
-/// RecordLevelJaccard (the baselines' input) merges two of them.
+/// RecordLevelJaccard (the baselines' input) merges two of them. Ids are
+/// given by first occurrence over the cells of every record in ascending
+/// order; a repeated record adds no token its class's first member did not,
+/// so interning the first members alone gives the same ids.
 ///
-/// Determinism at any thread count: the lowercase pass shards over records
-/// with chunk boundaries that depend only on the record count, and every
-/// record's output lands in its own slot; token ids and every span are
-/// written by one serial first-occurrence pass over cells in ascending
-/// order.
+/// Determinism at any thread count: the record hash and lowercase passes
+/// shard over records (classes) with chunk boundaries that depend only on
+/// the count, and every output lands in its own slot; class ids, token ids
+/// and every span are written by serial first-occurrence passes in
+/// ascending order.
 ///
 /// The cache borrows the table; it must not outlive it, so a temporary table
 /// does not compile. Cost: one build is O(total value bytes) — it amortizes
@@ -59,45 +76,75 @@ class FeatureCache {
   size_t num_records() const { return n_; }
   size_t num_attributes() const { return m_; }
 
+  /// Record classes: num_classes() <= num_records(), equal when no record
+  /// repeats another.
+  size_t num_classes() const { return member_off_.size() - 1; }
+  RecordClass ClassOf(size_t i) const { return RecordClass{class_of_[i]}; }
+  /// The records of class c, ascending; the first is the one whose cells
+  /// the features were computed from.
+  std::span<const int> Members(RecordClass c) const {
+    const size_t x = Index(c);
+    return {members_.data() + member_off_[x],
+            member_off_[x + 1] - member_off_[x]};
+  }
+
   /// Lower-cased bytes of table.Value(i, k) (== ToLower of the raw value).
-  std::string_view LowerValue(size_t i, size_t k) const {
-    const size_t c = cell(i, k);
+  std::string_view LowerValue(RecordClass c, size_t k) const {
+    const size_t x = cell(c, k);
     return std::string_view(lower_bytes_)
-        .substr(lower_off_[c], lower_off_[c + 1] - lower_off_[c]);
+        .substr(lower_off_[x], lower_off_[x + 1] - lower_off_[x]);
+  }
+  std::string_view LowerValue(size_t i, size_t k) const {
+    return LowerValue(ClassOf(i), k);
   }
 
   /// Word-token ids of cell (i, k), each once in first-occurrence order:
   /// the set WordTokenSet returns, interned, not sorted.
+  std::span<const int32_t> WordTokenIds(RecordClass c, size_t k) const {
+    const size_t x = cell(c, k);
+    return {word_ids_.data() + word_off_[x], word_off_[x + 1] - word_off_[x]};
+  }
   std::span<const int32_t> WordTokenIds(size_t i, size_t k) const {
-    const size_t c = cell(i, k);
-    return {word_ids_.data() + word_off_[c], word_off_[c + 1] - word_off_[c]};
+    return WordTokenIds(ClassOf(i), k);
   }
 
   /// Bigram ids of cell (i, k), each once in first-occurrence order: the
   /// set QGramSet(·, 2) returns, interned, not sorted.
+  std::span<const int32_t> BigramIds(RecordClass c, size_t k) const {
+    const size_t x = cell(c, k);
+    return {gram_ids_.data() + gram_off_[x], gram_off_[x + 1] - gram_off_[x]};
+  }
   std::span<const int32_t> BigramIds(size_t i, size_t k) const {
-    const size_t c = cell(i, k);
-    return {gram_ids_.data() + gram_off_[c], gram_off_[c + 1] - gram_off_[c]};
+    return BigramIds(ClassOf(i), k);
   }
 
   /// Sorted-unique word-token ids of the whole record — identical to
   /// WordTokenSet over the ' '-joined concatenation of all attribute values
   /// (the one definition RecordLevelJaccard and PrefixFilterJoin share).
+  std::span<const int32_t> RecordTokenIds(RecordClass c) const {
+    const size_t x = Index(c);
+    return {rec_ids_.data() + rec_off_[x], rec_off_[x + 1] - rec_off_[x]};
+  }
   std::span<const int32_t> RecordTokenIds(size_t i) const {
-    return {rec_ids_.data() + rec_off_[i], rec_off_[i + 1] - rec_off_[i]};
+    return RecordTokenIds(ClassOf(i));
   }
 
-  /// SignatureOf(RecordTokenIds(i)) for every record, indexed by record id.
-  std::span<const TokenSignature> RecordSignatures() const {
-    return {rec_sig_.data(), n_};
+  /// SignatureOf(RecordTokenIds(c)) for every class, indexed by class id.
+  std::span<const TokenSignature> ClassSignatures() const { return rec_sig_; }
+  /// SignatureOf(RecordTokenIds(i)).
+  const TokenSignature& RecordSignature(size_t i) const {
+    return rec_sig_[class_of_[i]];
   }
 
   /// Cached numeric parse of the raw cell value; returns false (and leaves
   /// *value at the cached 0.0) for non-numeric cells.
+  bool NumericValue(RecordClass c, size_t k, double* value) const {
+    const size_t x = cell(c, k);
+    *value = numeric_val_[x];
+    return numeric_ok_[x] != 0;
+  }
   bool NumericValue(size_t i, size_t k, double* value) const {
-    const size_t c = cell(i, k);
-    *value = numeric_val_[c];
-    return numeric_ok_[c] != 0;
+    return NumericValue(ClassOf(i), k, value);
   }
 
   /// Interned dictionary: ids are dense in [0, dict_size()).
@@ -108,26 +155,34 @@ class FeatureCache {
   }
 
  private:
-  size_t cell(size_t i, size_t k) const { return i * m_ + k; }
+  static size_t Index(RecordClass c) { return static_cast<size_t>(c); }
+  size_t cell(RecordClass c, size_t k) const { return Index(c) * m_ + k; }
 
   const Table* table_;
   size_t n_ = 0;
   size_t m_ = 0;
 
-  // Lower-cased bytes of all cells, concatenated; n*m+1 offsets.
+  // Record -> class, and each class's members ascending (classes + 1
+  // offsets).
+  std::vector<uint32_t> class_of_;
+  std::vector<int> members_;
+  std::vector<uint32_t> member_off_;
+  // The arrays below hold one entry per class (per class cell), not per
+  // record.
+  // Lower-cased bytes of all class cells, concatenated; classes*m+1 offsets.
   std::string lower_bytes_;
   std::vector<uint64_t> lower_off_;
-  // Unique token-id runs per cell, in first-occurrence order (n*m+1
-  // offsets each).
+  // Unique token-id runs per class cell, in first-occurrence order
+  // (classes*m+1 offsets each).
   std::vector<int32_t> word_ids_;
   std::vector<uint64_t> word_off_;
   std::vector<int32_t> gram_ids_;
   std::vector<uint64_t> gram_off_;
-  // Sorted-unique record-level word-token ids (n+1 offsets).
+  // Sorted-unique record-level word-token ids (classes+1 offsets).
   std::vector<int32_t> rec_ids_;
   std::vector<uint64_t> rec_off_;
   std::vector<TokenSignature> rec_sig_;
-  // Pre-parsed numerics, one slot per cell.
+  // Pre-parsed numerics, one slot per class cell.
   std::vector<double> numeric_val_;
   std::vector<uint8_t> numeric_ok_;
   // Token id -> (offset, length) into lower_bytes_.

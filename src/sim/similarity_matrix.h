@@ -25,13 +25,16 @@ SimilarPair ComputePairSimilarity(const Table& table, int i, int j,
 
 /// Computes the similarity vectors of a batch of candidate pairs over cached
 /// features into one table, pair p for candidates[p] (ids ordered i < j).
-/// The pooled loop fills the pairs that share a left record as one run: each
-/// token-family column marks the left record's token ids once (a byte per
-/// dictionary token) and counts each partner's ids against the marks, and
-/// edit-similarity columns come from the batched Myers kernel. Each distinct
-/// row is stored once, in first-occurrence pair order. Every value is
-/// bit-identical to the string-path ComputePairSimilarity, and the table is
-/// the same at any thread count.
+/// A row depends only on the two records' classes (FeatureCache), so in a
+/// list sorted by (i, j) only the first pair of each unordered class pair
+/// is filled, and every later one takes its row id; any other list is
+/// filled pair by pair. The pooled loop fills the pairs that share a left
+/// class as one run: each token-family column marks the left class's token
+/// ids once (a byte per dictionary token) and counts each partner's ids
+/// against the marks, and edit-similarity columns come from the batched
+/// Myers kernel. Each distinct row is stored once, in first-occurrence pair
+/// order. Every value is bit-identical to the string-path
+/// ComputePairSimilarity, and the table is the same at any thread count.
 SimilarityTable ComputeSimilarityTable(
     const FeatureCache& features,
     const std::vector<std::pair<int, int>>& candidates,

@@ -270,7 +270,7 @@ void ExpectIdsMatchReference(const Table& table, const std::string& label) {
       ASSERT_EQ(AsVector(features.RecordTokenIds(i)), ref.records[i])
           << at << " record " << i;
       const TokenSignature want = SignatureOf(ref.records[i]);
-      ASSERT_EQ(std::memcmp(&features.RecordSignatures()[i], &want,
+      ASSERT_EQ(std::memcmp(&features.RecordSignature(i), &want,
                             sizeof(want)),
                 0)
           << at << " record " << i;

@@ -4,9 +4,11 @@
 // GenerateCandidates method must return its vector at every tau, thread
 // count and SIMD level, on tables built to reach the bit-sliced scan's
 // edges: empty and tiny tables, one token count across step boundaries,
-// counters of 8 bits and more, and signatures whose bits collide. The
-// scan's verifications must equal the pairs the row-at-a-time signature
-// table passes. A property test checks the bit-sliced lane decision against
+// counters of 8 bits and more, and signatures whose bits collide. The scan
+// decides classes of records with equal cells: its signature checks must
+// equal the class pairs, and its verifications the class pairs the
+// row-at-a-time signature table passes, both counted over the oracle's own
+// classes of cell tuples. A property test checks the bit-sliced lane decision against
 // that table directly. The edge suite runs the whole pipeline, with a
 // perfect crowd, on the degenerate tables among these.
 #include <algorithm>
@@ -235,7 +237,7 @@ Table OracleTable(const std::string& shape) {
 
 int MaxPopcount(const FeatureCache& features) {
   int k = 0;
-  for (const TokenSignature& s : features.RecordSignatures()) {
+  for (const TokenSignature& s : features.ClassSignatures()) {
     k = std::max(k, SignatureBits(s).count);
   }
   return k;
@@ -247,7 +249,8 @@ TEST_P(ParallelScanOracle, EveryMethodMatchesDoubleLoop) {
   const Table table = OracleTable(GetParam());
   const FeatureCache features(table);
   const size_t n = features.num_records();
-  const std::span<const TokenSignature> sigs = features.RecordSignatures();
+  std::vector<TokenSignature> sigs(n);
+  for (size_t i = 0; i < n; ++i) sigs[i] = features.RecordSignature(i);
   if (GetParam() == "wide") {
     ASSERT_GE(MaxPopcount(features), 64);
   }
@@ -260,29 +263,43 @@ TEST_P(ParallelScanOracle, EveryMethodMatchesDoubleLoop) {
     }
     ASSERT_GT(collided, n / 2);
   }
-  // Every pair's exact intersection and signature distance, once.
+  auto distance = [&](size_t i, size_t j) {
+    uint32_t h = 0;
+    for (size_t w = 0; w < 4; ++w) {
+      h += static_cast<uint32_t>(
+          std::popcount(sigs[i].words[w] ^ sigs[j].words[w]));
+    }
+    return h;
+  };
+  auto size = [&](size_t i) { return features.RecordTokenIds(i).size(); };
+  // Every pair's exact intersection, once.
   struct Facts {
     int i;
     int j;
     uint32_t inter;
-    uint32_t distance;
   };
   std::vector<Facts> facts;
   if (n > 1) facts.reserve(n * (n - 1) / 2);
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
-      uint32_t distance = 0;
-      for (size_t w = 0; w < 4; ++w) {
-        distance += static_cast<uint32_t>(
-            std::popcount(sigs[i].words[w] ^ sigs[j].words[w]));
-      }
       facts.push_back({static_cast<int>(i), static_cast<int>(j),
                        static_cast<uint32_t>(SortedIntersectionSize(
                            features.RecordTokenIds(i),
-                           features.RecordTokenIds(j))),
-                       distance});
+                           features.RecordTokenIds(j)))});
     }
   }
+  // The scan decides classes of records with equal cells, so its counters
+  // count class pairs. The oracle's own classes: each distinct cell tuple,
+  // in first-occurrence order, by its first record.
+  std::vector<size_t> firsts;
+  {
+    std::set<std::vector<std::string>> seen;
+    for (size_t i = 0; i < n; ++i) {
+      if (seen.insert(table.record(i).values).second) firsts.push_back(i);
+    }
+  }
+  const uint64_t class_pairs =
+      firsts.size() * (std::max<size_t>(firsts.size(), 1) - 1) / 2;
   size_t max_size = 0;
   for (size_t i = 0; i < n; ++i) {
     max_size = std::max(max_size, features.RecordTokenIds(i).size());
@@ -293,18 +310,22 @@ TEST_P(ParallelScanOracle, EveryMethodMatchesDoubleLoop) {
   for (double tau : {0.1, 0.3, 0.5, 0.8, 1.0}) {
     SCOPED_TRACE("tau=" + std::to_string(tau));
     std::vector<std::pair<int, int>> want;
+    for (const Facts& f : facts) {
+      if (RecordJaccardAtLeast(f.inter, size(static_cast<size_t>(f.i)),
+                               size(static_cast<size_t>(f.j)), tau)) {
+        want.emplace_back(f.i, f.j);
+      }
+    }
+    // The class pairs the row-at-a-time signature table passes.
     uint64_t passes = 0;
     SignatureLimits limits(max_size, tau);
-    int reset_for = -1;
-    for (const Facts& f : facts) {
-      const size_t a = features.RecordTokenIds(static_cast<size_t>(f.i)).size();
-      const size_t b = features.RecordTokenIds(static_cast<size_t>(f.j)).size();
-      if (RecordJaccardAtLeast(f.inter, a, b, tau)) want.emplace_back(f.i, f.j);
-      if (reset_for != f.i) {
-        limits.Reset(a);
-        reset_for = f.i;
+    for (size_t x = 0; x < firsts.size(); ++x) {
+      limits.Reset(size(firsts[x]));
+      for (size_t y = x + 1; y < firsts.size(); ++y) {
+        if (limits.MayPass(size(firsts[y]), distance(firsts[x], firsts[y]))) {
+          ++passes;
+        }
       }
-      if (limits.MayPass(b, f.distance)) ++passes;
     }
     if (!want.empty()) ++nonempty;
     for (SimdLevel simd : levels) {
@@ -315,7 +336,7 @@ TEST_P(ParallelScanOracle, EveryMethodMatchesDoubleLoop) {
         ScopedSimdLevel level(simd);
         CandidateStats stats;
         ASSERT_EQ(AllPairsCandidates(features, tau, &stats), want);
-        EXPECT_EQ(stats.signature_checks, facts.size());
+        EXPECT_EQ(stats.signature_checks, class_pairs);
         EXPECT_EQ(stats.verifications, passes);
         for (CandidateMethod method :
              {CandidateMethod::kAllPairs, CandidateMethod::kPrefixJoin,
