@@ -372,6 +372,152 @@ TEST(FeatureCacheDifferential, TokenIdsMatchReferenceOnHostileCells) {
 }
 
 // ---------------------------------------------------------------------------
+// Record classes: the records whose cells are equal byte for byte. A
+// reference numbers the distinct cell tuples by first occurrence in a
+// std::map; the cache's classes and members must equal it at every thread
+// count, each class's features must be its members' features, and every
+// record-level id and span must still equal the first-occurrence reference.
+// ---------------------------------------------------------------------------
+
+void ExpectClassesMatchReference(const Table& table, const std::string& label) {
+  const size_t m = table.schema().num_attributes();
+  std::map<std::vector<std::string>, uint32_t> ids;
+  std::vector<uint32_t> want_class;
+  std::vector<std::vector<int>> want_members;
+  for (size_t i = 0; i < table.num_records(); ++i) {
+    const auto [it, added] = ids.emplace(table.record(i).values,
+                                         static_cast<uint32_t>(ids.size()));
+    if (added) want_members.emplace_back();
+    want_class.push_back(it->second);
+    want_members[it->second].push_back(static_cast<int>(i));
+  }
+  for (int threads : {1, 2, 8}) {
+    ScopedNumThreads scope(threads);
+    const FeatureCache features(table);
+    const std::string at = label + " threads " + std::to_string(threads);
+    ASSERT_EQ(features.num_records(), table.num_records()) << at;
+    ASSERT_EQ(features.num_classes(), want_members.size()) << at;
+    ASSERT_EQ(features.ClassSignatures().size(), want_members.size()) << at;
+    for (size_t i = 0; i < table.num_records(); ++i) {
+      ASSERT_EQ(static_cast<uint32_t>(features.ClassOf(i)), want_class[i])
+          << at << " record " << i;
+    }
+    for (size_t c = 0; c < want_members.size(); ++c) {
+      const RecordClass cls{static_cast<uint32_t>(c)};
+      const std::span<const int> members = features.Members(cls);
+      ASSERT_EQ(std::vector<int>(members.begin(), members.end()),
+                want_members[c])
+          << at << " class " << c;
+      for (const int i : members) {
+        const auto r = static_cast<size_t>(i);
+        for (size_t k = 0; k < m; ++k) {
+          ASSERT_EQ(features.LowerValue(cls, k), features.LowerValue(r, k));
+          ASSERT_EQ(AsVector(features.WordTokenIds(cls, k)),
+                    AsVector(features.WordTokenIds(r, k)));
+          ASSERT_EQ(AsVector(features.BigramIds(cls, k)),
+                    AsVector(features.BigramIds(r, k)));
+          double by_class = 0.0;
+          double by_record = 0.0;
+          ASSERT_EQ(features.NumericValue(cls, k, &by_class),
+                    features.NumericValue(r, k, &by_record));
+          ASSERT_EQ(by_class, by_record);
+        }
+        ASSERT_EQ(AsVector(features.RecordTokenIds(cls)),
+                  AsVector(features.RecordTokenIds(r)));
+        ASSERT_EQ(std::memcmp(&features.ClassSignatures()[c],
+                              &features.RecordSignature(r),
+                              sizeof(TokenSignature)),
+                  0);
+      }
+    }
+  }
+  ExpectIdsMatchReference(table, label);
+}
+
+Table TableOf(std::vector<std::vector<std::string>> rows) {
+  std::vector<Attribute> attrs;
+  const size_t m = rows.empty() ? 2 : rows[0].size();
+  for (size_t k = 0; k < m; ++k) {
+    attrs.push_back({"a" + std::to_string(k),
+                     k % 2 == 0 ? SimilarityFunction::kJaccard
+                                : SimilarityFunction::kBigramJaccard});
+  }
+  Table table{Schema(std::move(attrs))};
+  for (std::vector<std::string>& values : rows) {
+    Record r;
+    r.values = std::move(values);
+    table.Add(std::move(r));
+  }
+  return table;
+}
+
+TEST(FeatureCacheClasses, MatchCellTupleReferenceOnHostileTables) {
+  // Cells that differ only by case: distinct classes with one token set.
+  {
+    const Table table = TableOf({{"Partial Order", "Crowd"},
+                                 {"partial order", "crowd"},
+                                 {"PARTIAL ORDER", "CROWD"},
+                                 {"partial order", "crowd"}});
+    ExpectClassesMatchReference(table, "case");
+    const FeatureCache features(table);
+    EXPECT_EQ(features.num_classes(), 3u);
+    EXPECT_EQ(AsVector(features.RecordTokenIds(0)),
+              AsVector(features.RecordTokenIds(1)));
+  }
+  // A shifted cell boundary: the same bytes in sequence, other cells.
+  ExpectClassesMatchReference(
+      TableOf({{"ab", "c"}, {"a", "bc"}, {"abc", ""}, {"", "abc"},
+               {"ab", "c"}, {"a", "bc"}}),
+      "shifted boundary");
+  // NUL bytes, and words of 7 to 17 bytes that differ from a base in one
+  // byte on either side of every 8-byte boundary, each twice.
+  {
+    std::vector<std::vector<std::string>> rows = {
+        {std::string("a\0b", 3), "x"}, {std::string("a\0c", 3), "x"},
+        {"a", "x"},                    {std::string("a\0", 2), "x"},
+        {std::string("\0", 1), ""},    {"", std::string("\0", 1)},
+        {std::string("a\0b", 3), "x"}};
+    const std::string base = "abcdefghijklmnopq";
+    for (size_t len = 7; len <= base.size(); ++len) {
+      for (size_t at = 0; at < len; ++at) {
+        std::string word = base.substr(0, len);
+        word[at] = static_cast<char>(at % 2 == 0 ? '\0' : 'Z');
+        rows.push_back({word + " tail", base.substr(0, len)});
+        rows.push_back({word + " tail", base.substr(0, len)});
+      }
+    }
+    ExpectClassesMatchReference(TableOf(std::move(rows)), "bytes");
+  }
+  // All-identical records, an empty table, one record, all-empty cells
+  // (and whitespace-only cells: other bytes, the same empty token set).
+  ExpectClassesMatchReference(
+      TableOf(std::vector<std::vector<std::string>>(
+          50, {"the same record", "1999"})),
+      "identical");
+  ExpectClassesMatchReference(TableOf({}), "empty table");
+  ExpectClassesMatchReference(TableOf({{"only", "one"}}), "one record");
+  ExpectClassesMatchReference(
+      TableOf({{"", ""}, {"", ""}, {" ", ""}, {"", " "}, {"", ""}}),
+      "empty cells");
+  // 70 attributes: copies, and records that differ in one cell only.
+  {
+    std::vector<std::vector<std::string>> rows;
+    std::vector<std::string> wide;
+    for (int k = 0; k < 70; ++k) wide.push_back("v" + std::to_string(k));
+    for (int r = 0; r < 60; ++r) {
+      std::vector<std::string> row = wide;
+      if (r % 3 != 0) row[static_cast<size_t>(r % 70)] += "x";
+      rows.push_back(std::move(row));
+    }
+    ExpectClassesMatchReference(TableOf(std::move(rows)), "70 attributes");
+  }
+  // Generated profiles, where most records repeat an earlier one.
+  ExpectClassesMatchReference(ProfileTable(AcmPubProfile(1.0), 600),
+                              "ACMPub");
+  ExpectClassesMatchReference(ProfileTable(CoraProfile(), 400), "Cora");
+}
+
+// ---------------------------------------------------------------------------
 // Every similarity double is bit-identical to the legacy string path, at
 // 1 and 8 threads.
 // ---------------------------------------------------------------------------

@@ -433,6 +433,52 @@ TEST(PowerFrameworkDeathTest, RunRefusesABadConfigBeforeTheFrontEnd) {
   EXPECT_EQ(ValidateConfig(PowerConfig()), "");
 }
 
+// A prune threshold outside (0, 1] is refused by ValidateConfig, with
+// GenerateCandidates' message, so Run fails before it builds the feature
+// cache and RunOnPairs fails too.
+TEST(PowerFrameworkDeathTest, ValidateConfigRefusesTauOutsideTheUnitInterval) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::pair<double, std::string> cases[] = {
+      {0.0, "0"},
+      {-0.1, "-0.1"},
+      {1.5, "1.5"},
+      {std::numeric_limits<double>::quiet_NaN(), "nan"}};
+  Table table = PaperExampleTable();
+  CrowdOracle oracle = PerfectOracle(table);
+  for (const auto& [tau, text] : cases) {
+    SCOPED_TRACE(text);
+    PowerConfig config;
+    config.prune_tau = tau;
+    const std::string message =
+        "power: candidate threshold tau=" + text + " is outside (0, 1]";
+    EXPECT_EQ(ValidateConfig(config), message);
+    EXPECT_EQ(CandidateThresholdError(tau), message);
+    EXPECT_DEATH(PowerFramework(config).RunOnPairs(SimilarityTable(), &oracle),
+                 "power: candidate threshold tau=");
+  }
+  for (const double tau : {1e-9, 0.3, 1.0}) {
+    PowerConfig config;
+    config.prune_tau = tau;
+    EXPECT_EQ(ValidateConfig(config), "");
+  }
+}
+
+// Run reports the record classes its front end worked on: the distinct cell
+// tuples. A copy of every record adds records but no class.
+TEST(PowerFrameworkTest, RunReportsRecordClasses) {
+  const Table base = PaperExampleTable();
+  Table doubled(base.schema());
+  for (int copy = 0; copy < 2; ++copy) {
+    for (const Record& r : base.records()) doubled.Add(r);
+  }
+  for (const Table* table : {&base, static_cast<const Table*>(&doubled)}) {
+    CrowdOracle oracle = PerfectOracle(*table);
+    const PowerResult result =
+        PowerFramework(PowerConfig()).Run(*table, &oracle);
+    EXPECT_EQ(result.num_record_classes, base.num_records());
+  }
+}
+
 TEST(PowerFrameworkTest, KindNamesAreStable) {
   EXPECT_STREQ(GroupingKindName(GroupingKind::kNone), "NonGroup");
   EXPECT_STREQ(GroupingKindName(GroupingKind::kSplit), "Split");

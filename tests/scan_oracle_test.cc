@@ -370,6 +370,7 @@ struct RunFacts {
   size_t num_pairs;
   size_t num_groups;
   size_t num_distinct_rows;
+  size_t num_record_classes;
   size_t num_edges;
   size_t num_blue_groups;
   bool budget_exhausted;
@@ -413,6 +414,7 @@ TEST_P(ParallelEdgeRun, PerfectCrowdRunIsThreadInvariantAndBounded) {
                      result.num_pairs,
                      result.num_groups,
                      result.num_distinct_rows,
+                     result.num_record_classes,
                      result.num_edges,
                      result.num_blue_groups,
                      result.budget_exhausted,

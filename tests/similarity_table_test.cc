@@ -26,6 +26,7 @@
 #include "data/generator.h"
 #include "sim/feature_cache.h"
 #include "sim/simd_kernels.h"
+#include "sim/similarity.h"
 #include "sim/similarity_matrix.h"
 #include "util/parallel.h"
 
@@ -178,21 +179,22 @@ std::vector<uint64_t> RowBits(const std::vector<double>& row) {
   return bits;
 }
 
-// The interned layout against a serial reference built from the string-path
-// rows: ids in first-occurrence pair order, keyed by bit pattern. The
-// distinct rows and the index must be identical at every thread count and
-// SIMD level.
-void ExpectInternedRowsMatchReference(const Table& table,
-                                      const std::string& label) {
-  FeatureCache features(table);
-  const std::vector<std::pair<int, int>> candidates =
-      AllPairsCandidates(features, PowerConfig().prune_tau);
+// The interned layout of `candidates` against a serial reference built from
+// the string-path rows: ids in first-occurrence pair order, keyed by bit
+// pattern. The pair ids, the distinct rows and the index must be identical
+// at every thread count and SIMD level. Returns the distinct row count.
+size_t ExpectListMatchesReference(
+    const Table& table, const FeatureCache& features,
+    const std::vector<std::pair<int, int>>& candidates,
+    const std::string& label) {
+  std::vector<std::pair<int, int>> want_ids;
   std::map<std::vector<uint64_t>, uint32_t> ids;
   std::vector<uint32_t> want_row_of;
   std::vector<double> want_distinct;
   std::set<std::vector<uint64_t>> patterns;
   for (const auto& [i, j] : candidates) {
     const SimilarPair p = ComputePairSimilarity(table, i, j, kFloor);
+    want_ids.emplace_back(p.i, p.j);
     const auto [it, fresh] = ids.emplace(RowBits(p.sims), ids.size());
     if (fresh) {
       want_distinct.insert(want_distinct.end(), p.sims.begin(), p.sims.end());
@@ -200,7 +202,6 @@ void ExpectInternedRowsMatchReference(const Table& table,
     want_row_of.push_back(it->second);
     patterns.insert(RowBits(p.sims));
   }
-  ASSERT_LT(ids.size(), candidates.size()) << label << ": no row repeats";
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
   if (BuiltWithAvx2() && CpuSupportsAvx2()) levels.push_back(SimdLevel::kAvx2);
   const SimdLevel startup = ActiveSimdLevel();
@@ -212,22 +213,125 @@ void ExpectInternedRowsMatchReference(const Table& table,
           ComputeSimilarityTable(features, candidates, kFloor);
       const std::string where = label + " " + SimdLevelName(level) +
                                 " threads " + std::to_string(threads);
+      EXPECT_EQ(got.ids, want_ids) << where;
       EXPECT_EQ(got.num_distinct, patterns.size()) << where;
       EXPECT_EQ(got.row_of, want_row_of) << where;
-      ASSERT_EQ(got.distinct.size(), want_distinct.size()) << where;
-      EXPECT_EQ(std::memcmp(got.distinct.data(), want_distinct.data(),
-                            want_distinct.size() * sizeof(double)),
-                0)
+      EXPECT_EQ(got.distinct.size() == want_distinct.size() &&
+                    std::memcmp(got.distinct.data(), want_distinct.data(),
+                                want_distinct.size() * sizeof(double)) == 0,
+                true)
           << where;
     }
   }
   OverrideSimdLevel(startup);
+  return patterns.size();
+}
+
+void ExpectInternedRowsMatchReference(const Table& table,
+                                      const std::string& label) {
+  FeatureCache features(table);
+  const std::vector<std::pair<int, int>> candidates =
+      AllPairsCandidates(features, PowerConfig().prune_tau);
+  EXPECT_LT(ExpectListMatchesReference(table, features, candidates, label),
+            candidates.size())
+      << label << ": no row repeats";
 }
 
 TEST(SimilarityTableDifferential, InternedRowsMatchFirstOccurrenceReference) {
   ExpectInternedRowsMatchReference(AcmPubShaped(), "ACMPub");
   ExpectInternedRowsMatchReference(CoraShapedWithEditColumns(),
                                    "Cora with edit columns");
+}
+
+// Lists that are not closed under record classes, in and out of order.
+// The table fills a pair only when no earlier pair of its two classes can
+// lend it a row; whatever the list, every row and id must equal the string
+// path's, interned in first-occurrence order.
+TEST(SimilarityTableDifferential, HandPickedListsMatchSinglePairAndReference) {
+  const Table table = CoraShapedWithEditColumns(300);
+  const FeatureCache features(table);
+  ASSERT_LT(features.num_classes(), table.num_records() / 2);
+  const std::vector<std::pair<int, int>> all =
+      AllPairsCandidates(features, PowerConfig().prune_tau);
+  auto first = [&](int i) {
+    return features.Members(features.ClassOf(static_cast<size_t>(i)))[0];
+  };
+  // The least pair of two classes: their first members, or the first two
+  // members of one class.
+  auto least = [&](const std::pair<int, int>& pair) {
+    const auto [i, j] = pair;
+    const std::span<const int> own =
+        features.Members(features.ClassOf(static_cast<size_t>(i)));
+    if (features.ClassOf(static_cast<size_t>(i)) ==
+        features.ClassOf(static_cast<size_t>(j))) {
+      return own[0] == i && own[1] == j;
+    }
+    return first(i) == i && first(j) == j;
+  };
+  std::vector<std::pair<int, int>> sparse;
+  std::vector<std::pair<int, int>> no_least;
+  for (size_t p = 0; p < all.size(); ++p) {
+    if (p % 3 == 0) sparse.push_back(all[p]);
+    if (!least(all[p])) no_least.push_back(all[p]);
+  }
+  // No least pair left, yet pairs of one class pair repeat: those are
+  // filled and interned to one row.
+  ASSERT_GT(no_least.size(), all.size() / 2);
+  std::vector<std::pair<int, int>> reversed(all.rbegin(), all.rend());
+  std::vector<std::pair<int, int>> swapped;
+  for (const auto& [i, j] : all) swapped.emplace_back(j, i);
+  std::vector<std::pair<int, int>> repeated = sparse;
+  repeated.insert(repeated.begin() + static_cast<std::ptrdiff_t>(
+                                         repeated.size() / 2),
+                  sparse.begin(), sparse.begin() + 40);
+  std::vector<std::pair<int, int>> sorted_repeat = sparse;
+  sorted_repeat.insert(sorted_repeat.begin() + 10, sorted_repeat[10]);
+  const std::vector<std::pair<std::string, std::vector<std::pair<int, int>>>>
+      lists = {{"every third pair", sparse},
+               {"least pairs dropped", no_least},
+               {"reversed", reversed},
+               {"ends swapped", swapped},
+               {"a run repeated", repeated},
+               {"one pair twice", sorted_repeat}};
+  for (const auto& [label, list] : lists) {
+    ExpectListMatchesReference(table, features, list, label);
+  }
+}
+
+// Every similarity function gives the same bits with its arguments swapped.
+// The table relies on it: one row serves every pair of two record classes,
+// whichever record of the pair comes first.
+TEST(SimilarityTableSymmetry, EveryFunctionIsSymmetricBitForBit) {
+  std::vector<std::string> values = {
+      "",         " ",        "a",       "A",          "ab",
+      "ba",       "abc",      "a b c",   "c b a",      "aa aa",
+      "1994",     " 1995 ",   "-0",      "0",          "0.0",
+      "inf",      "-inf",     "nan",     "1e999",      "12a",
+      "1e-320",   "-1e-320",  "3.5",     "-3.5",       "7",
+      std::string("a\0b", 3), "the partial order approach",
+      "The Partial-Order Approach to Crowd ER",
+      std::string(70, 'x'),  std::string(64, 'y') + "z"};
+  const Table cora = CoraShapedWithEditColumns(40);
+  for (const Record& r : cora.records()) {
+    values.insert(values.end(), r.values.begin(), r.values.end());
+  }
+  size_t checked = 0;
+  for (const SimilarityFunction fn :
+       {SimilarityFunction::kJaccard, SimilarityFunction::kEditSimilarity,
+        SimilarityFunction::kBigramJaccard, SimilarityFunction::kCosine,
+        SimilarityFunction::kOverlap, SimilarityFunction::kNumeric}) {
+    for (size_t a = 0; a < values.size(); ++a) {
+      for (size_t b = a + 1; b < values.size(); ++b) {
+        const double ab = ComputeSimilarity(fn, values[a], values[b]);
+        const double ba = ComputeSimilarity(fn, values[b], values[a]);
+        ASSERT_EQ(std::bit_cast<uint64_t>(ab), std::bit_cast<uint64_t>(ba))
+            << SimilarityFunctionName(fn) << " '" << values[a] << "' '"
+            << values[b] << "'";
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 100000u);
 }
 
 TEST(SimilarityTableDifferential, PackingKeepsSignedZerosApart) {
