@@ -84,6 +84,34 @@ std::vector<std::pair<int, int>> CountingSort(
   return out;
 }
 
+// The record pairs, each (min id, max id), of the class pairs (x, y),
+// x <= y: every pair of one member of each, or for x == y every pair of two
+// members of x.
+std::vector<std::pair<int, int>> ExpandClassPairs(
+    const FeatureCache& features,
+    const std::vector<std::pair<int, int>>& class_pairs) {
+  std::vector<std::pair<int, int>> out;
+  for (const auto& [x, y] : class_pairs) {
+    const std::span<const int> mx =
+        features.Members(RecordClass{static_cast<uint32_t>(x)});
+    if (x == y) {
+      for (size_t a = 0; a < mx.size(); ++a) {
+        for (size_t b = a + 1; b < mx.size(); ++b) {
+          out.emplace_back(mx[a], mx[b]);
+        }
+      }
+      continue;
+    }
+    for (const int a : mx) {
+      for (const int b :
+           features.Members(RecordClass{static_cast<uint32_t>(y)})) {
+        out.emplace_back(std::min(a, b), std::max(a, b));
+      }
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 std::vector<std::pair<int, int>> AllPairsCandidates(
@@ -101,7 +129,9 @@ std::vector<std::pair<int, int>> AllPairsCandidates(
   // survivor and cleared at its end, with the shared RecordJaccardAtLeast
   // predicate, i.e. exactly RecordLevelJaccard(features, i, j) >= tau. An
   // accepted class pair yields every pair of one member of each, and a
-  // class's own members pair with each other when identical sets reach tau.
+  // class's own members pair with each other when identical sets reach tau;
+  // a chunk expands its class pairs into these record pairs once its rows
+  // are done.
   //
   // Positions are row-sharded over the pool; each chunk keeps its pairs as
   // (min id, max id). The output is a function of the pair set alone, sorted
@@ -109,9 +139,6 @@ std::vector<std::pair<int, int>> AllPairsCandidates(
   constexpr int64_t kRowGrain = 16;
   const int n = static_cast<int>(features.num_records());
   const int classes = static_cast<int>(features.num_classes());
-  auto members = [&](int c) {
-    return features.Members(RecordClass{static_cast<uint32_t>(c)});
-  };
   auto tokens = [&](int c) {
     return features.RecordTokenIds(RecordClass{static_cast<uint32_t>(c)});
   };
@@ -144,14 +171,12 @@ std::vector<std::pair<int, int>> AllPairsCandidates(
             if (r == buckets[own].end) limits.Reset(buckets[++own].size);
             const int x = layout.order[static_cast<size_t>(r)];
             const std::span<const int32_t> rx = tokens(x);
-            const std::span<const int> mx = members(x);
-            if (mx.size() > 1 &&
+            // While it scans, a chunk keeps class pairs (x, y), x <= y,
+            // where (x, x) stands for the pairs of x's own members.
+            if (features.Members(RecordClass{static_cast<uint32_t>(x)})
+                        .size() > 1 &&
                 RecordJaccardAtLeast(rx.size(), rx.size(), rx.size(), tau)) {
-              for (size_t a = 0; a < mx.size(); ++a) {
-                for (size_t b = a + 1; b < mx.size(); ++b) {
-                  buf.emplace_back(mx[a], mx[b]);
-                }
-              }
+              buf.emplace_back(x, x);
             }
             const SignatureBits bits(sigs[static_cast<size_t>(x)]);
             bool marked = false;
@@ -183,14 +208,9 @@ std::vector<std::pair<int, int>> AllPairsCandidates(
                       marked = true;
                     }
                     ++verifications;
-                    if (!RecordJaccardAtLeast(marks.Count(ry), rx.size(),
-                                              ry.size(), tau)) {
-                      continue;
-                    }
-                    for (const int a : mx) {
-                      for (const int b : members(y)) {
-                        buf.emplace_back(std::min(a, b), std::max(a, b));
-                      }
+                    if (RecordJaccardAtLeast(marks.Count(ry), rx.size(),
+                                             ry.size(), tau)) {
+                      buf.emplace_back(std::min(x, y), std::max(x, y));
                     }
                   }
                 }
@@ -199,6 +219,8 @@ std::vector<std::pair<int, int>> AllPairsCandidates(
             if (marked) marks.Unmark(rx);
           }
           verified[chunk] = verifications;
+          // With no repeated record, class c is record c.
+          if (classes < n) buf = ExpandClassPairs(features, buf);
         });
   }
   // Two stable counting sorts, by j and then by i, give (i asc, j asc).

@@ -17,15 +17,10 @@
 namespace power {
 namespace {
 
-// Pairs per chunk. Chunk dictionaries merge serially, and a larger chunk
-// leaves fewer chunk-local rows to merge: at 100k records, 2.25M rather
-// than 3.86M at 64 pairs per chunk, for 204k distinct rows (before rows
-// were filled once per class pair).
+// Pairs per pooled chunk. Chunk dictionaries merge serially, and a larger
+// chunk leaves fewer chunk-local rows to merge.
 constexpr int64_t kPairGrain = 1024;
 
-// Chunks per pool task, which share one task's scratch: dictionary marks
-// and a lookup table over the record classes.
-constexpr int64_t kChunksPerTask = 8;
 
 // Edit similarity over a batch-computed Myers distance: Eq. 2's double
 // expression (EditSimilarity in sim/similarity.cc), applied to the same
@@ -266,9 +261,9 @@ class LeastPairIndex {
   std::vector<std::pair<uint32_t, uint32_t>> partners_;
 };
 
-// A pool task's lookups into a LeastPairIndex: the partners of the left
-// class in use are scattered into a table over all classes, and cleared
-// when another left class asks, so each lookup is one load.
+// One chunk's lookups into a LeastPairIndex: the partners of the left class
+// in use are scattered into a table over all classes, and cleared when
+// another left class asks, so each lookup is one load.
 class SourceLookup {
  public:
   SourceLookup(const LeastPairIndex& index, size_t classes)
@@ -357,57 +352,50 @@ SimilarityTable ComputeSimilarityTable(
   const LeastPairIndex index(features, candidates);
   std::vector<ChunkRows> chunks(NumChunks(0, static_cast<int64_t>(n),
                                           kPairGrain));
-  // Fills chunk c with the task's scratch.
-  auto fill_chunk = [&](size_t c, SourceLookup* lookup,
-                        RunScratch* scratch) {
-    const size_t begin = c * static_cast<size_t>(kPairGrain);
-    const size_t end = std::min(n, begin + static_cast<size_t>(kPairGrain));
-    std::vector<uint32_t>& filled = chunks[c].filled;
-    std::vector<RecordClass> left;
-    std::vector<RecordClass> right;
-    for (size_t p = begin; p < end; ++p) {
-      const auto& [i, j] = candidates[p];
-      POWER_CHECK(i != j);
-      out.ids[p] = {std::min(i, j), std::max(i, j)};
-      const RecordClass a = features.ClassOf(static_cast<size_t>(i));
-      const RecordClass b = features.ClassOf(static_cast<size_t>(j));
-      const uint32_t source = lookup->Find(i, j, a, b);
-      if (source != LeastPairIndex::kNone) {
-        out.row_of[p] = source;
-        continue;
-      }
-      filled.push_back(static_cast<uint32_t>(p - begin));
-      left.push_back(a);
-      right.push_back(b);
-    }
-    std::vector<double> rows(filled.size() * m);
-    for (size_t t = 0; t < filled.size();) {
-      size_t u = t;
-      while (u < filled.size() && left[u] == left[t]) ++u;
-      for (size_t k = 0; k < m; ++k) {
-        FillColumnForRun(features, schema.attribute(k).sim, k, left[t],
-                         std::span(right).subspan(t, u - t), component_floor,
-                         m, rows.data() + t * m, scratch);
-      }
-      t = u;
-    }
-    RowInterner local(m);
-    for (size_t t = 0; t < filled.size(); ++t) {
-      out.row_of[begin + filled[t]] = local.Intern(rows.data() + t * m);
-    }
-    chunks[c].count = local.size();
-    chunks[c].distinct = local.TakeRows();
-  };
-  // Each pool task fills a run of chunks, so its marks and lookup table
-  // are set up once for all of them.
-  ParallelFor(0, static_cast<int64_t>(chunks.size()), kChunksPerTask,
-              [&](int64_t c_begin, int64_t c_end) {
-                SourceLookup lookup(index, features.num_classes());
-                RunScratch scratch{TokenMarks(features.dict_size()), {}, {}};
-                for (int64_t c = c_begin; c < c_end; ++c) {
-                  fill_chunk(static_cast<size_t>(c), &lookup, &scratch);
-                }
-              });
+  ParallelForChunked(
+      0, static_cast<int64_t>(n), kPairGrain,
+      [&](size_t chunk, int64_t begin, int64_t end) {
+        std::vector<uint32_t>& filled = chunks[chunk].filled;
+        std::vector<RecordClass> left;
+        std::vector<RecordClass> right;
+        SourceLookup lookup(index, features.num_classes());
+        for (int64_t p = begin; p < end; ++p) {
+          const auto& [i, j] = candidates[static_cast<size_t>(p)];
+          POWER_CHECK(i != j);
+          out.ids[static_cast<size_t>(p)] = {std::min(i, j), std::max(i, j)};
+          const RecordClass a = features.ClassOf(static_cast<size_t>(i));
+          const RecordClass b = features.ClassOf(static_cast<size_t>(j));
+          const uint32_t source = lookup.Find(i, j, a, b);
+          if (source != LeastPairIndex::kNone) {
+            out.row_of[static_cast<size_t>(p)] = source;
+            continue;
+          }
+          filled.push_back(static_cast<uint32_t>(p - begin));
+          left.push_back(a);
+          right.push_back(b);
+        }
+        if (filled.empty()) return;
+        RunScratch scratch{TokenMarks(features.dict_size()), {}, {}};
+        std::vector<double> rows(filled.size() * m);
+        for (size_t t = 0; t < filled.size();) {
+          size_t u = t;
+          while (u < filled.size() && left[u] == left[t]) ++u;
+          for (size_t k = 0; k < m; ++k) {
+            FillColumnForRun(features, schema.attribute(k).sim, k, left[t],
+                             std::span(right).subspan(t, u - t),
+                             component_floor, m, rows.data() + t * m,
+                             &scratch);
+          }
+          t = u;
+        }
+        RowInterner local(m);
+        for (size_t t = 0; t < filled.size(); ++t) {
+          out.row_of[static_cast<size_t>(begin) + filled[t]] =
+              local.Intern(rows.data() + t * m);
+        }
+        chunks[chunk].count = local.size();
+        chunks[chunk].distinct = local.TakeRows();
+      });
   RowInterner global(m);
   std::vector<uint32_t> to_global;
   bool all_filled = true;
