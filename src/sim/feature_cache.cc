@@ -239,8 +239,10 @@ FeatureCache::FeatureCache(const Table& table)
   // pure function of the value sizes, so every cell's slot is fixed before
   // the parallel fill.
   lower_off_.assign(cells + 1, 0);
-  for (size_t x = 0; x < cells; ++x) {
-    lower_off_[x + 1] = lower_off_[x] + value(x / m_, x % m_).size();
+  for (size_t c = 0, x = 0; c < classes; ++c) {
+    for (size_t k = 0; k < m_; ++k, ++x) {
+      lower_off_[x + 1] = lower_off_[x] + value(c, k).size();
+    }
   }
   lower_bytes_.resize(lower_off_[cells]);
   numeric_val_.assign(cells, 0.0);

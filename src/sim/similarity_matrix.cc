@@ -358,6 +358,9 @@ SimilarityTable ComputeSimilarityTable(
         std::vector<uint32_t>& filled = chunks[chunk].filled;
         std::vector<RecordClass> left;
         std::vector<RecordClass> right;
+        filled.reserve(static_cast<size_t>(end - begin));
+        left.reserve(static_cast<size_t>(end - begin));
+        right.reserve(static_cast<size_t>(end - begin));
         SourceLookup lookup(index, features.num_classes());
         for (int64_t p = begin; p < end; ++p) {
           const auto& [i, j] = candidates[static_cast<size_t>(p)];
