@@ -81,9 +81,9 @@ std::string CandidateThresholdError(double tau);
 /// Dispatches to AllPairsCandidates or PrefixFilterJoin by `method` (see
 /// CandidateMethod::kAuto). Aborts with CandidateThresholdError's message
 /// unless tau is in (0, 1], so every method refuses the same thresholds at
-/// every table size. Reports the taken path and its counts via `stats` (optional) and,
-/// when the POWER_VERBOSE environment variable is set non-empty (and not
-/// "0"), on stderr.
+/// every table size. Reports the taken path and its counts via `stats`
+/// (optional) and, when the POWER_VERBOSE environment variable is set
+/// non-empty (and not "0"), on stderr.
 std::vector<std::pair<int, int>> GenerateCandidates(
     const FeatureCache& features, double tau, CandidateMethod method,
     const CandidateOptions& options = {}, CandidateStats* stats = nullptr);

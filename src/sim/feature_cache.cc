@@ -38,33 +38,43 @@ uint64_t Load32(const char* p) {
   return w;
 }
 
-// 32-bit hash of a token of three or more bytes. Every load reads bytes of
-// the token only, as fixed-width words (a 3-byte token byte by byte, 4 to 7
+// Mixes the bytes of `t` into h as fixed-width words, so every load reads
+// bytes of t only and any byte value, NUL included, counts like any other:
+// up to 3 bytes as one word of the first, middle and last byte, 4 to 7
 // bytes as two overlapping 4-byte words, longer ones 8 bytes at a time with
-// the last word ending at the token's end), so any byte value, NUL
-// included, counts like any other. The length is mixed in first, and a
-// final avalanche spreads the high bits into the low ones the slot takes.
-uint32_t HashLongToken(std::string_view t) {
+// the last word ending at t's end. An empty t mixes nothing.
+uint64_t MixBytes(uint64_t h, std::string_view t) {
   const char* p = t.data();
   const size_t len = t.size();
-  uint64_t h = len * kGolden;
   auto mix = [&h](uint64_t w) {
     h = (h ^ w) * kGolden;
     h ^= h >> 32;
   };
+  if (len == 0) return h;
   if (len < 4) {
     mix(static_cast<unsigned char>(p[0]) |
-        static_cast<uint64_t>(static_cast<unsigned char>(p[1])) << 8 |
-        static_cast<uint64_t>(static_cast<unsigned char>(p[2])) << 16);
+        static_cast<uint64_t>(static_cast<unsigned char>(p[len / 2])) << 8 |
+        static_cast<uint64_t>(static_cast<unsigned char>(p[len - 1])) << 16);
   } else if (len < 8) {
     mix(Load32(p) | Load32(p + len - 4) << 32);
   } else {
     for (size_t b = 0; b + 8 < len; b += 8) mix(Load64(p + b));
     mix(Load64(p + len - 8));
   }
+  return h;
+}
+
+// A final avalanche, which spreads the high bits into the low ones a slot
+// takes.
+uint64_t Avalanche(uint64_t h) {
   h ^= h >> 33;
   h *= 0xff51afd7ed558ccdULL;
-  return static_cast<uint32_t>(h ^ (h >> 33));
+  return h ^ (h >> 33);
+}
+
+// 32-bit hash of a token of three or more bytes, its length mixed in first.
+uint32_t HashLongToken(std::string_view t) {
+  return static_cast<uint32_t>(Avalanche(MixBytes(t.size() * kGolden, t)));
 }
 
 // Ids of the tokens longer than two bytes: an open-addressing table with
@@ -118,35 +128,15 @@ class LongTokenTable {
   std::vector<uint64_t> slots_;
 };
 
-// 64-bit hash of a record's cells. Each cell mixes in its bytes, read as
-// fixed-width words as in HashLongToken (a cell of 8 bytes or more ends on
-// an overlapping last word), then its length, so equal tuples hash equal
-// and a moved cell boundary changes the words mixed.
+// 64-bit hash of a record's cells: each cell's bytes (MixBytes), then its
+// length, so equal tuples hash equal and a moved cell boundary changes
+// what is mixed.
 uint64_t HashCells(const std::vector<std::string>& values) {
   uint64_t h = values.size() * kGolden;
   for (const std::string& value : values) {
-    const char* p = value.data();
-    const size_t len = value.size();
-    uint64_t last = 0;
-    if (len >= 8) {
-      for (size_t b = 0; b + 8 < len; b += 8) h = (h ^ Load64(p + b)) * kGolden;
-      last = Load64(p + len - 8);
-    } else if (len >= 4) {
-      last = Load32(p) | Load32(p + len - 4) << 32;
-    } else if (len > 0) {
-      last = static_cast<unsigned char>(p[0]) |
-             static_cast<uint64_t>(static_cast<unsigned char>(p[len / 2]))
-                 << 8 |
-             static_cast<uint64_t>(static_cast<unsigned char>(p[len - 1]))
-                 << 16;
-    }
-    h = (h ^ last) * kGolden;
-    h = (h ^ len) * kGolden;
-    h ^= h >> 32;
+    h = (MixBytes(h, value) ^ value.size()) * kGolden;
   }
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  return h ^ (h >> 33);
+  return Avalanche(h);
 }
 
 // Interns every record's cell tuple by first occurrence: class_of[i] is the

@@ -21,7 +21,6 @@ namespace {
 // chunk leaves fewer chunk-local rows to merge.
 constexpr int64_t kPairGrain = 1024;
 
-
 // Edit similarity over a batch-computed Myers distance: Eq. 2's double
 // expression (EditSimilarity in sim/similarity.cc), applied to the same
 // integer distance, so batching cannot change a bit.

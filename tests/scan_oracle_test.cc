@@ -8,9 +8,9 @@
 // decides classes of records with equal cells: its signature checks must
 // equal the class pairs, and its verifications the class pairs the
 // row-at-a-time signature table passes, both counted over the oracle's own
-// classes of cell tuples. A property test checks the bit-sliced lane decision against
-// that table directly. The edge suite runs the whole pipeline, with a
-// perfect crowd, on the degenerate tables among these.
+// classes of cell tuples. A property test checks the bit-sliced lane
+// decision against that table directly. The edge suite runs the whole
+// pipeline, with a perfect crowd, on the degenerate tables among these.
 #include <algorithm>
 #include <bit>
 #include <cstdint>
