@@ -2,7 +2,9 @@
 // requester — extra HIT postings, retry/backoff waits on the simulated
 // clock, rejected-assignment savings — and what it costs the serving loop
 // (re-queues, degradations), for the full Power pipeline over the
-// platform simulation (PlatformOracle -> Requester -> CrowdPlatform).
+// platform simulation (PlatformOracle -> Requester -> CrowdPlatform). Each
+// row also reports the crowd's own time: the wall seconds spent inside the
+// oracle, out of the run's total.
 //
 // A second section measures the durability tax: the same fault-sweep
 // workload with `PowerConfig::checkpoint_path` set, so every state-machine
@@ -22,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -67,6 +70,40 @@ std::vector<NamedFault> FaultGrid() {
   return grid;
 }
 
+// Forwards to the platform oracle and times the crowd's own share of a run:
+// every batch the framework asks, through the requester and the simulated
+// marketplace.
+class TimedOracle : public PairOracle {
+ public:
+  explicit TimedOracle(PairOracle* inner) : inner_(inner) {}
+
+  VoteResult Ask(int i, int j) override {
+    Stopwatch watch;
+    VoteResult vote = inner_->Ask(i, j);
+    seconds_ += watch.ElapsedSeconds();
+    return vote;
+  }
+  std::vector<VoteResult> AskBatch(
+      const std::vector<std::pair<int, int>>& pairs) override {
+    Stopwatch watch;
+    std::vector<VoteResult> votes = inner_->AskBatch(pairs);
+    seconds_ += watch.ElapsedSeconds();
+    return votes;
+  }
+  std::string SaveDurableState() const override {
+    return inner_->SaveDurableState();
+  }
+  bool RestoreDurableState(const std::string& blob) override {
+    return inner_->RestoreDurableState(blob);
+  }
+
+  double seconds() const { return seconds_; }
+
+ private:
+  PairOracle* inner_;
+  double seconds_ = 0.0;
+};
+
 struct FaultRow {
   std::string profile;
   size_t questions = 0;
@@ -80,6 +117,7 @@ struct FaultRow {
   double dollars = 0.0;   // realized cost: approved assignments only
   size_t checkpoints = 0; // durable phase-boundary commits (0 = no path set)
   double wall_seconds = 0.0;
+  double crowd_seconds = 0.0;  // inside the oracle, part of wall_seconds
   double f1 = 0.0;
 };
 
@@ -94,17 +132,19 @@ FaultRow RunProfile(const BenchDataset& ds, const NamedFault& nf,
   RetryPolicy policy;
   policy.max_attempts = 4;
   PlatformOracle oracle(&platform, policy);
+  TimedOracle timed(&oracle);
 
   PowerConfig config;
   config.selector = SelectorKind::kTopoSort;
   config.checkpoint_path = checkpoint_path;
 
   Stopwatch watch;
-  PowerResult result = PowerFramework(config).Run(table, &oracle);
+  PowerResult result = PowerFramework(config).Run(table, &timed);
 
   FaultRow row;
   row.profile = nf.name;
   row.wall_seconds = watch.ElapsedSeconds();
+  row.crowd_seconds = timed.seconds();
   row.questions = result.questions;
   row.rounds = platform.rounds_posted();
   row.hits_posted = platform.hits_posted();
@@ -191,10 +231,12 @@ std::string JsonCheckpointRow(const CheckpointRow& r) {
 }
 
 void PrintRow(const FaultRow& r) {
-  std::printf("%-14s %7zu %7zu %7zu %8zu %8zu %8zu %8zu %9.1f %8.2f %7.3f %8.3f\n",
-              r.profile.c_str(), r.questions, r.rounds, r.hits_posted,
-              r.reposted, r.requeued, r.degraded, r.rejected, r.sim_hours,
-              r.dollars, r.f1, r.wall_seconds);
+  std::printf(
+      "%-14s %7zu %7zu %7zu %8zu %8zu %8zu %8zu %9.1f %8.2f %7.3f %8.3f "
+      "%8.4f\n",
+      r.profile.c_str(), r.questions, r.rounds, r.hits_posted, r.reposted,
+      r.requeued, r.degraded, r.rejected, r.sim_hours, r.dollars, r.f1,
+      r.wall_seconds, r.crowd_seconds);
 }
 
 std::string JsonRow(const FaultRow& r) {
@@ -204,10 +246,11 @@ std::string JsonRow(const FaultRow& r) {
       "    {\"profile\": \"%s\", \"questions\": %zu, \"rounds\": %zu, "
       "\"hits_posted\": %zu, \"reposted\": %zu, \"requeued\": %zu, "
       "\"degraded\": %zu, \"rejected\": %zu, \"sim_hours\": %.2f, "
-      "\"dollars\": %.2f, \"f1\": %.4f, \"wall_seconds\": %.3f}",
+      "\"dollars\": %.2f, \"f1\": %.4f, \"wall_seconds\": %.3f, "
+      "\"crowd_seconds\": %.4f}",
       r.profile.c_str(), r.questions, r.rounds, r.hits_posted, r.reposted,
       r.requeued, r.degraded, r.rejected, r.sim_hours, r.dollars, r.f1,
-      r.wall_seconds);
+      r.wall_seconds, r.crowd_seconds);
   return buf;
 }
 
@@ -221,9 +264,10 @@ int Run(bool smoke, const char* json_path) {
 
   PrintTitle("Marketplace resilience — retry/backoff overhead per fault profile (" +
              ds.name + ")");
-  std::printf("%-14s %7s %7s %7s %8s %8s %8s %8s %9s %8s %7s %8s\n",
+  std::printf("%-14s %7s %7s %7s %8s %8s %8s %8s %9s %8s %7s %8s %8s\n",
               "Profile", "Quest", "Rounds", "HITs", "Repost", "Requeue",
-              "Degrade", "Reject", "Sim(h)", "Dollars", "F1", "Wall(s)");
+              "Degrade", "Reject", "Sim(h)", "Dollars", "F1", "Wall(s)",
+              "Crowd(s)");
   PrintRule();
 
   std::vector<FaultRow> results;

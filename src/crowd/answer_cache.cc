@@ -1,7 +1,5 @@
 #include "crowd/answer_cache.h"
 
-#include <cmath>
-
 #include "sim/pair.h"
 #include "sim/similarity_matrix.h"
 #include "util/check.h"
@@ -40,8 +38,7 @@ bool CrowdOracle::Truth(int i, int j) const {
 }
 
 double CrowdOracle::Difficulty(int i, int j) const {
-  double s = RecordLevelJaccard(*table_, i, j);
-  return difficulty_scale_ * (1.0 - 2.0 * std::abs(s - 0.5));
+  return TaskDifficulty(difficulty_scale_, RecordLevelJaccard(*table_, i, j));
 }
 
 VoteResult CrowdOracle::Ask(int i, int j) {
@@ -50,7 +47,10 @@ VoteResult CrowdOracle::Ask(int i, int j) {
   if (it != cache_.end()) return it->second;
   CrowdSimulator sim(band_, model_, workers_per_question_,
                      MixSeed(seed_, key));
-  VoteResult result = sim.Ask(Truth(i, j), Difficulty(i, j));
+  // The exact-accuracy model never reads the difficulty.
+  const double difficulty =
+      model_ == WorkerModel::kExactAccuracy ? 0.0 : Difficulty(i, j);
+  VoteResult result = sim.Ask(Truth(i, j), difficulty);
   return cache_.emplace(key, result).first->second;
 }
 

@@ -21,8 +21,8 @@ namespace power {
 ///
 /// Ground truth comes from the records' entity ids; per-pair difficulty (for
 /// the kTaskDifficulty worker model) from the record-level Jaccard
-/// similarity: pairs near the 0.5 ambiguity point are hardest,
-///     difficulty = 1 - 2 * |jaccard - 0.5|.
+/// similarity through TaskDifficulty (crowd/worker.h): pairs near the 0.5
+/// ambiguity point are hardest.
 class CrowdOracle : public PairOracle {
  public:
   /// `difficulty_scale` in [0, 1] scales per-pair difficulty: how hard this

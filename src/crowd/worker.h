@@ -1,6 +1,7 @@
 #ifndef POWER_CROWD_WORKER_H_
 #define POWER_CROWD_WORKER_H_
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -46,6 +47,16 @@ enum class WorkerModel {
   kExactAccuracy,
   kTaskDifficulty,
 };
+
+/// The task difficulty of a pair whose record-level Jaccard similarity is
+/// `jaccard`: pairs near the 0.5 ambiguity point are hardest,
+///     difficulty = scale * (1 - 2 * |jaccard - 0.5|),
+/// where `scale` in [0, 1] is how hard the table's questions are for humans
+/// (DatasetProfile::human_hardness). The one formula CrowdOracle and
+/// CrowdPlatform score their questions with.
+inline double TaskDifficulty(double scale, double jaccard) {
+  return scale * (1.0 - 2.0 * std::abs(jaccard - 0.5));
+}
 
 /// Nominal worker quality band (the AMT approval-rate groups: 70-80%,
 /// 80-90%, above 90%).

@@ -4,9 +4,18 @@
 #include <cmath>
 
 #include "sim/similarity_matrix.h"
+#include "sim/tokenizer.h"
 #include "util/check.h"
 
 namespace power {
+namespace {
+
+struct ScoredQuestion {
+  bool truth;
+  double difficulty;
+};
+
+}  // namespace
 
 CrowdPlatform::CrowdPlatform(const Table* table,
                              const PlatformConfig& config)
@@ -18,15 +27,35 @@ CrowdPlatform::CrowdPlatform(const Table* table,
   POWER_CHECK(table != nullptr);
   POWER_CHECK(config.assignments_per_hit >= 1);
   POWER_CHECK(config.questions_per_hit >= 1);
+  // NaN fails too: Rng::Bernoulli(NaN) is always false, which would invert
+  // every honest answer.
+  POWER_CHECK(config.difficulty_scale >= 0.0 &&
+              config.difficulty_scale <= 1.0);
 }
 
 bool CrowdPlatform::Truth(const PairQuestion& q) const {
   return table_->record(q.i).entity_id == table_->record(q.j).entity_id;
 }
 
-double CrowdPlatform::Difficulty(const PairQuestion& q) const {
-  double s = RecordLevelJaccard(*table_, q.i, q.j);
-  return config_.difficulty_scale * (1.0 - 2.0 * std::abs(s - 0.5));
+int32_t CrowdPlatform::TokenSlot(int r) {
+  const auto record = static_cast<size_t>(r);
+  POWER_CHECK(record < table_->num_records());
+  if (record >= token_slot_.size()) {
+    token_slot_.resize(table_->num_records(), kNoTokens);
+  }
+  if (token_slot_[record] == kNoTokens) {
+    token_slot_[record] = static_cast<int32_t>(token_sets_.size());
+    token_sets_.push_back(RecordWordTokenSet(*table_, r));
+  }
+  return token_slot_[record];
+}
+
+double CrowdPlatform::Difficulty(int i, int j) {
+  const int32_t a = TokenSlot(i);
+  const int32_t b = TokenSlot(j);
+  return TaskDifficulty(config_.difficulty_scale,
+                        JaccardOfSets(token_sets_[static_cast<size_t>(a)],
+                                      token_sets_[static_cast<size_t>(b)]));
 }
 
 bool CrowdPlatform::WorkerAnswers(const SimWorker& worker, bool truth,
@@ -80,9 +109,16 @@ CrowdPlatform::RoundResult CrowdPlatform::PostRound(
   std::vector<int> total_votes(questions.size(), 0);
   result.status.assign(questions.size(), QuestionStatus::kExpired);
   double round_latency = 0.0;
+  // The current HIT's questions as honest workers see them. A question's
+  // truth and difficulty depend on the question alone and draw nothing from
+  // rng_, so they are computed once per HIT, when its first honest
+  // assignment is simulated; a HIT whose assignments are all abandoned or
+  // spam computes none.
+  std::vector<ScoredQuestion> scored;
 
   for (size_t h = 0; h < hits.size(); ++h) {
     const Hit& hit = hits[h];
+    scored.clear();
     std::vector<int> workers = pool_.DrawQualified(
         config_.assignments_per_hit, config_.min_approval_rate, &rng_);
     if (workers.empty()) {
@@ -115,10 +151,16 @@ CrowdPlatform::RoundResult CrowdPlatform::PostRound(
       assignment.hit_id = hit.id;
       assignment.worker_id = worker_id;
       assignment.answers.reserve(hit.questions.size());
-      for (const PairQuestion& q : hit.questions) {
+      if (!spammer && scored.empty()) {
+        for (const PairQuestion& q : hit.questions) {
+          scored.push_back({Truth(q), Difficulty(q.i, q.j)});
+        }
+      }
+      for (size_t q = 0; q < hit.questions.size(); ++q) {
         assignment.answers.push_back(
             spammer ? rng_.Bernoulli(0.5)
-                    : WorkerAnswers(worker, Truth(q), Difficulty(q)));
+                    : WorkerAnswers(worker, scored[q].truth,
+                                    scored[q].difficulty));
       }
       // Latency: exponential-ish around the worker's mean speed; spammers
       // rush, the slow tail multiplies.

@@ -2,6 +2,7 @@
 #define POWER_PLATFORM_PLATFORM_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "crowd/worker.h"
@@ -26,7 +27,7 @@ struct PlatformConfig {
   size_t questions_per_hit = 10;
   double reward_per_hit = 0.10;
   /// Dataset hardness (DatasetProfile::human_hardness) applied to the
-  /// task-difficulty answer model.
+  /// task-difficulty answer model. Must lie in [0, 1].
   double difficulty_scale = 0.5;
   /// Failure model (platform/fault.h). Defaults to the perfect crowd.
   FaultProfile fault;
@@ -133,9 +134,20 @@ class CrowdPlatform {
     return assignment_log_;
   }
 
+  /// The difficulty honest workers see on the pair (i, j):
+  /// TaskDifficulty(difficulty_scale, RecordLevelJaccard(table, i, j)), bit
+  /// for bit. Each record's token set is computed the first time a question
+  /// names it and kept for the platform's lifetime; records added to the
+  /// table later are picked up the same way. Draws nothing from the rng.
+  double Difficulty(int i, int j);
+
  private:
+  static constexpr int32_t kNoTokens = -1;
+
   bool Truth(const PairQuestion& q) const;
-  double Difficulty(const PairQuestion& q) const;
+  /// Index into token_sets_ of record r's RecordWordTokenSet, computed on
+  /// first use.
+  int32_t TokenSlot(int r);
   bool WorkerAnswers(const SimWorker& worker, bool truth,
                      double difficulty);
 
@@ -147,6 +159,11 @@ class CrowdPlatform {
   int64_t next_hit_id_ = 0;
   std::vector<Hit> hit_log_;
   std::vector<Assignment> assignment_log_;
+  // token_slot_[r] indexes record r's token set in token_sets_, or is
+  // kNoTokens until a question names r: four bytes per record, plus the
+  // sets of the records the crowd has been asked about.
+  std::vector<int32_t> token_slot_;
+  std::vector<std::vector<std::string>> token_sets_;
   double total_cost_ = 0.0;
   double total_latency_ = 0.0;
   size_t hits_posted_ = 0;

@@ -300,7 +300,9 @@ class SourceLookup {
 };
 
 // One chunk's distinct rows in first-occurrence order, before the merge,
-// and the offsets from the chunk's first pair of the pairs it filled.
+// and the offsets from the chunk's first pair of the pairs it filled. While
+// the LeastPairIndex is inactive a chunk fills every pair, pair t at offset
+// t, and `filled` stays empty.
 struct ChunkRows {
   std::vector<double> distinct;
   size_t count = 0;
@@ -349,6 +351,7 @@ SimilarityTable ComputeSimilarityTable(
   out.ids.resize(n);
   out.row_of.resize(n);
   const LeastPairIndex index(features, candidates);
+  const bool fills_all = !index.active();
   std::vector<ChunkRows> chunks(NumChunks(0, static_cast<int64_t>(n),
                                           kPairGrain));
   ParallelForChunked(
@@ -357,7 +360,7 @@ SimilarityTable ComputeSimilarityTable(
         std::vector<uint32_t>& filled = chunks[chunk].filled;
         std::vector<RecordClass> left;
         std::vector<RecordClass> right;
-        filled.reserve(static_cast<size_t>(end - begin));
+        if (!fills_all) filled.reserve(static_cast<size_t>(end - begin));
         left.reserve(static_cast<size_t>(end - begin));
         right.reserve(static_cast<size_t>(end - begin));
         SourceLookup lookup(index, features.num_classes());
@@ -372,16 +375,18 @@ SimilarityTable ComputeSimilarityTable(
             out.row_of[static_cast<size_t>(p)] = source;
             continue;
           }
-          filled.push_back(static_cast<uint32_t>(p - begin));
+          if (!fills_all) filled.push_back(static_cast<uint32_t>(p - begin));
           left.push_back(a);
           right.push_back(b);
         }
-        if (filled.empty()) return;
+        // left[t] and right[t] are the classes of the t-th filled pair.
+        const size_t count = left.size();
+        if (count == 0) return;
         RunScratch scratch{TokenMarks(features.dict_size()), {}, {}};
-        std::vector<double> rows(filled.size() * m);
-        for (size_t t = 0; t < filled.size();) {
+        std::vector<double> rows(count * m);
+        for (size_t t = 0; t < count;) {
           size_t u = t;
-          while (u < filled.size() && left[u] == left[t]) ++u;
+          while (u < count && left[u] == left[t]) ++u;
           for (size_t k = 0; k < m; ++k) {
             FillColumnForRun(features, schema.attribute(k).sim, k, left[t],
                              std::span(right).subspan(t, u - t),
@@ -391,8 +396,9 @@ SimilarityTable ComputeSimilarityTable(
           t = u;
         }
         RowInterner local(m);
-        for (size_t t = 0; t < filled.size(); ++t) {
-          out.row_of[static_cast<size_t>(begin) + filled[t]] =
+        for (size_t t = 0; t < count; ++t) {
+          const size_t offset = fills_all ? t : filled[t];
+          out.row_of[static_cast<size_t>(begin) + offset] =
               local.Intern(rows.data() + t * m);
         }
         chunks[chunk].count = local.size();
@@ -409,6 +415,12 @@ SimilarityTable ComputeSimilarityTable(
     std::vector<double>().swap(chunks[c].distinct);
     const size_t begin = c * static_cast<size_t>(kPairGrain);
     const size_t end = std::min(n, begin + static_cast<size_t>(kPairGrain));
+    if (fills_all) {
+      for (size_t p = begin; p < end; ++p) {
+        out.row_of[p] = to_global[out.row_of[p]];
+      }
+      continue;
+    }
     all_filled = all_filled && chunks[c].filled.size() == end - begin;
     for (const uint32_t f : chunks[c].filled) {
       out.row_of[begin + f] = to_global[out.row_of[begin + f]];
@@ -471,16 +483,18 @@ SimilarityTable PackSimilarPairs(const std::vector<SimilarPair>& pairs) {
   return table;
 }
 
-double RecordLevelJaccard(const Table& table, int i, int j) {
-  std::string a;
-  std::string b;
+std::vector<std::string> RecordWordTokenSet(const Table& table, int i) {
+  std::string text;
   for (size_t k = 0; k < table.schema().num_attributes(); ++k) {
-    a += table.Value(i, k);
-    a += ' ';
-    b += table.Value(j, k);
-    b += ' ';
+    text += table.Value(static_cast<size_t>(i), k);
+    text += ' ';
   }
-  return JaccardOfSets(WordTokenSet(a), WordTokenSet(b));
+  return WordTokenSet(text);
+}
+
+double RecordLevelJaccard(const Table& table, int i, int j) {
+  return JaccardOfSets(RecordWordTokenSet(table, i),
+                       RecordWordTokenSet(table, j));
 }
 
 double RecordLevelJaccard(const FeatureCache& features, int i, int j) {

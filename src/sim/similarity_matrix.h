@@ -1,6 +1,7 @@
 #ifndef POWER_SIM_SIMILARITY_MATRIX_H_
 #define POWER_SIM_SIMILARITY_MATRIX_H_
 
+#include <string>
 #include <vector>
 
 #include "data/table.h"
@@ -51,12 +52,17 @@ std::vector<SimilarPair> ComputePairSimilarities(
 /// have it).
 SimilarityTable PackSimilarPairs(const std::vector<SimilarPair>& pairs);
 
+/// Record i's word-token set over the concatenation of all its attribute
+/// values, each followed by ' ': the set RecordLevelJaccard compares.
+std::vector<std::string> RecordWordTokenSet(const Table& table, int i);
+
 /// Record-level similarity used for pruning (paper §7.1): word-token Jaccard
 /// over the concatenation of all attribute values. This string path
 /// concatenates and tokenizes per call. It is the crowd simulators'
-/// task-difficulty input (CrowdOracle::Difficulty, and CrowdPlatform for
-/// every assignment it simulates), which keeps a feature-cache build out of
-/// their construction; the tests also use it as the reference for the cached
+/// task-difficulty input: CrowdOracle::Difficulty calls it, and
+/// CrowdPlatform caches each record's RecordWordTokenSet the first time a
+/// question names it. That keeps a feature-cache build out of their
+/// construction; the tests also use it as the reference for the cached
 /// overload below.
 double RecordLevelJaccard(const Table& table, int i, int j);
 

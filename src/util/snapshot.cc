@@ -18,21 +18,36 @@ constexpr size_t kPayloadSizeOff = 12;
 constexpr size_t kPayloadCrcOff = 20;
 constexpr size_t kHeaderCrcOff = 24;
 
-// CRC-32 (reflected 0xEDB88320) lookup table, built once per process.
-const uint32_t* CrcTable() {
-  static uint32_t table[256];
-  static bool built = [] {
+// CRC-32 (reflected 0xEDB88320) slicing-by-8 tables, built once per
+// process. kCrc[0] is the bytewise table; kCrc[k][b] is the CRC register
+// after byte b is followed by k zero bytes, so one step folds eight bytes.
+struct CrcTables {
+  uint32_t t[8][256];
+  CrcTables() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      table[i] = c;
+      t[0][i] = c;
     }
-    return true;
-  }();
-  (void)built;
-  return table;
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
+    }
+  }
+};
+
+const CrcTables& Crc() {
+  static const CrcTables tables;
+  return tables;
+}
+
+// Four bytes as a little-endian word, whatever the host's byte order.
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 void PutU32(std::string* buf, size_t off, uint32_t v) {
@@ -73,11 +88,19 @@ bool FsyncPath(const std::string& path, int flags) {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
-  const uint32_t* table = CrcTable();
+  const auto& t = Crc().t;
   const unsigned char* p = static_cast<const unsigned char*>(data);
   uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  // Slicing-by-8: the same reflected polynomial, eight bytes per step.
+  for (; size >= 8; p += 8, size -= 8) {
+    const uint32_t lo = LoadLe32(p) ^ c;
+    const uint32_t hi = LoadLe32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) {
+    c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -1,15 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include "core/power.h"
+#include "data/generator.h"
 #include "data/paper_example.h"
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
 #include "platform/platform.h"
 #include "platform/platform_oracle.h"
 #include "platform/requester.h"
+#include "sim/similarity_matrix.h"
 #include "util/rng.h"
 
 namespace power {
@@ -424,6 +428,275 @@ TEST(PlatformOracleTest, UnansweredPairsAreNotCachedAndCanRecover) {
   size_t rounds = platform.rounds_posted();
   oracle.Ask(0, 1);
   EXPECT_EQ(platform.rounds_posted(), rounds);
+}
+
+// FNV-1a over 64-bit words, doubles by their bit patterns.
+class StreamDigest {
+ public:
+  void Add(uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h_ ^= (v >> (8 * b)) & 0xff;
+      h_ *= 0x100000001B3ULL;
+    }
+  }
+  void AddDouble(double d) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof(bits));
+    Add(bits);
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+// A generated Cora table: dirty duplicates, so the questions' record-level
+// Jaccard spreads over [0, 1] and the difficulty matters.
+Table VoteStreamTable() {
+  DatasetProfile profile = CoraProfile();
+  profile.num_records = 240;
+  profile.num_entities = 80;
+  return DatasetGenerator(29).Generate(profile);
+}
+
+// Every pair of records of one entity (up to three per record), interleaved
+// with a spread of pairs of mostly different entities.
+std::vector<PairQuestion> VoteStreamQuestions(const Table& table) {
+  const int n = static_cast<int>(table.num_records());
+  std::vector<PairQuestion> questions;
+  for (int i = 0; i < n; ++i) {
+    int same = 0;
+    for (int j = i + 1; j < n && same < 3; ++j) {
+      if (table.record(i).entity_id == table.record(j).entity_id) {
+        questions.push_back({i, j});
+        ++same;
+      }
+    }
+    const int other = (i * 37 + 11) % n;
+    if (other != i) questions.push_back({std::min(i, other),
+                                         std::max(i, other)});
+  }
+  return questions;
+}
+
+void DigestPlatform(const CrowdPlatform& platform, StreamDigest* d) {
+  for (const Assignment& a : platform.assignment_log()) {
+    d->Add(static_cast<uint64_t>(a.hit_id));
+    d->Add(static_cast<uint64_t>(a.worker_id));
+    d->Add(a.answers.size());
+    for (bool yes : a.answers) d->Add(yes ? 1 : 0);
+    d->Add(a.approved ? 1 : 0);
+    d->AddDouble(a.latency_seconds);
+  }
+  for (const Hit& hit : platform.hit_log()) {
+    d->Add(static_cast<uint64_t>(hit.id));
+    d->Add(hit.questions.size());
+    d->AddDouble(hit.reward_dollars);
+    d->Add(static_cast<uint64_t>(hit.repost));
+  }
+  d->AddDouble(platform.total_cost_dollars());
+  d->AddDouble(platform.total_latency_seconds());
+  d->AddDouble(platform.clock().now_seconds());
+  d->Add(platform.hits_posted());
+  d->Add(platform.hits_expired());
+  d->Add(platform.assignments_completed());
+  d->Add(platform.assignments_abandoned());
+  d->Add(platform.assignments_expired());
+  d->Add(platform.assignments_rejected());
+}
+
+void DigestVote(const VoteResult& vote, StreamDigest* d) {
+  d->Add(static_cast<uint64_t>(vote.yes_votes));
+  d->Add(static_cast<uint64_t>(vote.total_votes));
+}
+
+// One crowd's whole stream over the questions, posted in rounds of uneven
+// sizes: straight to the platform, or through a requester that reposts what
+// comes back unanswered.
+uint64_t VoteStreamDigest(const Table& table, size_t questions_per_hit,
+                          bool faulty, uint64_t seed) {
+  PlatformConfig config;
+  config.difficulty_scale = CoraProfile().human_hardness;
+  config.questions_per_hit = questions_per_hit;
+  config.seed = seed;
+  if (faulty) {
+    // perfbench's crowd-faulty marketplace.
+    config.fault.abandon_prob = 0.4;
+    config.fault.spammer_rate = 0.2;
+    config.fault.slow_tail_prob = 0.2;
+    config.fault.slow_tail_multiplier = 10.0;
+    config.fault.assignment_timeout_seconds = 600.0;
+  }
+  CrowdPlatform platform(&table, config);
+  RetryPolicy policy;
+  policy.max_attempts = 4;
+  Requester requester(&platform, policy);
+  const std::vector<PairQuestion> all = VoteStreamQuestions(table);
+  StreamDigest d;
+  const size_t sizes[] = {1, 3, 10, 17, 1, 30, 9, 64};
+  size_t next = 0;
+  for (size_t r = 0; next < all.size(); ++r) {
+    const size_t take = std::min(sizes[r % std::size(sizes)],
+                                 all.size() - next);
+    const std::vector<PairQuestion> round(all.begin() + next,
+                                          all.begin() + next + take);
+    next += take;
+    if (faulty) {
+      for (const QuestionOutcome& o : requester.Resolve(round)) {
+        DigestVote(o.vote, &d);
+        d.Add(static_cast<uint64_t>(o.status));
+        d.Add(static_cast<uint64_t>(o.attempts));
+      }
+    } else {
+      const CrowdPlatform::RoundResult result = platform.PostRound(round);
+      for (const VoteResult& vote : result.votes) DigestVote(vote, &d);
+      for (QuestionStatus s : result.status) {
+        d.Add(static_cast<uint64_t>(s));
+      }
+      d.AddDouble(result.latency_seconds);
+      d.AddDouble(result.cost_dollars);
+    }
+  }
+  DigestPlatform(platform, &d);
+  if (faulty) {
+    d.Add(requester.questions_reposted());
+    d.Add(requester.questions_exhausted());
+    d.AddDouble(requester.backoff_seconds());
+  }
+  return d.value();
+}
+
+// Pins every vote, status, latency, approval, payment and clock tick of the
+// simulated crowd: the values were recorded before the platform computed a
+// question's difficulty once per HIT from cached record tokens, and any
+// change to what the crowd answers shows here.
+TEST(PlatformTest, VoteStreamMatchesParent) {
+  const Table table = VoteStreamTable();
+  struct Case {
+    size_t questions_per_hit;
+    bool faulty;
+    uint64_t seed;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {10, false, 5, 0xcffd59b745456b58ULL},
+      {10, false, 51, 0x6bf0ea4416081abeULL},
+      {10, false, 2016, 0x234b2e7d8bc2d159ULL},
+      {1, false, 5, 0xf82fab3e85f1a336ULL},
+      {1, false, 51, 0x9ae9951f8fce826eULL},
+      {1, false, 2016, 0x0bdbf81c462760fbULL},
+      {10, true, 5, 0xe2b8a91cfef61634ULL},
+      {10, true, 51, 0x478c15728470958aULL},
+      {10, true, 2016, 0x778972fa62a4d775ULL},
+      {1, true, 5, 0x03d288a0ae4dc803ULL},
+      {1, true, 51, 0x470b4200fbacfb7aULL},
+      {1, true, 2016, 0x5aaed044e58a23e3ULL},
+  };
+  for (const Case& c : cases) {
+    const uint64_t digest =
+        VoteStreamDigest(table, c.questions_per_hit, c.faulty, c.seed);
+    EXPECT_EQ(digest, c.digest)
+        << "questions_per_hit " << c.questions_per_hit
+        << (c.faulty ? " faulty" : " perfect") << " seed " << c.seed
+        << ": digest 0x" << std::hex << digest;
+  }
+}
+
+// Records whose text stresses the tokenizer: mixed case, tabs and
+// newlines, repeated and empty cells, bytes >= 0x80, and a record with no
+// tokens at all.
+Table HostileTable() {
+  Table table(Schema({{"a", SimilarityFunction::kJaccard},
+                      {"b", SimilarityFunction::kJaccard},
+                      {"c", SimilarityFunction::kJaccard}}));
+  const std::vector<std::vector<std::string>> rows = {
+      {"The QUICK brown", "fox", "the quick"},
+      {"the quick BROWN", "FOX\tjumps", ""},
+      {"a\tb\nc", "a b c", "A B C"},
+      {"", "", ""},
+      {" \t\n", "\r\v\f", "  "},
+      {"caf\xc3\xa9 na\xc3\xafve", "\xff\xfe\x80", "CAF\xc3\xa9"},
+      {"caf\xc3\xa9", "\xff\xfe\x80 x", "x x x"},
+      {"same", "same", "same"},
+      {"same", "", "other"},
+      {"fox", "brown", "quick the"},
+  };
+  for (size_t r = 0; r < rows.size(); ++r) {
+    Record record;
+    record.entity_id = static_cast<int>(r / 2);
+    record.values = rows[r];
+    table.Add(std::move(record));
+  }
+  return table;
+}
+
+uint64_t Bits(double d) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+void ExpectDifficultyMatches(CrowdPlatform* platform, const Table& table,
+                             int i, int j) {
+  const double expected = TaskDifficulty(platform->config().difficulty_scale,
+                                         RecordLevelJaccard(table, i, j));
+  EXPECT_EQ(Bits(platform->Difficulty(i, j)), Bits(expected))
+      << "pair (" << i << ", " << j << ")";
+}
+
+TEST(PlatformTest, DifficultyMatchesRecordJaccard) {
+  Table table = HostileTable();
+  const int n = static_cast<int>(table.num_records());
+  PlatformConfig config = HighQualityConfig();
+  config.difficulty_scale = 0.7;
+  {
+    // Cold cache in ascending order, then warm in descending order.
+    CrowdPlatform platform(&table, config);
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) {
+        ExpectDifficultyMatches(&platform, table, i, j);
+      }
+    }
+    for (int i = n - 1; i >= 0; --i) {
+      for (int j = n - 1; j >= 0; --j) {
+        ExpectDifficultyMatches(&platform, table, i, j);
+      }
+    }
+  }
+  {
+    // Cold cache in descending order, after a round that scored some pairs.
+    CrowdPlatform platform(&table, config);
+    platform.PostRound({{0, 1}, {2, 5}, {3, 4}});
+    for (int i = n - 1; i >= 0; --i) {
+      for (int j = 0; j < n; ++j) {
+        ExpectDifficultyMatches(&platform, table, i, j);
+      }
+    }
+    // A record added after the first round.
+    Record late;
+    late.entity_id = 0;
+    late.values = {"THE quick", "Fox\tjumps", "caf\xc3\xa9"};
+    table.Add(std::move(late));
+    const int added = n;
+    const CrowdPlatform::RoundResult round =
+        platform.PostRound({{0, added}, {added, 5}});
+    EXPECT_EQ(round.answered(), 2u);
+    for (int j = 0; j <= added; ++j) {
+      ExpectDifficultyMatches(&platform, table, added, j);
+      ExpectDifficultyMatches(&platform, table, j, added);
+    }
+  }
+}
+
+TEST(PlatformDeathTest, RefusesDifficultyScaleOutsideUnitInterval) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Table table = PaperExampleTable();
+  for (double scale : {std::numeric_limits<double>::quiet_NaN(), -0.1, 1.5}) {
+    SCOPED_TRACE(scale);
+    PlatformConfig config = HighQualityConfig();
+    config.difficulty_scale = scale;
+    EXPECT_DEATH(CrowdPlatform(&table, config), "difficulty_scale");
+  }
 }
 
 }  // namespace

@@ -59,6 +59,60 @@ std::string SamplePayload() {
   return w.payload();
 }
 
+// The textbook bytewise CRC-32 (reflected 0xEDB88320), the reference the
+// sliced Crc32 must equal at every length and alignment.
+uint32_t BytewiseCrc32(const unsigned char* p, size_t size, uint32_t seed) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    table[i] = c;
+  }
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> RandomBytes(size_t size, uint32_t seed) {
+  std::mt19937 gen(seed);
+  std::vector<unsigned char> bytes(size);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(gen());
+  return bytes;
+}
+
+TEST(SnapshotCrc, CheckValueOfTheStandardString) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32("", 0), 0u);
+}
+
+TEST(SnapshotCrc, MatchesBytewiseAtEveryLengthAndAlignment) {
+  constexpr size_t kMaxLength = 4100;
+  const std::vector<unsigned char> bytes = RandomBytes(kMaxLength + 8, 1);
+  for (size_t start = 0; start < 8; ++start) {
+    // Odd starts also chain from a nonzero seed.
+    const uint32_t seed = start % 2 == 0 ? 0u : 0x9E3779B9u;
+    for (size_t length = 0; length <= kMaxLength; ++length) {
+      const unsigned char* p = bytes.data() + start;
+      ASSERT_EQ(Crc32(p, length, seed), BytewiseCrc32(p, length, seed))
+          << "start " << start << " length " << length;
+    }
+  }
+}
+
+TEST(SnapshotCrc, ChainsAcrossEverySplit) {
+  // Crc32(b, nb, Crc32(a, na)) == Crc32(concat(a, b)), as snapshot.h
+  // documents, with splits on and off the eight-byte steps.
+  const std::vector<unsigned char> bytes = RandomBytes(300, 7);
+  const uint32_t whole = Crc32(bytes.data(), bytes.size());
+  for (size_t cut = 0; cut <= bytes.size(); ++cut) {
+    const uint32_t head = Crc32(bytes.data(), cut);
+    EXPECT_EQ(Crc32(bytes.data() + cut, bytes.size() - cut, head), whole)
+        << "cut " << cut;
+  }
+}
+
 TEST(SnapshotCodecTest, RoundTripAllTypes) {
   std::string payload = SamplePayload();
   SnapshotReader r(payload);
