@@ -18,9 +18,8 @@
 // take the entry points PowerFramework::Run takes: ComputeSimilarityTable,
 // then RunOnPairs on the table, moved in. The two methods must return the
 // identical candidate vector, so every stage after candidates does the same
-// work in both rows. The second row's RSS
-// watermarks include the first run's. Last it prints what kAuto resolves to
-// on the table, from the counted work of the join row.
+// work in both rows. The second row's RSS watermarks include the first
+// run's.
 //
 // Usage:
 //   bench_scale [--smoke] [--records N] [--drop-duplicates] [--json <path>]
@@ -158,9 +157,6 @@ void PrintResult(const ScaleResult& r) {
   std::printf("groups / edges     %10zu / %zu\n", r.groups, r.edges);
   std::printf("questions          %12zu\n", r.questions);
   std::printf("F1                 %12.4f\n", r.f1);
-  std::printf("scan / join work   %12llu / %llu\n",
-              static_cast<unsigned long long>(r.stats.scan_work),
-              static_cast<unsigned long long>(r.stats.join_work));
   std::printf("signature checks   %12llu\n",
               static_cast<unsigned long long>(r.stats.signature_checks));
   std::printf("verifications      %12llu\n",
@@ -201,7 +197,6 @@ std::string JsonRow(const ScaleResult& r) {
       "\"resolve_seconds\": %.3f, \"total_seconds\": %.3f, "
       "\"rss_after_generate_mb\": %.1f, \"rss_after_candidates_mb\": %.1f, "
       "\"rss_after_similarity_mb\": %.1f, \"peak_rss_mb\": %.1f, "
-      "\"scan_work\": %llu, \"join_work\": %llu, "
       "\"signature_checks\": %llu, \"verifications\": %llu, "
       "\"posting_visits\": %llu}",
       r.records, r.record_classes, CandidateMethodName(r.method), r.threads,
@@ -214,8 +209,6 @@ std::string JsonRow(const ScaleResult& r) {
       r.rss_after_candidates / (1024.0 * 1024.0),
       r.rss_after_similarity / (1024.0 * 1024.0),
       r.rss_after_resolve / (1024.0 * 1024.0),
-      static_cast<unsigned long long>(r.stats.scan_work),
-      static_cast<unsigned long long>(r.stats.join_work),
       static_cast<unsigned long long>(r.stats.signature_checks),
       static_cast<unsigned long long>(r.stats.verifications),
       static_cast<unsigned long long>(r.stats.posting_visits));
@@ -259,12 +252,6 @@ int Run(size_t num_records, bool drop_duplicates, const char* json_path) {
       RunMethod(base, table, features, CandidateMethod::kPrefixJoin,
                 kMaxQuestions, &join_pairs);
   PrintResult(join);
-  const CandidateMethod automatic =
-      AutoCandidateMethod(join.stats.scan_work, join.stats.join_work);
-  std::printf("kAuto resolves to  %12s (join work %llu, scan work %llu)\n",
-              CandidateMethodName(automatic),
-              static_cast<unsigned long long>(join.stats.join_work),
-              static_cast<unsigned long long>(join.stats.scan_work));
 
   if (json_path != nullptr) {
     FILE* f = std::fopen(json_path, "w");

@@ -43,7 +43,7 @@ struct BenchDataset {
 };
 
 /// Generates the table and runs the front end on one feature cache, as
-/// PowerFramework::Run does: the join at `tau`, then the similarity vectors.
+/// PowerFramework::Run does: the scan at `tau`, then the similarity vectors.
 inline BenchDataset MakeDataset(const DatasetProfile& profile,
                                 double tau = 0.3) {
   BenchDataset ds;
@@ -51,8 +51,7 @@ inline BenchDataset MakeDataset(const DatasetProfile& profile,
   ds.human_hardness = profile.human_hardness;
   ds.table = DatasetGenerator(kBenchSeed).Generate(profile);
   const FeatureCache features(ds.table);
-  ds.candidates =
-      GenerateCandidates(features, tau, CandidateMethod::kPrefixJoin);
+  ds.candidates = GenerateCandidates(features, tau, CandidateMethod::kAllPairs);
   ds.pairs = ComputePairSimilarities(features, ds.candidates, 0.2);
   return ds;
 }

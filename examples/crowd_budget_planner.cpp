@@ -22,10 +22,10 @@ int main() {
 
   // Pilot slice: a 2,000-record cut of the publication catalog.
   Table pilot = DatasetGenerator(/*seed=*/3).Generate(AcmPubProfile(0.03));
-  // One feature cache feeds both the pruning join and the similarity table.
+  // One feature cache feeds both the pruning scan and the similarity table.
   FeatureCache features(pilot);
   const SimilarityTable pairs = ComputeSimilarityTable(
-      features, GenerateCandidates(features, 0.3, CandidateMethod::kPrefixJoin),
+      features, GenerateCandidates(features, 0.3, CandidateMethod::kAllPairs),
       0.2);
   auto truth = TrueMatchPairs(pilot);
   std::printf("pilot: %zu records, %zu candidate pairs\n\n",

@@ -24,11 +24,11 @@ int main() {
   std::printf("bibliography: %zu records, %zu distinct publications\n",
               bibliography.num_records(), bibliography.CountEntities());
 
-  // One feature cache feeds both the pruning join and the similarity table.
+  // One feature cache feeds both the pruning scan and the similarity table.
   FeatureCache features(bibliography);
   const SimilarityTable pairs = ComputeSimilarityTable(
-      features,
-      GenerateCandidates(features, 0.3, CandidateMethod::kPrefixJoin), 0.2);
+      features, GenerateCandidates(features, 0.3, CandidateMethod::kAllPairs),
+      0.2);
   std::printf("candidate pairs: %zu\n\n", pairs.size());
 
   auto truth = TrueMatchPairs(bibliography);

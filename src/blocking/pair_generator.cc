@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -247,15 +246,8 @@ const char* CandidateMethodName(CandidateMethod method) {
       return "AllPairs";
     case CandidateMethod::kPrefixJoin:
       return "PrefixJoin";
-    case CandidateMethod::kAuto:
-      return "Auto";
   }
   return "?";
-}
-
-CandidateMethod AutoCandidateMethod(uint64_t scan_work, uint64_t join_work) {
-  return 16 * join_work < scan_work ? CandidateMethod::kPrefixJoin
-                                    : CandidateMethod::kAllPairs;
 }
 
 std::string CandidateThresholdError(double tau) {
@@ -275,38 +267,18 @@ std::vector<std::pair<int, int>> GenerateCandidates(
     std::fprintf(stderr, "%s\n", error.c_str());
     std::abort();
   }
-  const uint64_t n = features.num_records();
   CandidateStats counted;
-  counted.scan_work = n * (n - 1) / 2;
-  // kAuto plans the join to count its work, and hands the plan over when
-  // the join wins; pinned to the scan, nothing is planned.
-  std::optional<PrefixJoinPlan> plan;
-  CandidateMethod resolved = method;
-  if (method != CandidateMethod::kAllPairs) {
-    plan = PlanPrefixJoin(features, tau);
-    counted.join_work = plan->work;
-    if (method == CandidateMethod::kAuto) {
-      resolved = AutoCandidateMethod(counted.scan_work, counted.join_work);
-    }
-  }
-  counted.resolved = resolved;
-  std::vector<std::pair<int, int>> out;
-  if (resolved == CandidateMethod::kAllPairs) {
-    plan.reset();
-    out = AllPairsCandidates(features, tau, &counted);
-  } else {
-    out = PrefixFilterJoin(features, std::move(*plan), &counted);
-  }
+  std::vector<std::pair<int, int>> out =
+      method == CandidateMethod::kPrefixJoin
+          ? PrefixFilterJoin(features, tau, &counted)
+          : AllPairsCandidates(features, tau, &counted);
   if (EnvVerbose()) {
     std::fprintf(stderr,
-                 "power: candidates: method=%s resolved=%s records=%zu "
-                 "classes=%zu pairs=%zu scan_work=%llu join_work=%llu "
-                 "signature_checks=%llu verifications=%llu "
+                 "power: candidates: method=%s records=%zu classes=%zu "
+                 "pairs=%zu signature_checks=%llu verifications=%llu "
                  "posting_visits=%llu\n",
-                 CandidateMethodName(method), CandidateMethodName(resolved),
-                 features.num_records(), features.num_classes(), out.size(),
-                 static_cast<unsigned long long>(counted.scan_work),
-                 static_cast<unsigned long long>(counted.join_work),
+                 CandidateMethodName(method), features.num_records(),
+                 features.num_classes(), out.size(),
                  static_cast<unsigned long long>(counted.signature_checks),
                  static_cast<unsigned long long>(counted.verifications),
                  static_cast<unsigned long long>(counted.posting_visits));

@@ -10,48 +10,36 @@
 
 namespace power {
 
-/// Candidate generation method selector used by the pipeline config.
+/// Candidate generation method selector used by the pipeline config. Both
+/// methods return the *same sorted pair vector* (the differential tests
+/// prove it), so the choice changes only wall time, never results.
 enum class CandidateMethod {
+  /// The all-pairs scan over record classes (AllPairsCandidates): the
+  /// default, and the faster method on every benchmarked table shape.
   kAllPairs,
+  /// The prefix join (PrefixFilterJoin). It wins only where prefixes are
+  /// short: a long-tail vocabulary at high tau (DESIGN.md §14).
   kPrefixJoin,
-  /// Dispatch by counted work: plan the join (rank the tokens, count the
-  /// prefix posting lists) and take it only when
-  /// 16 × join_work < scan_work (see CandidateStats and
-  /// AutoCandidateMethod), else scan. The factor is fitted on six measured
-  /// tables (DESIGN.md §14): the bit-sliced scan decides 256 pairs per step
-  /// and skips the token counts the length filter rules out, so a posting
-  /// visit, index build included, costs 3–38 of the scan's pairs. Safe as a
-  /// blanket default because the two methods return the *same sorted pair
-  /// vector* (the differential tests prove it), so the dispatch only ever
-  /// changes wall time, never results.
-  kAuto,
 };
 
 const char* CandidateMethodName(CandidateMethod method);
 
-/// GenerateCandidates' options. It has none: kAuto's choice is counted, not
-/// tuned. Kept so that callers passing CandidateOptions{} keep compiling.
+/// GenerateCandidates' options. It has none. Kept so that callers passing
+/// CandidateOptions{} keep compiling.
 struct CandidateOptions {};
 
 /// What GenerateCandidates did, as exact counts: they depend only on the
 /// table, tau and the method, never on the thread count or SIMD level.
 struct CandidateStats {
-  /// The method that ran — never kAuto.
-  CandidateMethod resolved = CandidateMethod::kAllPairs;
-  /// The two numbers kAuto compares: n(n-1)/2 over the n records, and the
-  /// join's posting visits, Σ L(L-1)/2 over the lengths L of its prefix
-  /// posting lists. join_work is 0 when the method is pinned to kAllPairs,
-  /// which plans no join.
-  uint64_t scan_work = 0;
-  uint64_t join_work = 0;
   /// Pairs whose signatures were compared, and how many of them then ran
   /// the exact intersection (verifications <= signature_checks). The scan
   /// compares record classes, so it counts C(C-1)/2 class pairs for C
   /// classes (FeatureCache::num_classes); the join counts record pairs.
   uint64_t signature_checks = 0;
   uint64_t verifications = 0;
-  /// Posting-list entries the join's probes visited (0 for the scan); it
-  /// equals join_work whenever the join runs.
+  /// Posting-list entries the join's probes visited (0 for the scan):
+  /// Σ L(L-1)/2 over the lengths L of its prefix posting lists, since each
+  /// probe walks a list only up to its own position.
   uint64_t posting_visits = 0;
 };
 
@@ -70,20 +58,15 @@ std::vector<std::pair<int, int>> AllPairsCandidates(
     const FeatureCache& features, double tau,
     CandidateStats* stats = nullptr);
 
-/// kAuto's rule, from the two counted works: the join when
-/// 16 × join_work < scan_work, else the scan.
-CandidateMethod AutoCandidateMethod(uint64_t scan_work, uint64_t join_work);
-
 /// The message GenerateCandidates aborts with when tau is outside (0, 1]
 /// (NaN included), or an empty string when tau can run.
 std::string CandidateThresholdError(double tau);
 
-/// Dispatches to AllPairsCandidates or PrefixFilterJoin by `method` (see
-/// CandidateMethod::kAuto). Aborts with CandidateThresholdError's message
-/// unless tau is in (0, 1], so every method refuses the same thresholds at
-/// every table size. Reports the taken path and its counts via `stats`
-/// (optional) and, when the POWER_VERBOSE environment variable is set
-/// non-empty (and not "0"), on stderr.
+/// Dispatches to AllPairsCandidates or PrefixFilterJoin by `method`.
+/// Aborts with CandidateThresholdError's message unless tau is in (0, 1],
+/// so both methods refuse the same thresholds at every table size. Reports
+/// the method's counts via `stats` (optional) and, when the POWER_VERBOSE
+/// environment variable is set non-empty (and not "0"), on stderr.
 std::vector<std::pair<int, int>> GenerateCandidates(
     const FeatureCache& features, double tau, CandidateMethod method,
     const CandidateOptions& options = {}, CandidateStats* stats = nullptr);

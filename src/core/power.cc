@@ -1,6 +1,7 @@
 #include "core/power.h"
 
 #include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -156,9 +157,24 @@ std::string ValidateConfig(const PowerConfig& config) {
     return error;
   }
   char message[128];
+  // NaN compares false with everything, so a NaN floor would clamp no
+  // component and a NaN threshold would turn Power+'s gate off
+  // (confidence() < NaN). Values above 1 are legal.
+  if (std::isnan(config.component_floor)) {
+    std::snprintf(message, sizeof(message),
+                  "power: component_floor=%g must be a number",
+                  config.component_floor);
+    return message;
+  }
   if (!(config.epsilon >= 0.0)) {
     std::snprintf(message, sizeof(message),
                   "power: grouping epsilon=%g must be >= 0", config.epsilon);
+    return message;
+  }
+  if (std::isnan(config.confidence_threshold)) {
+    std::snprintf(message, sizeof(message),
+                  "power: confidence_threshold=%g must be a number",
+                  config.confidence_threshold);
     return message;
   }
   if (config.max_ask_attempts < 1) {
@@ -180,7 +196,6 @@ PowerResult PowerFramework::Run(const Table& table,
                                 PairOracle* oracle) const {
   CheckConfig(config_);
   ScopedNumThreads thread_scope(config_.num_threads);
-  CandidateStats candidate_stats;
   SimilarityTable pairs;
   size_t record_classes = 0;
   double pruning_seconds = 0.0;
@@ -193,8 +208,7 @@ PowerResult PowerFramework::Run(const Table& table,
     FeatureCache features(table);
     record_classes = features.num_classes();
     std::vector<std::pair<int, int>> candidates = GenerateCandidates(
-        features, config_.prune_tau, config_.candidate_method,
-        CandidateOptions{}, &candidate_stats);
+        features, config_.prune_tau, config_.candidate_method);
     pruning_seconds = prune_watch.ElapsedSeconds();
     Stopwatch sim_watch;
     pairs = ComputeSimilarityTable(features, candidates,
@@ -205,7 +219,6 @@ PowerResult PowerFramework::Run(const Table& table,
   result.num_record_classes = record_classes;
   result.pruning_seconds = pruning_seconds;
   result.similarity_seconds = similarity_seconds;
-  result.candidate_method = CandidateMethodName(candidate_stats.resolved);
   return result;
 }
 

@@ -35,15 +35,15 @@ const char* BuilderKindName(BuilderKind kind);
 struct PowerConfig {
   // Pruning (§7.1): record-level Jaccard threshold and per-attribute floor.
   // prune_tau must be in (0, 1] (ValidateConfig: "power: candidate
-  // threshold tau=<value> is outside (0, 1]").
+  // threshold tau=<value> is outside (0, 1]"), and component_floor must not
+  // be NaN ("power: component_floor=nan must be a number").
   double prune_tau = 0.3;
   double component_floor = 0.2;
-  /// kAuto picks by counted work (see CandidateMethod::kAuto): the prefix
-  /// join only when its posting visits are few against the scan's pairs
-  /// (AutoCandidateMethod); the explicit methods pin one path. All three
-  /// settings produce the identical sorted candidate vector — the knob is
-  /// purely a performance choice.
-  CandidateMethod candidate_method = CandidateMethod::kAuto;
+  /// The all-pairs scan by default. Both methods produce the identical
+  /// sorted candidate vector, so the knob is purely a performance choice:
+  /// pin kPrefixJoin for a long-tail vocabulary at high tau, the one shape
+  /// where the join beats the scan (DESIGN.md §14).
+  CandidateMethod candidate_method = CandidateMethod::kAllPairs;
 
   GroupingKind grouping = GroupingKind::kSplit;
   /// Must be >= 0 under every grouping kind (ValidateConfig: "power:
@@ -61,6 +61,8 @@ struct PowerConfig {
   /// §6 histogram estimator instead of the crowd (budgeted extension of
   /// Algorithm 5).
   size_t max_questions = 0;
+  /// Must not be NaN (ValidateConfig: "power: confidence_threshold=nan
+  /// must be a number"). Above 1, Power+ marks every answered group BLUE.
   double confidence_threshold = 0.8;
   ErrorToleranceConfig tolerance;
 
@@ -96,13 +98,14 @@ struct PowerConfig {
 };
 
 /// The first reason `config` cannot run, or an empty string when it can:
-/// prune_tau outside (0, 1] (or NaN; GenerateCandidates' message),
-/// epsilon < 0 (or NaN), max_ask_attempts < 1, or tolerance.num_histograms
-/// < 1. PowerFramework::Run, both RunOnPairs overloads and the
-/// RunOnPairsJob constructor check it before any other work and abort with
-/// the message, so a bad config fails the same way at every entry point and
-/// every table size, before the feature cache, the candidates or the
-/// similarity table are built.
+/// prune_tau outside (0, 1] (or NaN; GenerateCandidates' message), a NaN
+/// component_floor, epsilon < 0 (or NaN), a NaN confidence_threshold,
+/// max_ask_attempts < 1, or tolerance.num_histograms < 1.
+/// PowerFramework::Run, both RunOnPairs overloads and the RunOnPairsJob
+/// constructor check it before any other work and abort with the message,
+/// so a bad config fails the same way at every entry point and every table
+/// size, before the feature cache, the candidates or the similarity table
+/// are built.
 std::string ValidateConfig(const PowerConfig& config);
 
 /// Pipeline outcome: the common ER result plus pipeline statistics used by
@@ -129,8 +132,6 @@ struct PowerResult : ErResult {
   double similarity_seconds = 0.0;
   /// Resolved thread count the machine-side stages ran with.
   int num_threads = 1;
-  /// Candidate method that actually ran (kAuto resolved; Run only).
-  const char* candidate_method = "?";
 };
 
 /// Phases of the resumable ask-and-color loop, in execution order. One

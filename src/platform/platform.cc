@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <string>
+#include <utility>
 
 #include "sim/similarity_matrix.h"
 #include "sim/tokenizer.h"
@@ -44,18 +47,33 @@ int32_t CrowdPlatform::TokenSlot(int r) {
     token_slot_.resize(table_->num_records(), kNoTokens);
   }
   if (token_slot_[record] == kNoTokens) {
-    token_slot_[record] = static_cast<int32_t>(token_sets_.size());
-    token_sets_.push_back(RecordWordTokenSet(*table_, r));
+    token_slot_[record] = static_cast<int32_t>(token_begin_.size() - 1);
+    for (std::string& token : RecordWordTokenSet(*table_, r)) {
+      const auto next = static_cast<int32_t>(token_dict_.size());
+      token_ids_.push_back(
+          token_dict_.try_emplace(std::move(token), next).first->second);
+    }
+    std::sort(token_ids_.begin() +
+                  static_cast<std::ptrdiff_t>(token_begin_.back()),
+              token_ids_.end());
+    token_begin_.push_back(token_ids_.size());
   }
   return token_slot_[record];
 }
 
+std::span<const int32_t> CrowdPlatform::SlotTokens(int32_t slot) const {
+  const auto s = static_cast<size_t>(slot);
+  return std::span<const int32_t>(token_ids_).subspan(
+      token_begin_[s], token_begin_[s + 1] - token_begin_[s]);
+}
+
 double CrowdPlatform::Difficulty(int i, int j) {
+  // Both slots before either span: caching a record may grow token_ids_.
   const int32_t a = TokenSlot(i);
   const int32_t b = TokenSlot(j);
+  // Interning is a bijection, so the id sets' Jaccard is the token sets'.
   return TaskDifficulty(config_.difficulty_scale,
-                        JaccardOfSets(token_sets_[static_cast<size_t>(a)],
-                                      token_sets_[static_cast<size_t>(b)]));
+                        JaccardOfSets(SlotTokens(a), SlotTokens(b)));
 }
 
 bool CrowdPlatform::WorkerAnswers(const SimWorker& worker, bool truth,

@@ -2,7 +2,9 @@
 #define POWER_PLATFORM_PLATFORM_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "crowd/worker.h"
@@ -137,17 +139,19 @@ class CrowdPlatform {
   /// The difficulty honest workers see on the pair (i, j):
   /// TaskDifficulty(difficulty_scale, RecordLevelJaccard(table, i, j)), bit
   /// for bit. Each record's token set is computed the first time a question
-  /// names it and kept for the platform's lifetime; records added to the
-  /// table later are picked up the same way. Draws nothing from the rng.
+  /// names it and kept, as interned ids, for the platform's lifetime;
+  /// records added to the table later are picked up the same way. Draws
+  /// nothing from the rng.
   double Difficulty(int i, int j);
 
  private:
   static constexpr int32_t kNoTokens = -1;
 
   bool Truth(const PairQuestion& q) const;
-  /// Index into token_sets_ of record r's RecordWordTokenSet, computed on
-  /// first use.
+  /// The slot of record r's RecordWordTokenSet, computed on first use.
   int32_t TokenSlot(int r);
+  /// Slot s's token set, as sorted interned ids.
+  std::span<const int32_t> SlotTokens(int32_t slot) const;
   bool WorkerAnswers(const SimWorker& worker, bool truth,
                      double difficulty);
 
@@ -159,11 +163,14 @@ class CrowdPlatform {
   int64_t next_hit_id_ = 0;
   std::vector<Hit> hit_log_;
   std::vector<Assignment> assignment_log_;
-  // token_slot_[r] indexes record r's token set in token_sets_, or is
-  // kNoTokens until a question names r: four bytes per record, plus the
-  // sets of the records the crowd has been asked about.
+  // token_slot_[r] is the slot of record r's token set, or kNoTokens until
+  // a question names r: four bytes per record. Slot s holds the sorted ids
+  // token_ids_[token_begin_[s] .. token_begin_[s + 1]). The ids intern the
+  // asked records' tokens through token_dict_, which is only probed.
   std::vector<int32_t> token_slot_;
-  std::vector<std::vector<std::string>> token_sets_;
+  std::vector<size_t> token_begin_{0};
+  std::vector<int32_t> token_ids_;
+  std::unordered_map<std::string, int32_t> token_dict_;
   double total_cost_ = 0.0;
   double total_latency_ = 0.0;
   size_t hits_posted_ = 0;

@@ -118,8 +118,7 @@ TEST(GenerateCandidatesDeathTest, RejectsTauOutsideUnitIntervalAtEverySize) {
     Table t = RestaurantTable(records, records / 2, 8);
     FeatureCache features(t);
     for (CandidateMethod method :
-         {CandidateMethod::kAuto, CandidateMethod::kAllPairs,
-          CandidateMethod::kPrefixJoin}) {
+         {CandidateMethod::kAllPairs, CandidateMethod::kPrefixJoin}) {
       SCOPED_TRACE(CandidateMethodName(method));
       EXPECT_DEATH(GenerateCandidates(features, 0.0, method),
                    "tau=0 is outside \\(0, 1\\]");

@@ -67,7 +67,7 @@ struct PipelineCase {
   GroupingKind grouping;
   SelectorKind selector;
   bool error_tolerant;
-  bool prefix_join;  // pins CandidateMethod::kPrefixJoin instead of kAuto
+  bool prefix_join;  // pins CandidateMethod::kPrefixJoin, not the scan
   size_t max_questions;
   double accuracy;
 };
@@ -137,8 +137,8 @@ INSTANTIATE_TEST_SUITE_P(
         PipelineCase{"budgeted_noisy", BuilderKind::kQuickSort,
                      GroupingKind::kSplit, SelectorKind::kTopoSort, false,
                      false, 40, 0.85},
-        // kAuto scans all pairs at this size; these pin the prefix join,
-        // whose probes run on the pool, on the grouped and ungrouped paths.
+        // The default scans all pairs; these pin the prefix join, whose
+        // probes run on the pool, on the grouped and ungrouped paths.
         PipelineCase{"prefix_join_grouped", BuilderKind::kRangeTree,
                      GroupingKind::kSplit, SelectorKind::kTopoSort, false,
                      true, 0, 1.0},

@@ -7,6 +7,7 @@
 // comparisons, so "close" is not good enough).
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -228,7 +229,7 @@ SimilarityTable ProfileRows(DatasetProfile profile, size_t records) {
   const Table table = DatasetGenerator(51).Generate(profile);
   const FeatureCache features(table);
   return ComputeSimilarityTable(
-      features, GenerateCandidates(features, 0.3, CandidateMethod::kAuto),
+      features, GenerateCandidates(features, 0.3, CandidateMethod::kAllPairs),
       0.2);
 }
 
@@ -337,8 +338,8 @@ TEST(ParallelUngroupedGraphDifferential, BuildersMatchGroupedEdgeLoop) {
   for (const Table& table : tables) {
     const FeatureCache features(table);
     const SimilarityTable pairs = ComputeSimilarityTable(
-        features, GenerateCandidates(features, 0.3, CandidateMethod::kAuto),
-        0.2);
+        features,
+        GenerateCandidates(features, 0.3, CandidateMethod::kAllPairs), 0.2);
     const SimilarityRows rows = pairs.rows();
     std::set<std::vector<double>> distinct;
     for (size_t v = 0; v < rows.n; ++v) {
@@ -459,44 +460,6 @@ TEST(ParallelPrefixJoinDifferential, EqualsAllPairsByteForByte) {
   EXPECT_GT(nonempty, 60u);
 }
 
-// kAuto picks by counted work: the scan on a dense vocabulary, where the
-// join's prefix posting lists are long, and the join on a long-tail one at
-// tau 0.5, where its prefixes are short (at tau 0.3 this table's join work
-// is 0.11 of the scan's, and the scan is the faster). Either way the result
-// equals the other method's.
-TEST(GenerateCandidatesTest, AutoDispatchesByCountedWork) {
-  const Table dense = Head(DatasetGenerator(41).Generate(AcmPubProfile(0.005)),
-                           300);
-  const Table long_tail = LongTailTable(300, 42);
-  struct Case {
-    const char* shape;
-    const Table* table;
-    double tau;
-    CandidateMethod picked;
-    CandidateMethod other;
-  };
-  const Case cases[] = {
-      {"dense", &dense, 0.3, CandidateMethod::kAllPairs,
-       CandidateMethod::kPrefixJoin},
-      {"long_tail", &long_tail, 0.5, CandidateMethod::kPrefixJoin,
-       CandidateMethod::kAllPairs}};
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.shape);
-    ASSERT_EQ(c.table->num_records(), 300u);
-    const FeatureCache features(*c.table);
-    CandidateStats stats;
-    const std::vector<std::pair<int, int>> pairs = GenerateCandidates(
-        features, c.tau, CandidateMethod::kAuto, {}, &stats);
-    EXPECT_EQ(stats.resolved, c.picked);
-    EXPECT_EQ(stats.scan_work, 300u * 299u / 2);
-    EXPECT_GT(stats.join_work, 0u);
-    EXPECT_EQ(AutoCandidateMethod(stats.scan_work, stats.join_work),
-              c.picked);
-    EXPECT_FALSE(pairs.empty());
-    EXPECT_EQ(pairs, GenerateCandidates(features, c.tau, c.other));
-  }
-}
-
 // Restores the ambient SIMD dispatch level when a test that flips it exits.
 class ScopedSimdLevel {
  public:
@@ -511,8 +474,41 @@ class ScopedSimdLevel {
   SimdLevel saved_;
 };
 
+// The join's posting visits, counted from the table's record token sets
+// alone: rank the tokens by (document frequency, token bytes), take each
+// record's first |x| - ceil(tau|x|) + 1 ranks as its prefix, and sum
+// L(L-1)/2 over the number L of records whose prefix holds each rank.
+uint64_t PrefixPostingPairs(const Table& table, double tau) {
+  std::vector<std::vector<std::string>> sets;
+  std::map<std::string, int> freq;
+  for (size_t i = 0; i < table.num_records(); ++i) {
+    sets.push_back(RecordWordTokenSet(table, static_cast<int>(i)));
+    for (const std::string& token : sets.back()) ++freq[token];
+  }
+  std::vector<std::pair<int, std::string>> vocab;
+  for (const auto& [token, df] : freq) vocab.emplace_back(df, token);
+  std::sort(vocab.begin(), vocab.end());
+  std::map<std::string, size_t> rank;
+  for (size_t r = 0; r < vocab.size(); ++r) rank[vocab[r].second] = r;
+  std::vector<uint64_t> holders(vocab.size(), 0);
+  for (const std::vector<std::string>& set : sets) {
+    std::vector<size_t> ranks;
+    for (const std::string& token : set) ranks.push_back(rank.at(token));
+    std::sort(ranks.begin(), ranks.end());
+    const size_t len = ranks.size();
+    const size_t prefix =
+        len == 0 ? 0 : len - static_cast<size_t>(std::ceil(tau * len)) + 1;
+    for (size_t p = 0; p < prefix; ++p) ++holders[ranks[p]];
+  }
+  uint64_t visits = 0;
+  for (uint64_t l : holders) visits += l * (l - 1) / 2;
+  return visits;
+}
+
 // The candidate counters are exact: per chunk sums folded in chunk order, so
-// they repeat at every thread count and SIMD level, for every method.
+// they repeat at every thread count and SIMD level, for both methods. The
+// join's posting visits are Σ L(L-1)/2 over its prefix posting lists: each
+// probe walks a list only up to its own position.
 TEST(ParallelCandidateCounters, EqualAtEveryThreadCountAndSimdLevel) {
   DatasetProfile cora = CoraProfile();
   cora.num_records = 300;
@@ -525,8 +521,7 @@ TEST(ParallelCandidateCounters, EqualAtEveryThreadCountAndSimdLevel) {
   for (const Table& table : tables) {
     const FeatureCache features(table);
     for (CandidateMethod method :
-         {CandidateMethod::kAllPairs, CandidateMethod::kPrefixJoin,
-          CandidateMethod::kAuto}) {
+         {CandidateMethod::kAllPairs, CandidateMethod::kPrefixJoin}) {
       SCOPED_TRACE(std::string(CandidateMethodName(method)) + " " +
                    std::to_string(table.num_records()) + " records");
       CandidateStats want;
@@ -540,15 +535,14 @@ TEST(ParallelCandidateCounters, EqualAtEveryThreadCountAndSimdLevel) {
       EXPECT_GT(want.signature_checks, 0u);
       EXPECT_GT(want.verifications, 0u);
       EXPECT_LE(want.verifications, want.signature_checks);
-      if (want.resolved == CandidateMethod::kAllPairs) {
-        // The scan checks each pair of record classes once; scan_work
-        // stays n(n-1)/2 over the records, which kAuto compares.
+      if (method == CandidateMethod::kAllPairs) {
+        // The scan checks each pair of record classes once.
         const uint64_t classes = features.num_classes();
         EXPECT_EQ(want.signature_checks, classes * (classes - 1) / 2);
-        EXPECT_EQ(want.scan_work, 300u * 299u / 2);
         EXPECT_EQ(want.posting_visits, 0u);
       } else {
-        EXPECT_EQ(want.posting_visits, want.join_work);
+        EXPECT_EQ(want.posting_visits, PrefixPostingPairs(table, 0.3));
+        EXPECT_GT(want.posting_visits, 0u);
       }
       for (SimdLevel simd : levels) {
         for (int threads : kThreadCounts) {
@@ -559,9 +553,6 @@ TEST(ParallelCandidateCounters, EqualAtEveryThreadCountAndSimdLevel) {
           CandidateStats got;
           EXPECT_EQ(GenerateCandidates(features, 0.3, method, {}, &got),
                     reference);
-          EXPECT_EQ(got.resolved, want.resolved);
-          EXPECT_EQ(got.scan_work, want.scan_work);
-          EXPECT_EQ(got.join_work, want.join_work);
           EXPECT_EQ(got.signature_checks, want.signature_checks);
           EXPECT_EQ(got.verifications, want.verifications);
           EXPECT_EQ(got.posting_visits, want.posting_visits);

@@ -151,8 +151,8 @@ MonotoneInput MakeMonotoneInput(std::string name, DatasetProfile profile) {
   const Table table = DatasetGenerator(41).Generate(profile);
   const FeatureCache features(table);
   const PowerConfig defaults;
-  const std::vector<std::pair<int, int>> candidates =
-      GenerateCandidates(features, defaults.prune_tau, CandidateMethod::kAuto);
+  const std::vector<std::pair<int, int>> candidates = GenerateCandidates(
+      features, defaults.prune_tau, CandidateMethod::kAllPairs);
   const size_t stride = (candidates.size() + 999) / 1000;
   std::vector<std::pair<int, int>> kept;
   for (size_t p = 0; p < candidates.size(); p += stride) {
@@ -349,6 +349,36 @@ TEST(PowerFrameworkDeathTest, RejectsBadEpsilonUnderEveryGroupingAndSize) {
                    "grouping epsilon=-?nan must be >= 0");
     }
   }
+}
+
+// A NaN component floor or confidence threshold is refused before anything
+// else runs, by Run and RunOnPairs alike. NaN compares false with
+// everything: the floor would clamp no component, and the threshold would
+// switch Power+'s gate off. A threshold above 1 stays legal.
+TEST(PowerFrameworkDeathTest, RejectsNaNFloorAndConfidenceThreshold) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Table table = PaperExampleTable();
+  CrowdOracle oracle = PerfectOracle(table);
+  const std::vector<SimilarPair> pairs = PaperExamplePairs();
+  PowerConfig bad_floor;
+  bad_floor.component_floor = std::numeric_limits<double>::quiet_NaN();
+  PowerConfig bad_threshold;
+  bad_threshold.error_tolerant = true;
+  bad_threshold.confidence_threshold =
+      std::numeric_limits<double>::quiet_NaN();
+  const std::pair<PowerConfig, std::string> cases[] = {
+      {bad_floor, "power: component_floor=-?nan must be a number"},
+      {bad_threshold, "power: confidence_threshold=-?nan must be a number"}};
+  for (const auto& [config, message] : cases) {
+    SCOPED_TRACE(message);
+    EXPECT_FALSE(ValidateConfig(config).empty());
+    EXPECT_DEATH(PowerFramework(config).Run(table, &oracle), message);
+    EXPECT_DEATH(PowerFramework(config).RunOnPairs(pairs, &oracle), message);
+  }
+  PowerConfig above_one;
+  above_one.error_tolerant = true;
+  above_one.confidence_threshold = 1.1;
+  EXPECT_EQ(ValidateConfig(above_one), "");
 }
 
 // max_ask_attempts = 0 is refused the same way: first, under every grouping

@@ -339,8 +339,7 @@ TEST_P(ParallelScanOracle, EveryMethodMatchesDoubleLoop) {
         EXPECT_EQ(stats.signature_checks, class_pairs);
         EXPECT_EQ(stats.verifications, passes);
         for (CandidateMethod method :
-             {CandidateMethod::kAllPairs, CandidateMethod::kPrefixJoin,
-              CandidateMethod::kAuto}) {
+             {CandidateMethod::kAllPairs, CandidateMethod::kPrefixJoin}) {
           ASSERT_EQ(GenerateCandidates(features, tau, method), want)
               << CandidateMethodName(method);
         }
@@ -374,7 +373,6 @@ struct RunFacts {
   size_t num_edges;
   size_t num_blue_groups;
   bool budget_exhausted;
-  std::string candidate_method;
   std::vector<uint64_t> matched;  // sorted
 
   bool operator==(const RunFacts&) const = default;
@@ -418,7 +416,6 @@ TEST_P(ParallelEdgeRun, PerfectCrowdRunIsThreadInvariantAndBounded) {
                      result.num_edges,
                      result.num_blue_groups,
                      result.budget_exhausted,
-                     result.candidate_method,
                      {result.matched_pairs.begin(),
                       result.matched_pairs.end()}};
       std::sort(facts.matched.begin(), facts.matched.end());
